@@ -37,8 +37,9 @@ from .mesh import (
     load_triangle_mesh,
     load_triangle_mesh_file,
 )
-from .model import model_case1, model_case2
-from .scheme import BoundaryData, SolverError, State, jacobian, residual
+from .model import ModelDomainError, model_case1, model_case2
+from .oracle import fd_jacobian
+from .scheme import BoundaryData, SolverError, State, jacobian
 from . import diagnostics
 
 EXIT_OK = 0
@@ -214,29 +215,13 @@ def cmd_check_mesh(args):
 # -- selftest ------------------------------------------------------------------------------
 
 
-def _fd_jacobian(state, u, dt, mesh, model, bdata, step=1e-7):
-    n, n_cells = u.shape
-    size = n * n_cells
-    out = np.empty((size, size))
-    for col in range(size):
-        i, k = col % n, col // n
-        h = step * max(1.0, abs(u[i, k]))
-        up, um = u.copy(), u.copy()
-        up[i, k] += h
-        um[i, k] -= h
-        rp = residual(state, up, dt, mesh, model, bdata)
-        rm = residual(state, um, dt, mesh, model, bdata)
-        out[:, col] = (rp - rm).ravel(order="F") / (2.0 * h)
-    return out
-
-
 def _selftest_jacobian(rng, mesh, model, bdata, label):
     n = model.params.n_species
     u = rng.uniform(0.02, 0.4, size=(n, mesh.n_cells))
     state = State(time=0.0, u=u)
     dt = 1e-5
     exact = jacobian(state, u, dt, mesh, model, bdata).toarray()
-    approx = _fd_jacobian(state, u, dt, mesh, model, bdata)
+    approx = fd_jacobian(state, u, dt, mesh, model, bdata)
     deviation = np.abs(exact - approx).max() / np.abs(approx).max()
     ok = deviation < 1e-6
     print(f"{'ok' if ok else 'FAIL'}: jacobian vs central differences ({label}), "
@@ -375,7 +360,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
+    except (SolverError, ModelDomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MeshError as exc:

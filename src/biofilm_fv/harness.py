@@ -229,9 +229,14 @@ class ExperimentSpec:
 
 
 class RunRecorder:
-    """Observer collecting per-step reports and the entropy-inequality margin."""
+    """Observer collecting per-step reports and the entropy-inequality margin.
 
-    def __init__(self, keep_states=False):
+    The margin is H_{k-1} - H_k - dt * sum_i alpha_i I_i, the slack of the
+    inequality ``scheme.advance`` enforces.
+    """
+
+    def __init__(self, alphas, keep_states=False):
+        self.alphas = alphas
         self.reports = []
         self.states = [] if keep_states else None
         self.entropy_margin = math.inf
@@ -245,7 +250,8 @@ class RunRecorder:
             margin = (
                 self._previous_entropy
                 - report.entropy
-                - report.dt_used * float(report.dissipation.sum())
+                - report.dt_used
+                * diagnostics.entropy_production(report.dissipation, self.alphas)
             )
             self.entropy_margin = min(self.entropy_margin, margin)
         self._previous_entropy = report.entropy
@@ -268,9 +274,11 @@ def _write_csv(path, header, rows):
             fh.write("\n")
 
 
-def write_entropy_csv(path, reports):
+def write_entropy_csv(path, reports, alphas):
+    """One row per accepted step; I_total is the production sum_i alpha_i I_i."""
     rows = [
-        (k, r.time, r.dt_used, r.entropy, float(r.dissipation.sum()), r.min_u,
+        (k, r.time, r.dt_used, r.entropy,
+         diagnostics.entropy_production(r.dissipation, alphas), r.min_u,
          r.max_M, r.newton_iters)
         for k, r in enumerate(reports, start=1)
     ]
@@ -461,7 +469,7 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     state = project_initial(spec.build_datum(), mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
-    recorder = RunRecorder()
+    recorder = RunRecorder(model.params.alpha_array)
     recorder.start(diagnostics.discrete_entropy(state, mesh, model, bdata))
 
     out = None if out_dir is None else Path(out_dir)
@@ -489,7 +497,7 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
         state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=recorder)
 
     if out is not None:
-        write_entropy_csv(out / "entropy.csv", recorder.reports)
+        write_entropy_csv(out / "entropy.csv", recorder.reports, recorder.alphas)
         write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, recorder)
     return EvolutionResult(
         snapshots=snapshots,
@@ -532,7 +540,7 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
     u_d = bdata.values
     times = []
     distances = []
-    recorder = RunRecorder()
+    recorder = RunRecorder(model.params.alpha_array)
     recorder.start(diagnostics.discrete_entropy(state, mesh, model, bdata))
     base_call = recorder.__call__
 
@@ -562,7 +570,7 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
             for i in range(dist_arr.shape[1])
         ]
         _write_csv(out / "decay.csv", ["time", "species", "l2_distance"], rows)
-        write_entropy_csv(out / "entropy.csv", recorder.reports)
+        write_entropy_csv(out / "entropy.csv", recorder.reports, recorder.alphas)
         write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, recorder)
     return SteadyStateResult(
         times=times_arr,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import chebyshev
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_jacobi, xlogy
@@ -64,27 +64,55 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 # is handled with the leading power behaviour g(s) ~ C s^a
 _LOG_SPLIT = 1e-6
 
+# degree of each Chebyshev panel of the entropy primitive; with panels that
+# halve the distance to saturation, degree 20 already reaches round-off
+_PANEL_DEGREE = 24
+
 
 class _LogGPrimitive:
     """Antiderivative of log g, cached for vectorized per-step diagnostics.
 
     Splits log g(s) = a log s + phi(s) with phi smooth up to the saturation
-    singularity; phi is interpolated by a Chebyshev series on [0, cap] and
-    integrated exactly, the a log s part integrates in closed form.  Beyond
-    the cap the (slow) adaptive quadrature path is used.
+    singularity; the a log s part integrates in closed form.  phi is
+    interpolated on [0, cap] by piecewise Chebyshev panels of degree
+    ``_PANEL_DEGREE`` and integrated exactly.  The panel breaks halve the
+    distance to s = 1 (0, 1/2, 3/4, ..., cap), so every panel is the same
+    number of its own widths away from the singularity and one low degree
+    resolves all of them (Trefethen, Approximation Theory and Approximation
+    Practice, 2013).  Each panel's antiderivative carries the integral over
+    the panels before it.  Beyond the cap the (slow) adaptive quadrature path
+    is used.
     """
 
-    def __init__(self, log_g, a, cap=0.99, degree=384):
+    def __init__(self, log_g, a, cap=0.99):
         self.a = float(a)
         self.cap = float(cap)
         self._log_g = log_g
 
-        def phi(s):
-            return log_g(s) - self.a * np.log(s)
+        halvings = 1.0 - 0.5 ** np.arange(1, 64)
+        self.breaks = np.concatenate([[0.0], halvings[halvings < self.cap], [self.cap]])
+        left, right = self.breaks[:-1], self.breaks[1:]
+        half = 0.5 * (right - left)
+        self._mid = 0.5 * (left + right)
+        self._inv_half = 1.0 / half
 
-        series = Chebyshev.interpolate(phi, degree, domain=[0.0, self.cap])
-        tol = 1e-15 * np.abs(series.coef).max()
-        self._antiderivative = series.trim(tol).integ(1, lbnd=0.0)
+        # interpolate phi at first-kind Chebyshev points of every panel at once
+        x = chebyshev.chebpts1(_PANEL_DEGREE + 1)
+        s = self._mid + half * x[:, None]
+        phi = log_g(s.ravel()).reshape(s.shape) - self.a * np.log(s)
+        coef = chebyshev.chebvander(x, _PANEL_DEGREE).T @ phi
+        coef[0] /= _PANEL_DEGREE + 1
+        coef[1:] /= 0.5 * (_PANEL_DEGREE + 1)
+        # columns: per-panel antiderivatives in s, zero at the panel's left break
+        antiderivative = chebyshev.chebint(coef, lbnd=-1.0) * half
+        totals = antiderivative.sum(axis=0)  # value at the right break, T_k(1) = 1
+        antiderivative[0, 1:] += np.cumsum(totals[:-1])
+        self._coef = antiderivative
+
+    def _panels(self, m, panel):
+        """Antiderivative of phi at m evaluated on the given panels."""
+        x = (m - self._mid[panel]) * self._inv_half[panel]
+        return chebyshev.chebval(x, self._coef[:, panel], tensor=False)
 
     def quad(self, m):
         """Adaptive-quadrature evaluation of integral_0^m log g(s) ds."""
@@ -106,7 +134,9 @@ class _LogGPrimitive:
         m = np.atleast_1d(m)
         out = self.a * (xlogy(m, m) - m)
         inside = m <= self.cap
-        out[inside] += self._antiderivative(m[inside])
+        m_in = m[inside]
+        panel = np.searchsorted(self.breaks[1:-1], m_in, side="right")
+        out[inside] += self._panels(m_in, panel)
         for idx in np.flatnonzero(~inside):
             out[idx] = self.quad(m[idx])
         return float(out[0]) if scalar else out

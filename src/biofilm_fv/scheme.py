@@ -13,21 +13,23 @@ including the dependence of psq on the biomass.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguards only protect transient iterates: updates are
-halved until the iterate stays above -1e-14 and below saturation, after which
-tiny negatives are clipped to zero.
+halved until the iterate stays above -1e-14, below saturation and inside the
+model's domain, after which tiny negatives are clipped to zero.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
 from .mesh import Mesh
-from .model import ModelFunctions
+from .model import ModelDomainError, ModelFunctions
 
 # Newton iterate safeguards
 _NEGATIVE_SLACK = 1e-14
@@ -44,7 +46,12 @@ class SolverError(Exception):
 
 
 class InadmissibleStateError(SolverError):
-    """Trial state reached saturation; consumed by the damping logic."""
+    """Trial state reached saturation.
+
+    Raised by ``residual`` and ``jacobian``.  Inside ``newton_step`` the
+    damping loop treats such a trial, like one that raises ModelDomainError,
+    as inadmissible and halves the update.
+    """
 
 
 class NewtonFailure(SolverError):
@@ -111,7 +118,6 @@ class NewtonConfig:
     dt_init: float = 1e-5
     damping: float = 0.5
     adaptive: bool = True
-    exact_flux_jacobian: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -221,15 +227,8 @@ def dirichlet_fluxes(u, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData):
     return -(alphas[:, None] * (tau_d * psq_b)) * (v_d[:, None] - v[:, Kd])
 
 
-def _assembly_pattern(mesh: Mesh, n: int):
-    """Row/column index arrays for the sparse Jacobian, cached per mesh."""
-    cache = getattr(mesh, "_jacobian_patterns", None)
-    if cache is None:
-        cache = {}
-        mesh._jacobian_patterns = cache
-    if n in cache:
-        return cache[n]
-
+def _coo_pattern(mesh: Mesh, n: int):
+    """Row and column of every per-block entry ``jacobian`` assembles, in order."""
     ii = np.arange(n)
     diag = np.arange(n * mesh.n_cells)
 
@@ -248,12 +247,81 @@ def _assembly_pattern(mesh: Mesh, n: int):
         r, c = block(rc, cc)
         rows.append(r)
         cols.append(c)
-    pattern = (np.concatenate(rows), np.concatenate(cols))
-    cache[n] = pattern
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+@dataclass(frozen=True, eq=False)
+class _JacobianPattern:
+    """Fixed CSC structure of the Jacobian on one mesh for n species.
+
+    ``scatter`` maps each per-block entry to its slot in the CSC data, so one
+    ``bincount`` assembles the matrix.  ``order`` is SuperLU's own default
+    (COLAMD, postordered) column order, which depends on the pattern alone;
+    ``gather`` takes the CSC data of J to that of J[:, order], whose pattern
+    is ``ordered_indices``/``ordered_indptr``.  All arrays are read-only,
+    because every Jacobian on the mesh shares them.
+    """
+
+    shape: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+    scatter: np.ndarray
+    order: np.ndarray
+    gather: np.ndarray
+    ordered_indices: np.ndarray
+    ordered_indptr: np.ndarray
+
+
+# patterns per mesh and species count; a mesh's entry goes when the mesh does
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
+def _build_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
+    rows, cols = _coo_pattern(mesh, n)
+    size = n * mesh.n_cells
+    keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+    indices = (keys % size).astype(np.intc)
+    counts = np.bincount(keys // size, minlength=size)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+
+    # a nonsingular matrix with this pattern: ones off the diagonal and the
+    # column's entry count on it, strictly diagonally dominant by columns
+    probe = np.ones(keys.size)
+    on_diagonal = indices == np.repeat(np.arange(size), counts)
+    probe[on_diagonal] = counts
+    lu = spla.splu(sp.csc_matrix((probe, indices, indptr), shape=(size, size)))
+    order = np.argsort(lu.perm_c)
+
+    ordered_counts = counts[order]
+    ordered_indptr = np.concatenate([[0], np.cumsum(ordered_counts)]).astype(np.intc)
+    gather = (np.repeat(indptr[:-1][order] - ordered_indptr[:-1], ordered_counts)
+              + np.arange(keys.size))
+    pattern = _JacobianPattern(
+        shape=(size, size),
+        indices=indices,
+        indptr=indptr,
+        scatter=scatter,
+        order=order,
+        gather=gather,
+        ordered_indices=indices[gather],
+        ordered_indptr=ordered_indptr,
+    )
+    for array in vars(pattern).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return pattern
 
 
-def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign, exact):
+def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
+    """The cached pattern of ``mesh`` for n species, built on first use."""
+    per_mesh = _PATTERNS.setdefault(mesh, {})
+    pattern = per_mesh.get(n)
+    if pattern is None:
+        pattern = per_mesh[n] = _build_pattern(mesh, n)
+    return pattern
+
+
+def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
     """Derivative of the flux into K with respect to one side's unknowns.
 
     Returns an (n, n, E) array: d F_{i,K,sigma} / d u_{j,side}.  ``sign`` is
@@ -261,9 +329,7 @@ def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign, e
     """
     n = alphas.shape[0]
     base = alphas[:, None] * tau  # (n, E)
-    nodelta = sign * base * psq * (u_side * gp_side)
-    if exact:
-        nodelta = nodelta - base * (pp_side * dv)
+    nodelta = sign * base * psq * (u_side * gp_side) - base * (pp_side * dv)
     out = np.repeat(nodelta[:, None, :], n, axis=1)
     delta = sign * base * (psq * g_side)
     idx = np.arange(n)
@@ -271,17 +337,13 @@ def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign, e
     return out
 
 
-def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
-             bdata: BoundaryData, exact_coefficient: bool = True):
-    """Exact sparse Jacobian of ``residual`` with respect to the trial state.
-
-    ``exact_coefficient=False`` freezes the edge coefficient psq (Picard-like
-    linearization), dropping the p p' terms.
-    """
+def _jacobian_entries(state_prev: State, u_trial, dt, mesh: Mesh,
+                      model: ModelFunctions, bdata: BoundaryData):
+    """Per-block Jacobian entries in the order of ``_coo_pattern``."""
     u = np.asarray(u_trial, dtype=float)
     biomass, g, v, psq_cell, v_d, psq_d_const = _edge_coefficients(u, mesh, model, bdata)
     alphas = model.params.alpha_array
-    n, n_cells = u.shape
+    n = u.shape[0]
 
     g_prime = model.g_prime(biomass)
     pp = model.p(biomass) * model.p_prime(biomass)
@@ -290,19 +352,17 @@ def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
     psq = 0.5 * (psq_cell[K] + psq_cell[L])
     dv = v[:, L] - v[:, K]
 
-    A_KK = _edge_blocks(tau, alphas, psq, dv, g[K], g_prime[K], pp[K], u[:, K],
-                        sign=1.0, exact=exact_coefficient)
-    A_KL = _edge_blocks(tau, alphas, psq, dv, g[L], g_prime[L], pp[L], u[:, L],
-                        sign=-1.0, exact=exact_coefficient)
+    A_KK = _edge_blocks(tau, alphas, psq, dv, g[K], g_prime[K], pp[K], u[:, K], sign=1.0)
+    A_KL = _edge_blocks(tau, alphas, psq, dv, g[L], g_prime[L], pp[L], u[:, L], sign=-1.0)
 
     Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
     psq_b = 0.5 * (psq_cell[Kd] + psq_d_const)
     dv_b = v_d[:, None] - v[:, Kd]
     A_bb = _edge_blocks(tau_d, alphas, psq_b, dv_b, g[Kd], g_prime[Kd], pp[Kd],
-                        u[:, Kd], sign=1.0, exact=exact_coefficient)
+                        u[:, Kd], sign=1.0)
 
     diag = np.repeat(mesh.cell_measures / dt, n)
-    data = np.concatenate([
+    return np.concatenate([
         diag,
         A_KK.ravel(),
         A_KL.ravel(),
@@ -310,9 +370,36 @@ def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
         (-A_KK).ravel(),
         A_bb.ravel(),
     ])
-    rows, cols = _assembly_pattern(mesh, n)
-    size = n * n_cells
-    return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsc()
+
+
+def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
+             bdata: BoundaryData):
+    """Exact sparse Jacobian of ``residual`` with respect to the trial state.
+
+    CSC in the natural cell-major ordering.  Its index arrays are the mesh's
+    cached, read-only pattern, shared by every Jacobian on that mesh.
+    """
+    entries = _jacobian_entries(state_prev, u_trial, dt, mesh, model, bdata)
+    pattern = _jacobian_pattern(mesh, np.shape(u_trial)[0])
+    data = np.bincount(pattern.scatter, weights=entries, minlength=pattern.indices.size)
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _solve_linear(matrix, rhs, pattern: _JacobianPattern):
+    """Solve matrix @ x = rhs by one LU of matrix[:, pattern.order].
+
+    Factoring the reordered matrix in natural order repeats, bit for bit,
+    what ``splu(matrix)`` computes after its own COLAMD ordering, without
+    recomputing that ordering.  Raises RuntimeError on a singular matrix.
+    """
+    ordered = sp.csc_matrix(
+        (matrix.data[pattern.gather], pattern.ordered_indices, pattern.ordered_indptr),
+        shape=pattern.shape,
+    )
+    y = splu(ordered, permc_spec="NATURAL").solve(rhs)
+    x = np.empty_like(y)
+    x[pattern.order] = y
+    return x
 
 
 # -- Newton and time stepping -----------------------------------------------------------
@@ -332,13 +419,12 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
     """
     u = state_prev.u.copy()
     res = residual(state_prev, u, dt, mesh, model, bdata)
-    n = u.shape[0]
+    pattern = _jacobian_pattern(mesh, u.shape[0])
 
     for it in range(1, cfg.max_iters + 1):
-        matrix = jacobian(state_prev, u, dt, mesh, model, bdata,
-                          exact_coefficient=cfg.exact_flux_jacobian)
+        matrix = jacobian(state_prev, u, dt, mesh, model, bdata)
         try:
-            delta = splu(matrix).solve(-res.ravel(order="F"))
+            delta = _solve_linear(matrix, -res.ravel(order="F"), pattern)
         except RuntimeError as exc:  # singular factorization
             raise NewtonFailure(f"linear solve failed: {exc}", iterations=it) from exc
         delta = delta.reshape(u.shape, order="F")
@@ -351,8 +437,12 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
                 trial.sum(axis=0) < 1.0 - _SATURATION_SLACK
             ).all():
                 trial = np.where(trial < 0.0, 0.0, trial)
-                attempt = residual(state_prev, trial, dt, mesh, model, bdata)
-                if np.isfinite(attempt).all():
+                try:
+                    attempt = residual(state_prev, trial, dt, mesh, model, bdata)
+                except (InadmissibleStateError, ModelDomainError):
+                    # beyond the model's domain (e.g. a quadrature model's cap)
+                    attempt = None
+                if attempt is not None and np.isfinite(attempt).all():
                     candidate, res_new = trial, attempt
                     break
             step *= cfg.damping
@@ -438,7 +528,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             )
         if report.min_u < 0.0:
             raise InvariantViolation(f"negative proportion at t = {new_state.time:.6e}")
-        produced = dt * float(alphas @ report.dissipation)
+        produced = dt * diagnostics.entropy_production(report.dissipation, alphas)
         if report.entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
             raise InvariantViolation(
                 f"entropy inequality violated at t = {new_state.time:.6e}"

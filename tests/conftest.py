@@ -8,7 +8,6 @@ from biofilm_fv import (
     build_rectangle_mesh,
     model_case1,
     model_case2,
-    residual,
 )
 
 
@@ -40,23 +39,6 @@ def rect_top(request):
 def random_admissible(rng, n_species, n_cells, low=0.01, high=0.45):
     """Strictly positive proportions with biomass bounded away from 1."""
     return rng.uniform(low, high, size=(n_species, n_cells))
-
-
-def fd_jacobian(state, u, dt, mesh, model, bdata, step=1e-7):
-    """Central finite differences of the residual; the independent oracle."""
-    n, n_cells = u.shape
-    size = n * n_cells
-    out = np.empty((size, size))
-    for col in range(size):
-        i, k = col % n, col // n
-        h = step * max(1.0, abs(u[i, k]))
-        up, um = u.copy(), u.copy()
-        up[i, k] += h
-        um[i, k] -= h
-        rp = residual(state, up, dt, mesh, model, bdata)
-        rm = residual(state, um, dt, mesh, model, bdata)
-        out[:, col] = (rp - rm).ravel(order="F") / (2.0 * h)
-    return out
 
 
 def make_state(u):

@@ -38,7 +38,8 @@ from biofilm_fv import (
     run_steady_state_study,
 )
 from biofilm_fv.harness import build_named_initial_datum
-from conftest import fd_jacobian, make_state, random_admissible
+from biofilm_fv.oracle import fd_jacobian
+from conftest import make_state, random_admissible
 
 TOP = lambda x, y: abs(y - 1.0) < 1e-12
 ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")

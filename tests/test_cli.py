@@ -168,3 +168,17 @@ def test_paper_scale_2d_requires_mesh_file(tmp_path, capsys):
     )
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--paper-scale"])
     assert code == 2
+
+
+def test_run_beyond_model_domain_is_a_solver_failure(tmp_path, capsys):
+    # generic exp with a = b = 2 is tabulated up to m = 0.99705; the bumps-1d
+    # datum puts 2 * 0.4985 + 0.0005 = 0.9975 into the species-1 box
+    cfg = write_config(
+        tmp_path / "cap.cfg",
+        RUN_1D.replace("model = case1", "model = generic\np = exp\na = 2\nb = 2")
+        .replace("u_d = 0.1, 0.1", "u_d = 0.4985, 0.0005"),
+    )
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "beyond quadrature range" in err

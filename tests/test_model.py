@@ -200,6 +200,34 @@ def test_case2_primitive_closed_form(case2):
         assert float(case2.log_g_primitive(m)) == pytest.approx(exact, abs=1e-12)
 
 
+def test_primitive_scalar_and_array_calls_agree(case1):
+    ms = np.array([0.0, 1e-7, 0.3, 0.5, 0.74, 0.9, 0.989])
+    values = case1.log_g_primitive(ms)
+    assert [case1.log_g_primitive(float(m)) for m in ms] == list(values)
+
+
+@pytest.mark.parametrize("selector", ["case1", "case2", "quadratic"])
+def test_primitive_panels_continuous_at_breaks(selector):
+    if selector == "quadratic":
+        model = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="quadratic")
+    else:
+        model = get_model(selector, (1.0, 1.0))
+    primitive = model.log_g_primitive
+    breaks = primitive.breaks[1:-1]
+    panel = np.arange(breaks.size)
+    left = primitive._panels(breaks, panel)
+    right = primitive._panels(breaks, panel + 1)
+    assert np.abs(left - right).max() <= 1e-14
+
+
+def test_generic_primitive_matches_quadrature():
+    model = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="quadratic")
+    for m in (0.3, 0.7, 0.95, 0.985):
+        assert float(model.log_g_primitive(m)) == pytest.approx(
+            model.log_g_primitive.quad(m), abs=1e-9
+        )
+
+
 # -- edge coefficient -----------------------------------------------------------------
 
 

@@ -1,9 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import biofilm_fv
+from biofilm_fv import scheme
 from biofilm_fv import (
     BoundaryData,
     InadmissibleStateError,
+    ModelDomainError,
+    ModelFunctions,
     NewtonConfig,
     NewtonFailure,
     SolverFailure,
@@ -12,6 +20,7 @@ from biofilm_fv import (
     build_interval_mesh,
     build_rectangle_mesh,
     jacobian,
+    load_triangle_mesh_file,
     max_principle_bound,
     model_case1,
     model_case2,
@@ -20,7 +29,8 @@ from biofilm_fv import (
     residual,
 )
 from biofilm_fv.harness import IndicatorDatum, build_named_initial_datum
-from conftest import fd_jacobian, make_state, random_admissible
+from biofilm_fv.oracle import fd_jacobian
+from conftest import make_state, random_admissible
 
 
 # -- initial projection -------------------------------------------------------------
@@ -212,6 +222,56 @@ def test_jacobian_uniform_state_block_structure(case2, bdata_01):
     assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _assembly_meshes():
+    acute = Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh"
+    return {
+        "1d": build_interval_mesh(40, "left"),
+        "rectangle": build_rectangle_mesh(6, 5, lambda x, y: abs(y - 1.0) < 1e-12),
+        "acute": load_triangle_mesh_file(str(acute), lambda x, y: True),
+    }
+
+
+@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
+    mesh = _assembly_meshes()[name]
+    model = model_case1(alphas=(1.0, 5.0))
+    u = random_admissible(np.random.default_rng(11), 2, mesh.n_cells)
+    state = make_state(u)
+    matrix = jacobian(state, u, 1e-4, mesh, model, bdata_01)
+    rows, cols = scheme._coo_pattern(mesh, 2)
+    entries = scheme._jacobian_entries(state, u, 1e-4, mesh, model, bdata_01)
+    reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape).tocsc()
+    assert np.array_equal(matrix.indptr, reference.indptr)
+    assert np.array_equal(matrix.indices, reference.indices)
+    # equal up to the summation order of duplicate entries
+    assert np.abs(matrix.data - reference.data).max() <= 1e-15 * np.abs(reference.data).max()
+
+
+@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
+    mesh = _assembly_meshes()[name]
+    model = model_case1(alphas=(1.0, 5.0))
+    rng = np.random.default_rng(12)
+    u = random_admissible(rng, 2, mesh.n_cells)
+    matrix = jacobian(make_state(u), u, 1e-4, mesh, model, bdata_01)
+    rhs = rng.standard_normal(matrix.shape[0])
+    x = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
+    assert np.array_equal(x, splu(matrix).solve(rhs))
+
+
+def test_jacobian_pattern_cached_outside_the_mesh(case2, bdata_01):
+    mesh = build_rectangle_mesh(4, 4, lambda x, y: abs(y - 1.0) < 1e-12)
+    attributes = dict(vars(mesh))
+    u = random_admissible(np.random.default_rng(13), 2, mesh.n_cells)
+    first = jacobian(make_state(u), u, 1e-4, mesh, case2, bdata_01)
+    second = jacobian(make_state(u), 0.5 * u, 1e-4, mesh, case2, bdata_01)
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert not first.indices.flags.writeable
+    assert vars(mesh).keys() == attributes.keys()
+    assert all(vars(mesh)[key] is value for key, value in attributes.items())
+
+
 def test_jacobian_row_sum_mass_balance(case2, bdata_01):
     # summing the residual over cells leaves only the Dirichlet fluxes, so
     # column sums of the Jacobian must match the derivative of that defect
@@ -267,6 +327,30 @@ def test_first_step_from_discontinuous_data(model_name, bdata_01):
 
     H_prev = discrete_entropy(state, mesh, model, bdata_01)
     assert report.entropy + 1e-5 * report.dissipation.sum() <= H_prev + 1e-9 * max(1.0, H_prev)
+
+
+def test_newton_damps_trials_beyond_the_model_domain(bdata_01):
+    # case2 whose g is cut off at m = 0.5, as a quadrature model is at its
+    # cap; the undamped first update from M = 0.1 reaches M = 0.554
+    base = model_case2()
+
+    def capped(fn):
+        def inner(m):
+            if np.max(m) > 0.5:
+                raise ModelDomainError("beyond the tabulated range")
+            return fn(m)
+        return inner
+
+    model = ModelFunctions("capped", base.params, base.p, base.p_prime, capped(base.g),
+                           capped(base.g_prime), base.G, base.log_g, satisfies_H4=False)
+    mesh = build_interval_mesh(4, "left")
+    bdata = BoundaryData((0.25, 0.25))
+    state = make_state(np.full((2, 4), 0.05))
+    cfg = NewtonConfig(dt_init=1.0, dt_max=1.0)
+    new, report = newton_step(state, 1.0, mesh, model, bdata, cfg)
+    reference, _ = newton_step(state, 1.0, mesh, base, bdata, cfg)
+    assert report.max_M < 0.5
+    assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
 def test_newton_failure_signalled(case2, bdata_01):
