@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .mesh import (  # noqa: F401
     AdmissibilityError,
-    Cell,
-    Edge,
     EdgeKind,
     Mesh,
     MeshError,

@@ -56,7 +56,6 @@ PAPER_SCALE_CELLS_1D = 5120
 class RunConfig:
     experiment: ExperimentSpec
     output_dir: Path
-    seed: int = 0
     strict_theory: bool = False
     threads: int = 1
 
@@ -156,7 +155,11 @@ def _prepare(args) -> RunConfig:
     spec = load_config(args.config, paper_scale=args.paper_scale)
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("THREADS", "1"))
+        text = os.environ.get("THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ConfigurationError(f"THREADS must be an integer, got {text!r}") from None
     cfg = RunConfig(
         experiment=spec,
         output_dir=Path(args.out) / spec.name,

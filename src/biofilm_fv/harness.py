@@ -74,8 +74,8 @@ class IndicatorDatum:
                 )
                 out[i] += self.bump[i] * overlap / (hi - lo)
             return out
-        if mesh.cell_nodes is not None and all(len(c) == 4 for c in mesh.cell_nodes):
-            corners = mesh.points[np.asarray(mesh.cell_nodes)]
+        if mesh.cell_nodes is not None and mesh.cell_nodes.shape[1] == 4:
+            corners = mesh.points[mesh.cell_nodes]
             x0, y0 = corners[:, :, 0].min(axis=1), corners[:, :, 1].min(axis=1)
             x1, y1 = corners[:, :, 0].max(axis=1), corners[:, :, 1].max(axis=1)
             for i, box in enumerate(self.boxes):
@@ -314,13 +314,12 @@ def write_snapshot_vtk(path, mesh, u, title="snapshot"):
         fh.write(f"POINTS {len(mesh.points)} double\n")
         for x, y in mesh.points:
             fh.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
-        total = sum(len(c) + 1 for c in mesh.cell_nodes)
-        fh.write(f"CELLS {mesh.n_cells} {total}\n")
-        for nodes in mesh.cell_nodes:
-            fh.write(" ".join([str(len(nodes))] + [str(v) for v in nodes]) + "\n")
+        k = mesh.cell_nodes.shape[1]
+        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (k + 1)}\n")
+        for nodes in mesh.cell_nodes.tolist():
+            fh.write(" ".join(map(str, [k] + nodes)) + "\n")
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for nodes in mesh.cell_nodes:
-            fh.write(f"{cell_type[len(nodes)]}\n")
+        fh.write(f"{cell_type[k]}\n" * mesh.n_cells)
         fh.write(f"CELL_DATA {mesh.n_cells}\n")
         for i in range(n):
             fh.write(f"SCALARS u_{i+1} double 1\nLOOKUP_TABLE default\n")

@@ -7,8 +7,11 @@ orthogonal to their shared edge, which is what makes the two-point flux
 consistent.  For triangulations this restricts the triangles to acute ones.
 
 Conventions:
-  * every edge stores one canonical cell ``K``; interior edges store the
-    neighbor ``L`` as well, and ``normal_from_K`` points from K to L,
+  * a mesh is a struct of flat arrays, one entry per cell or per edge; the
+    generators build them directly with index arithmetic,
+  * every edge stores one canonical cell ``K`` in ``edge_K``; interior edges
+    store the neighbor ``L`` in ``edge_L`` (-1 on the boundary), and the
+    normal points from K to L (outward on the boundary),
   * 1D edges use the measure convention m(sigma) = 1, so the
     transmissibility reduces to 1/d_sigma,
   * dual (diamond) cells carry measure m(sigma) * d_sigma / 2, which is the
@@ -18,7 +21,6 @@ Conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,88 +47,71 @@ class EdgeKind(enum.IntEnum):
     NEUMANN = 2
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    center: np.ndarray
-    measure: float
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One face of the mesh together with its two-point-flux geometry.
-
-    ``cells`` is ``(K, L)`` for interior edges and ``(K,)`` on the boundary.
-    ``center_distances`` holds d(x_K, sigma) (and d(x_L, sigma) for interior
-    edges); ``distance`` is d_sigma, i.e. d(x_K, x_L) for interior edges and
-    d(x_K, sigma) on the boundary.
-    """
-
-    id: int
-    kind: EdgeKind
-    cells: tuple[int, ...]
-    measure: float
-    distance: float
-    transmissibility: float
-    normal_from_K: np.ndarray
-    dual_measure: float
-    center_distances: tuple[float, ...]
-
-
 class Mesh:
-    """Immutable admissible mesh.
+    """Immutable admissible mesh, stored as flat arrays.
 
-    Construction validates topology and admissibility and precomputes the
-    flat arrays used by assembly and diagnostics.  Instances must not be
+    Per cell: ``cell_centers`` (N, dim) and ``cell_measures``.  Per edge:
+    ``edge_K``, ``edge_L``, ``edge_kinds``, ``edge_measures`` m(sigma),
+    ``edge_distances`` d_sigma (d(x_K, x_L) inside, d(x_K, sigma) on the
+    boundary), ``edge_center_distances`` (E, 2) holding d(x_K, sigma) and
+    d(x_L, sigma) (0 on the boundary) and ``edge_normals`` (E, dim).
+    d_sigma is an input rather than the sum of the two center distances:
+    on triangles it is the length of the center segment, and the rounded
+    sum can differ from it in the last bit.
+
+    Construction derives the transmissibilities m(sigma)/d_sigma, the dual
+    measures and the per-kind edge index sets, validates topology and
+    admissibility, and makes every array read-only.  Instances are never
     mutated afterwards; they are safe to share between threads.
     """
 
-    def __init__(self, dimension, cells, edges, points=None, cell_nodes=None):
+    def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_kinds,
+                 edge_measures, edge_distances, edge_center_distances, edge_normals,
+                 points=None, cell_nodes=None):
         self.dimension = int(dimension)
-        self.cells = list(cells)
-        self.edges = list(edges)
-        self.points = None if points is None else np.asarray(points, dtype=float)
-        self.cell_nodes = None if cell_nodes is None else [tuple(c) for c in cell_nodes]
+        self.points = None if points is None else np.array(points, dtype=float)
+        self.cell_nodes = None if cell_nodes is None else np.array(cell_nodes, dtype=np.intp)
 
-        self.n_cells = len(self.cells)
-        self.n_edges = len(self.edges)
-        self.cell_measures = np.array([c.measure for c in self.cells], dtype=float)
-        self.cell_centers = np.array([c.center for c in self.cells], dtype=float).reshape(
+        self.cell_measures = np.array(cell_measures, dtype=float)
+        self.n_cells = len(self.cell_measures)
+        self.cell_centers = np.array(cell_centers, dtype=float).reshape(
             self.n_cells, self.dimension
         )
         self.total_measure = float(self.cell_measures.sum())
 
-        self._check_topology()
-
-        kinds = np.array([e.kind for e in self.edges], dtype=np.int8)
-        self.edge_kinds = kinds
-        self.edge_K = np.array([e.cells[0] for e in self.edges], dtype=np.intp)
-        self.edge_L = np.array(
-            [e.cells[1] if len(e.cells) == 2 else -1 for e in self.edges], dtype=np.intp
+        self.edge_K = np.array(edge_K, dtype=np.intp)
+        self.edge_L = np.array(edge_L, dtype=np.intp)
+        self.edge_kinds = kinds = np.array(edge_kinds, dtype=np.int8)
+        self.n_edges = len(self.edge_K)
+        self.edge_measures = np.array(edge_measures, dtype=float)
+        self.edge_distances = np.array(edge_distances, dtype=float)
+        self.edge_center_distances = np.array(edge_center_distances, dtype=float).reshape(
+            self.n_edges, 2
         )
-        self.edge_tau = np.array([e.transmissibility for e in self.edges], dtype=float)
-        self.edge_measures = np.array([e.measure for e in self.edges], dtype=float)
-        self.edge_distances = np.array([e.distance for e in self.edges], dtype=float)
-        self.edge_dual_measures = np.array([e.dual_measure for e in self.edges], dtype=float)
-        self.edge_normals = np.array([e.normal_from_K for e in self.edges], dtype=float).reshape(
+        self.edge_normals = np.array(edge_normals, dtype=float).reshape(
             self.n_edges, self.dimension
         )
 
         self.interior = np.flatnonzero(kinds == EdgeKind.INTERIOR)
         self.dirichlet = np.flatnonzero(kinds == EdgeKind.DIRICHLET)
         self.neumann = np.flatnonzero(kinds == EdgeKind.NEUMANN)
+        self._check_topology()
+        if self.dirichlet.size == 0:
+            raise MeshError("mesh has no Dirichlet boundary edge (contact boundary required)")
+        self._check_geometry()
+
+        self.edge_tau = self.edge_measures / self.edge_distances
+        self.edge_dual_measures = self.edge_measures * self.edge_distances / 2
         self.interior_K = self.edge_K[self.interior]
         self.interior_L = self.edge_L[self.interior]
         self.interior_tau = self.edge_tau[self.interior]
         self.dirichlet_K = self.edge_K[self.dirichlet]
         self.dirichlet_tau = self.edge_tau[self.dirichlet]
-
-        if self.dirichlet.size == 0:
-            raise MeshError("mesh has no Dirichlet boundary edge (contact boundary required)")
-
-        self._check_geometry()
         self.regularity_xi = validate_regularity(self)
+
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # -- construction-time checks -------------------------------------------------
 
@@ -136,26 +121,24 @@ class Mesh:
         if np.any(self.cell_measures <= 0.0):
             bad = int(np.argmin(self.cell_measures))
             raise TopologyError(f"cell {bad} has nonpositive measure")
-        for cell in self.cells:
-            for eid in cell.edge_ids:
-                if not 0 <= eid < self.n_edges:
-                    raise TopologyError(f"cell {cell.id} references unknown edge {eid}")
-                if cell.id not in self.edges[eid].cells:
-                    raise TopologyError(f"edge {eid} does not list incident cell {cell.id}")
-        for edge in self.edges:
-            n_incident = len(edge.cells)
-            if edge.kind == EdgeKind.INTERIOR and n_incident != 2:
-                raise TopologyError(f"interior edge {edge.id} must join two cells")
-            if edge.kind != EdgeKind.INTERIOR and n_incident != 1:
-                raise TopologyError(f"boundary edge {edge.id} must belong to one cell")
+        K, L, n = self.edge_K, self.edge_L, self.n_cells
+        unknown = (K < 0) | (K >= n) | (L < -1) | (L >= n)
+        if np.any(unknown):
+            raise TopologyError(f"edge {int(np.argmax(unknown))} references an unknown cell")
+        inner = self.edge_kinds == EdgeKind.INTERIOR
+        bad = np.flatnonzero(inner != (L >= 0))
+        if bad.size:
+            eid = int(bad[0])
+            if inner[eid]:
+                raise TopologyError(f"interior edge {eid} must join two cells")
+            raise TopologyError(f"boundary edge {eid} must belong to one cell")
 
     def _check_geometry(self):
-        for edge in self.edges:
-            if edge.distance <= 0.0:
-                raise AdmissibilityError(f"edge {edge.id} has nonpositive center distance")
-            tau = edge.measure / edge.distance
-            if abs(edge.transmissibility - tau) > 1e-12 * max(tau, 1.0):
-                raise MeshError(f"edge {edge.id}: transmissibility inconsistent with m/d")
+        flat = self.edge_distances <= 0.0
+        if np.any(flat):
+            raise AdmissibilityError(
+                f"edge {int(np.argmax(flat))} has nonpositive center distance"
+            )
         if self.dimension == 2:
             K = self.edge_K[self.interior]
             L = self.edge_L[self.interior]
@@ -170,22 +153,11 @@ class Mesh:
                 raise AdmissibilityError(
                     f"edge {eid}: center segment not orthogonal to the edge"
                 )
-            # kite identity m(sigma) d(x_K, x_L) = 2 m(T_sigma)
+            # kite identity m(sigma) d(x_K, x_L) = 2 m(T_sigma) = m(sigma) d_sigma
             md = self.edge_measures[self.interior] * dist
-            dual = self.edge_dual_measures[self.interior]
-            if np.any(np.abs(md - 2.0 * dual) > DUAL_MEASURE_RTOL * np.maximum(md, 1e-300)):
+            md_sigma = self.edge_measures[self.interior] * self.edge_distances[self.interior]
+            if np.any(np.abs(md - md_sigma) > DUAL_MEASURE_RTOL * np.maximum(md, 1e-300)):
                 raise MeshError("interior dual-cell measures violate the kite identity")
-
-    # -- convenience --------------------------------------------------------------
-
-    def edge_midpoints_of(self, indices):
-        """Midpoints are not stored; reconstruct for boundary tagging output."""
-        out = []
-        for eid in indices:
-            e = self.edges[eid]
-            K = e.cells[0]
-            out.append(self.cell_centers[K] + e.center_distances[0] * e.normal_from_K)
-        return np.asarray(out)
 
     def __repr__(self):
         return (
@@ -200,14 +172,13 @@ def validate_regularity(mesh: Mesh) -> float:
     In 2D additionally asserts the perimeter-vs-area bound
     sum_K sum_{sigma in E_K} m(sigma) d(x_K, sigma) <= 2 m(Omega).
     """
-    xi = np.inf
-    acc = 0.0
-    for edge in mesh.edges:
-        for d in edge.center_distances:
-            xi = min(xi, d / edge.distance)
-            acc += edge.measure * d
+    d = mesh.edge_distances
+    near, far = mesh.edge_center_distances.T
+    ratios = np.concatenate([near / d, far[mesh.interior] / d[mesh.interior]])
+    xi = ratios.min()
     if not np.isfinite(xi) or xi <= 0.0:
         raise AdmissibilityError("degenerate mesh: vanishing center-to-edge distance")
+    acc = mesh.edge_measures @ (near + far)
     if mesh.dimension == 2 and acc > 2.0 * mesh.total_measure * (1.0 + 1e-12):
         raise AdmissibilityError("mesh violates the edge-moment bound sum m(sigma) d <= 2 m(Omega)")
     return float(xi)
@@ -220,64 +191,38 @@ def build_interval_mesh(n_cells: int, dirichlet_side: str = "left") -> Mesh:
     """Uniform mesh of (0, 1) with n_cells cells.
 
     Boundary edges are Dirichlet on the requested side(s) ("left", "right" or
-    "both"); the remaining endpoint is a no-flux (Neumann) boundary.
+    "both"); the remaining endpoint is a no-flux (Neumann) boundary.  Edge j
+    is the left endpoint of cell j.
     """
     if n_cells < 2:
         raise ValueError("interval mesh needs at least 2 cells")
     if dirichlet_side not in ("left", "right", "both"):
         raise ValueError(f"unknown dirichlet_side {dirichlet_side!r}")
     h = 1.0 / n_cells
+    cells = np.arange(n_cells)
 
     def boundary_kind(side):
-        if dirichlet_side == "both" or dirichlet_side == side:
+        if dirichlet_side in ("both", side):
             return EdgeKind.DIRICHLET
         return EdgeKind.NEUMANN
 
-    edges = [
-        Edge(
-            id=0,
-            kind=boundary_kind("left"),
-            cells=(0,),
-            measure=1.0,
-            distance=h / 2,
-            transmissibility=2.0 / h,
-            normal_from_K=np.array([-1.0]),
-            dual_measure=h / 4,
-            center_distances=(h / 2,),
-        )
-    ]
-    for j in range(1, n_cells):
-        edges.append(
-            Edge(
-                id=j,
-                kind=EdgeKind.INTERIOR,
-                cells=(j - 1, j),
-                measure=1.0,
-                distance=h,
-                transmissibility=1.0 / h,
-                normal_from_K=np.array([1.0]),
-                dual_measure=h / 2,
-                center_distances=(h / 2, h / 2),
-            )
-        )
-    edges.append(
-        Edge(
-            id=n_cells,
-            kind=boundary_kind("right"),
-            cells=(n_cells - 1,),
-            measure=1.0,
-            distance=h / 2,
-            transmissibility=2.0 / h,
-            normal_from_K=np.array([1.0]),
-            dual_measure=h / 4,
-            center_distances=(h / 2,),
-        )
-    )
-    cells = [
-        Cell(id=i, center=np.array([(i + 0.5) * h]), measure=h, edge_ids=(i, i + 1))
-        for i in range(n_cells)
-    ]
-    return Mesh(1, cells, edges)
+    edge_K = np.concatenate([[0], cells])
+    edge_L = np.concatenate([[-1], cells[1:], [-1]])
+    kinds = np.full(n_cells + 1, EdgeKind.INTERIOR)
+    kinds[[0, -1]] = boundary_kind("left"), boundary_kind("right")
+    distances = np.full(n_cells + 1, h)
+    distances[[0, -1]] = h / 2
+    center_distances = np.full((n_cells + 1, 2), h / 2)
+    center_distances[[0, -1], 1] = 0.0
+    normals = np.ones((n_cells + 1, 1))
+    normals[0] = -1.0
+    return Mesh(1, ((cells + 0.5) * h)[:, None], np.full(n_cells, h), edge_K, edge_L, kinds,
+                np.ones(n_cells + 1), distances, center_distances, normals)
+
+
+def _pairs(a, b):
+    """Interleave two equally long arrays: a[0], b[0], a[1], b[1], ..."""
+    return np.stack([a, b], axis=1).reshape(-1, *np.shape(a)[1:])
 
 
 def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
@@ -286,115 +231,89 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
     ``dirichlet_predicate`` receives the midpoint (x, y) of each boundary edge
     and selects the contact boundary; everything else is a no-flux boundary.
     Raises MeshError when the predicate selects no edge.
+
+    Cell ``iy * nx + ix`` is the one in column ix and row iy.  Interior edges
+    come first, cell by cell: the edge to its right (normal +x), then the
+    edge above it (normal +y).  Then come the left and right edges of every
+    row, and the bottom and top edges of every column.
     """
     if nx < 2 or ny < 2:
         raise ValueError("rectangle mesh needs nx, ny >= 2")
     hx, hy = 1.0 / nx, 1.0 / ny
+    cells = np.arange(nx * ny)
+    ix, iy = cells % nx, cells // nx
+    rows, cols = np.arange(ny), np.arange(nx)
 
-    def cid(ix, iy):
-        return iy * nx + ix
+    present = _pairs(ix < nx - 1, iy < ny - 1)
+    vertical = np.tile([True, False], nx * ny)[present]
+    inner_K = np.repeat(cells, 2)[present]
+    inner_L = inner_K + np.where(vertical, 1, nx)
+    inner_measures = np.where(vertical, hy, hx)
+    inner_distances = np.where(vertical, hx, hy)
+    inner_normals = np.where(vertical[:, None], [1.0, 0.0], [0.0, 1.0])
 
-    cell_edges = [[] for _ in range(nx * ny)]
-    edges = []
-
-    def add_edge(kind, cells, measure, distance, normal, dks):
-        eid = len(edges)
-        edges.append(
-            Edge(
-                id=eid,
-                kind=kind,
-                cells=cells,
-                measure=measure,
-                distance=distance,
-                transmissibility=measure / distance,
-                normal_from_K=np.asarray(normal, dtype=float),
-                dual_measure=measure * distance / 2,
-                center_distances=dks,
-            )
-        )
-        for c in cells:
-            cell_edges[c].append(eid)
-
-    def boundary(mid, cells, measure, distance, normal):
-        kind = EdgeKind.DIRICHLET if dirichlet_predicate(mid[0], mid[1]) else EdgeKind.NEUMANN
-        add_edge(kind, cells, measure, distance, normal, (distance,))
-
-    for iy in range(ny):
-        for ix in range(nx):
-            # vertical edges (normal +x)
-            if ix < nx - 1:
-                add_edge(
-                    EdgeKind.INTERIOR,
-                    (cid(ix, iy), cid(ix + 1, iy)),
-                    hy,
-                    hx,
-                    (1.0, 0.0),
-                    (hx / 2, hx / 2),
-                )
-            # horizontal edges (normal +y)
-            if iy < ny - 1:
-                add_edge(
-                    EdgeKind.INTERIOR,
-                    (cid(ix, iy), cid(ix, iy + 1)),
-                    hx,
-                    hy,
-                    (0.0, 1.0),
-                    (hy / 2, hy / 2),
-                )
-    for iy in range(ny):
-        boundary((0.0, (iy + 0.5) * hy), (cid(0, iy),), hy, hx / 2, (-1.0, 0.0))
-        boundary((1.0, (iy + 0.5) * hy), (cid(nx - 1, iy),), hy, hx / 2, (1.0, 0.0))
-    for ix in range(nx):
-        boundary(((ix + 0.5) * hx, 0.0), (cid(ix, 0),), hx, hy / 2, (0.0, -1.0))
-        boundary(((ix + 0.5) * hx, 1.0), (cid(ix, ny - 1),), hx, hy / 2, (0.0, 1.0))
-
-    if not any(e.kind == EdgeKind.DIRICHLET for e in edges):
+    x_mid, y_mid = (cols + 0.5) * hx, (rows + 0.5) * hy
+    bnd_K = np.concatenate([_pairs(rows * nx, rows * nx + nx - 1),
+                            _pairs(cols, (ny - 1) * nx + cols)])
+    mid_x = np.concatenate([_pairs(np.zeros(ny), np.ones(ny)), _pairs(x_mid, x_mid)])
+    mid_y = np.concatenate([_pairs(y_mid, y_mid), _pairs(np.zeros(nx), np.ones(nx))])
+    bnd_kinds = [
+        EdgeKind.DIRICHLET if dirichlet_predicate(x, y) else EdgeKind.NEUMANN
+        for x, y in zip(mid_x.tolist(), mid_y.tolist())
+    ]
+    if EdgeKind.DIRICHLET not in bnd_kinds:
         raise MeshError("dirichlet predicate selected no boundary edge")
+    bnd_measures = np.concatenate([np.full(2 * ny, hy), np.full(2 * nx, hx)])
+    bnd_distances = np.concatenate([np.full(2 * ny, hx / 2), np.full(2 * nx, hy / 2)])
+    bnd_normals = np.concatenate([np.tile([[-1.0, 0.0], [1.0, 0.0]], (ny, 1)),
+                                  np.tile([[0.0, -1.0], [0.0, 1.0]], (nx, 1))])
 
-    cells = [
-        Cell(
-            id=cid(ix, iy),
-            center=np.array([(ix + 0.5) * hx, (iy + 0.5) * hy]),
-            measure=hx * hy,
-            edge_ids=tuple(cell_edges[cid(ix, iy)]),
-        )
-        for iy in range(ny)
-        for ix in range(nx)
-    ]
-    cells.sort(key=lambda c: c.id)
+    n_inner = len(inner_K)
+    distances = np.concatenate([inner_distances, bnd_distances])
+    center_distances = np.column_stack([distances, distances])
+    center_distances[:n_inner] /= 2
+    center_distances[n_inner:, 1] = 0.0
 
-    # corner grid for the VTK writer
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    points = np.array([[x, y] for y in ys for x in xs])
-
-    def pid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    cell_nodes = [
-        (pid(ix, iy), pid(ix + 1, iy), pid(ix + 1, iy + 1), pid(ix, iy + 1))
-        for iy in range(ny)
-        for ix in range(nx)
-    ]
-    return Mesh(2, cells, edges, points=points, cell_nodes=cell_nodes)
+    # corner grid for the VTK writer; corners run counterclockwise from (ix, iy)
+    xs, ys = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    corner = iy * (nx + 1) + ix
+    return Mesh(
+        2,
+        np.column_stack([(ix + 0.5) * hx, (iy + 0.5) * hy]),
+        np.full(nx * ny, hx * hy),
+        np.concatenate([inner_K, bnd_K]),
+        np.concatenate([inner_L, np.full(len(bnd_K), -1)]),
+        np.concatenate([np.full(n_inner, EdgeKind.INTERIOR), bnd_kinds]),
+        np.concatenate([inner_measures, bnd_measures]),
+        distances,
+        center_distances,
+        np.concatenate([inner_normals, bnd_normals]),
+        points=np.column_stack([xs.ravel(), ys.ravel()]),
+        cell_nodes=np.column_stack([corner, corner + 1, corner + nx + 2, corner + nx + 1]),
+    )
 
 
 # -- triangle meshes ----------------------------------------------------------------
 
 
-def _circumcenter(a, b, c):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    ux = (
-        (a[0] ** 2 + a[1] ** 2) * (b[1] - c[1])
-        + (b[0] ** 2 + b[1] ** 2) * (c[1] - a[1])
-        + (c[0] ** 2 + c[1] ** 2) * (a[1] - b[1])
-    ) / d
-    uy = (
-        (a[0] ** 2 + a[1] ** 2) * (c[0] - b[0])
-        + (b[0] ** 2 + b[1] ** 2) * (a[0] - c[0])
-        + (c[0] ** 2 + c[1] ** 2) * (b[0] - a[0])
-    ) / d
-    return np.array([ux, uy])
+def _circumcenters(a, b, c):
+    """Circumcenters of the triangles with corners a, b, c, each (M, 2)."""
+    (ax, ay), (bx, by), (cx, cy) = a.T, b.T, c.T
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
+          + (cx**2 + cy**2) * (ay - by)) / d
+    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
+          + (cx**2 + cy**2) * (bx - ax)) / d
+    return np.column_stack([ux, uy])
+
+
+def _dot(x, y):
+    """Row-wise dot products, rounded as ``x[k] @ y[k]`` rounds them."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _norm(x):
+    return np.sqrt(_dot(x, x))
 
 
 def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
@@ -403,7 +322,9 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
     Cell centers are circumcenters, so every triangle must be strictly acute;
     otherwise the center-to-edge distance degenerates and the two-point flux
     loses consistency.  Obtuse or right triangles raise AdmissibilityError
-    naming the offending triangle, broken connectivity raises TopologyError.
+    naming the offending triangle, broken connectivity and non-finite
+    coordinates raise TopologyError.  Edges are ordered by their sorted node
+    pair.
     """
     nodes = np.asarray(nodes, dtype=float)
     triangles = np.asarray(triangles, dtype=np.intp)
@@ -411,99 +332,79 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
         raise TopologyError("nodes must be an (N, 2) array")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise TopologyError("triangles must be an (M, 3) array")
+    finite = np.isfinite(nodes).all(axis=1)
+    if not finite.all():
+        raise TopologyError(f"node {int(np.argmin(finite))} has a non-finite coordinate")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(nodes)):
         raise TopologyError("triangle references a node that does not exist")
 
-    n_tri = len(triangles)
-    centers = np.empty((n_tri, 2))
-    measures = np.empty(n_tri)
-    for t, (i, j, k) in enumerate(triangles):
-        a, b, c = nodes[i], nodes[j], nodes[k]
-        area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
-        if area < 1e-14:
+    a, b, c = nodes[triangles[:, 0]], nodes[triangles[:, 1]], nodes[triangles[:, 2]]
+    areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                         - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+    degenerate = areas < 1e-14
+    not_acute = np.zeros(len(triangles), dtype=bool)
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        e1, e2 = v - u, w - u
+        not_acute |= _dot(e1, e2) <= 1e-12 * _norm(e1) * _norm(e2)
+    bad = np.flatnonzero(degenerate | not_acute)
+    if bad.size:
+        t = int(bad[0])
+        if degenerate[t]:
             raise TopologyError(f"triangle {t} is degenerate (zero area)")
-        for (u, v, w) in ((a, b, c), (b, c, a), (c, a, b)):
-            e1, e2 = v - u, w - u
-            dot = float(e1 @ e2)
-            if dot <= 1e-12 * np.linalg.norm(e1) * np.linalg.norm(e2):
-                raise AdmissibilityError(
-                    f"triangle {t} is not acute (circumcenter not strictly inside)"
-                )
-        centers[t] = _circumcenter(a, b, c)
-        measures[t] = area
+        raise AdmissibilityError(f"triangle {t} is not acute (circumcenter not strictly inside)")
+    centers = _circumcenters(a, b, c)
 
-    side_map: dict[tuple[int, int], list[int]] = {}
-    for t, (i, j, k) in enumerate(triangles):
-        for u, v in ((i, j), (j, k), (k, i)):
-            side_map.setdefault((min(u, v), max(u, v)), []).append(t)
+    # side map: every triangle side as a sorted node pair, grouped by a stable
+    # sort so that each group lists its triangles in index order
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    owners = np.repeat(np.arange(len(triangles)), 3)
+    order = np.lexsort((sides[:, 1], sides[:, 0]))
+    sides, owners = sides[order], owners[order]
+    starts = np.flatnonzero(np.r_[True, np.any(sides[1:] != sides[:-1], axis=1)][: len(sides)])
+    counts = np.diff(np.r_[starts, len(sides)])
+    u, v = sides[starts].T
+    inner = counts == 2
+    K = owners[starts]
+    L = np.where(inner, owners[np.minimum(starts + 1, len(owners) - 1)], K)
 
-    cell_edges = [[] for _ in range(n_tri)]
-    edges = []
-    for (u, v), tris in sorted(side_map.items()):
-        if len(tris) > 2:
-            raise TopologyError(f"edge ({u}, {v}) is shared by more than two triangles")
-        pa, pb = nodes[u], nodes[v]
-        mid = 0.5 * (pa + pb)
-        measure = float(np.linalg.norm(pb - pa))
-        tangent = (pb - pa) / measure
-        normal = np.array([tangent[1], -tangent[0]])
-        eid = len(edges)
-        if len(tris) == 2:
-            K, L = tris
-            sK = float((centers[K] - mid) @ normal)
-            sL = float((centers[L] - mid) @ normal)
-            if sK * sL >= 0.0:
-                raise AdmissibilityError(
-                    f"triangles {K} and {L}: circumcenters on the same side of their shared edge"
-                )
-            if sK > 0:  # orient the normal from K towards L
-                K, L, sK, sL = L, K, sL, sK
-            distance = float(np.linalg.norm(centers[L] - centers[K]))
-            edges.append(
-                Edge(
-                    id=eid,
-                    kind=EdgeKind.INTERIOR,
-                    cells=(K, L),
-                    measure=measure,
-                    distance=distance,
-                    transmissibility=measure / distance,
-                    normal_from_K=normal.copy(),
-                    dual_measure=measure * distance / 2,
-                    center_distances=(abs(sK), abs(sL)),
-                )
+    pa, pb = nodes[u], nodes[v]
+    mid = 0.5 * (pa + pb)
+    measures = _norm(pb - pa)
+    tangent = (pb - pa) / measures[:, None]
+    normals = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    sK = _dot(centers[K] - mid, normals)
+    sL = _dot(centers[L] - mid, normals)
+
+    crowded = counts > 2
+    same_side = inner & (sK * sL >= 0.0)
+    on_edge = (counts == 1) & (np.abs(sK) <= 1e-14)
+    bad = np.flatnonzero(crowded | same_side | on_edge)
+    if bad.size:
+        e = int(bad[0])
+        if crowded[e]:
+            raise TopologyError(f"edge ({u[e]}, {v[e]}) is shared by more than two triangles")
+        if same_side[e]:
+            raise AdmissibilityError(
+                f"triangles {K[e]} and {L[e]}: circumcenters on the same side of their shared edge"
             )
-            cell_edges[K].append(eid)
-            cell_edges[L].append(eid)
-        else:
-            (K,) = tris
-            s = float((centers[K] - mid) @ normal)
-            outward = -normal if s > 0 else normal
-            d = abs(s)
-            if d <= 1e-14:
-                raise AdmissibilityError(
-                    f"triangle {K}: circumcenter lies on boundary edge ({u}, {v})"
-                )
-            kind = EdgeKind.DIRICHLET if dirichlet_predicate(mid[0], mid[1]) else EdgeKind.NEUMANN
-            edges.append(
-                Edge(
-                    id=eid,
-                    kind=kind,
-                    cells=(K,),
-                    measure=measure,
-                    distance=d,
-                    transmissibility=measure / d,
-                    normal_from_K=outward,
-                    dual_measure=measure * d / 2,
-                    center_distances=(d,),
-                )
-            )
-            cell_edges[K].append(eid)
+        raise AdmissibilityError(
+            f"triangle {K[e]}: circumcenter lies on boundary edge ({u[e]}, {v[e]})"
+        )
 
-    cells = [
-        Cell(id=t, center=centers[t], measure=float(measures[t]), edge_ids=tuple(cell_edges[t]))
-        for t in range(n_tri)
+    # orient interior normals from K towards L, boundary normals outward
+    swap = inner & (sK > 0)
+    K, L = np.where(swap, L, K), np.where(swap, K, L)
+    sK, sL = np.where(swap, sL, sK), np.where(swap, sK, sL)
+    normals = np.where((~inner & (sK > 0))[:, None], -normals, normals)
+    center_distances = np.column_stack([np.abs(sK), np.where(inner, np.abs(sL), 0.0)])
+    distances = np.where(inner, _norm(centers[L] - centers[K]), np.abs(sK))
+    kinds = np.full(len(u), EdgeKind.INTERIOR)
+    kinds[~inner] = [
+        EdgeKind.DIRICHLET if dirichlet_predicate(x, y) else EdgeKind.NEUMANN
+        for x, y in mid[~inner].tolist()
     ]
-    return Mesh(2, cells, edges, points=nodes, cell_nodes=[tuple(t) for t in triangles])
+    return Mesh(2, centers, areas, K, np.where(inner, L, -1), kinds, measures, distances,
+                center_distances, normals, points=nodes, cell_nodes=triangles)
 
 
 # -- triangle mesh file format -------------------------------------------------------
@@ -514,16 +415,32 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
 
 
 def read_triangle_mesh_file(path):
+    """Nodes and triangles of a mesh file; malformed content raises TopologyError."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError:
+            raise TopologyError(f"{path}: mesh file is not ASCII text") from None
+    header = f"{path}: expected header 'nodes <N> triangles <M>'"
     if len(tokens) < 4 or tokens[0] != "nodes" or tokens[2] != "triangles":
-        raise TopologyError(f"{path}: expected header 'nodes <N> triangles <M>'")
-    n, m = int(tokens[1]), int(tokens[3])
+        raise TopologyError(header)
+    try:
+        n, m = int(tokens[1]), int(tokens[3])
+    except ValueError:
+        raise TopologyError(header) from None
+    if n < 0 or m < 0:
+        raise TopologyError(header)
     body = tokens[4:]
     if len(body) != 2 * n + 3 * m:
         raise TopologyError(f"{path}: truncated mesh file")
-    nodes = np.array(body[: 2 * n], dtype=float).reshape(n, 2)
-    triangles = np.array(body[2 * n :], dtype=np.intp).reshape(m, 3)
+    try:
+        nodes = np.array(body[: 2 * n], dtype=float).reshape(n, 2)
+    except ValueError:
+        raise TopologyError(f"{path}: node coordinates must be numbers") from None
+    try:
+        triangles = np.array(body[2 * n :], dtype=np.intp).reshape(m, 3)
+    except ValueError:
+        raise TopologyError(f"{path}: triangle node indices must be integers") from None
     return nodes, triangles
 
 

@@ -146,21 +146,18 @@ class ModelFunctions:
     """Vectorized model functions, immutable after construction.
 
     All callables accept scalars or arrays of biomass values in [0, 1).
-    ``G`` is the cumulative mobility integral, ``g = G / m`` the ratio q/p,
+    ``g = G / m`` is the ratio q/p, with G the cumulative mobility integral,
     and ``log_g`` an overflow-safe evaluation of log(g) used by the entropy.
     """
 
-    def __init__(self, name, params, p, p_prime, g, g_prime, G, log_g,
-                 satisfies_H4, primitive_cap=0.99):
+    def __init__(self, name, params, p, p_prime, g, g_prime, log_g, primitive_cap=0.99):
         self.name = name
         self.params = params
         self.p = p
         self.p_prime = p_prime
         self.g = g
         self.g_prime = g_prime
-        self.G = G
         self.log_g = log_g
-        self.satisfies_H4 = bool(satisfies_H4)
         self._assert_p_shape()
         self.log_g_primitive = _LogGPrimitive(log_g, params.a, cap=primitive_cap)
 
@@ -268,7 +265,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
             )
         return float(out[0]) if scalar else out
 
-    return ModelFunctions("case1", params, p, p_prime, g, g_prime, G, log_g, satisfies_H4=True)
+    return ModelFunctions("case1", params, p, p_prime, g, g_prime, log_g)
 
 
 # -- built-in model: linear p ---------------------------------------------------------
@@ -284,10 +281,6 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
     def p_prime(x):
         return -np.ones_like(np.asarray(x, dtype=float))
 
-    def G(m):
-        m = _as_biomass(m)
-        return m**2 / (2.0 * (1.0 - m) ** 2)
-
     def g(m):
         m = _as_biomass(m)
         return m / (2.0 * (1.0 - m) ** 2)
@@ -300,7 +293,7 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
         m = _as_biomass(np.asarray(m, dtype=float))
         return np.log(m) - np.log(2.0) - 2.0 * np.log1p(-m)
 
-    return ModelFunctions("case2", params, p, p_prime, g, g_prime, G, log_g, satisfies_H4=False)
+    return ModelFunctions("case2", params, p, p_prime, g, g_prime, log_g)
 
 
 # -- generic models -------------------------------------------------------------------
@@ -421,9 +414,6 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
             out[~low] = np.exp(high_interp(-np.log1p(-m[~low])))
         return (float(out[0]) if scalar else out)
 
-    def G(m):
-        return _cached_c(m) * np.asarray(m, dtype=float) ** (a + 1.0)
-
     def g(m):
         return _cached_c(m) * np.asarray(m, dtype=float) ** a
 
@@ -438,8 +428,8 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
         m2 = np.asarray(m, dtype=float)
         return np.log(_cached_c(m2)) + a * np.log(m2)
 
-    return ModelFunctions(name, params, p, p_prime, g, g_prime, G, log_g,
-                          satisfies_H4=False, primitive_cap=min(0.99, cap))
+    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g,
+                          primitive_cap=min(0.99, cap))
 
 
 def get_model(selector: str, alphas, a=None, b=None, p_name=None) -> ModelFunctions:

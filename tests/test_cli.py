@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from biofilm_fv.cli import main
 from biofilm_fv.mesh import write_triangle_mesh_file
@@ -104,6 +105,39 @@ def test_check_mesh_rejects_right_triangles(tmp_path, capsys):
 
 def test_check_mesh_missing_file(capsys):
     assert main(["check-mesh", "/nonexistent/m.mesh"]) == 2
+
+
+# two equilateral triangles sharing the edge (0, 1)
+RHOMBUS = ("nodes 4 triangles 2\n0.0 0.0\n1.0 0.0\n0.5 0.8660254037844386\n"
+           "0.5 -0.8660254037844386\n0 1 2\n0 3 1\n")
+MALFORMED_MESHES = {
+    "header-count": RHOMBUS.replace("nodes 4", "nodes x"),
+    "coordinate": RHOMBUS.replace("1.0 0.0", "abc 0.0"),
+    "triangle-index": RHOMBUS.replace("0 1 2", "0 1 2.5"),
+    "nan-coordinate": RHOMBUS.replace("0.5 0.8660254037844386", "0.5 nan"),
+    "not-ascii": RHOMBUS.replace("1.0 0.0", "1.0 0.0\u00e9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MESHES))
+def test_check_mesh_rejects_malformed_file(tmp_path, capsys, name):
+    path = tmp_path / "bad.mesh"
+    path.write_text(MALFORMED_MESHES[name], encoding="utf-8")
+    code = main(["check-mesh", str(path)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("inadmissible mesh:") and "Traceback" not in err
+
+
+def test_threads_environment_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THREADS", "two")
+    cfg = write_config(
+        tmp_path / "conv.cfg",
+        RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n",
+    )
+    code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "THREADS" in capsys.readouterr().err
 
 
 def test_steady_state_command(tmp_path, capsys):

@@ -30,22 +30,22 @@ TOP = lambda x, y: abs(y - 1.0) < 1e-12
 def test_interval_mesh_transmissibilities():
     mesh = build_interval_mesh(10, "left")
     assert mesh.n_cells == 10
-    interior = [e for e in mesh.edges if e.kind == EdgeKind.INTERIOR]
-    assert len(interior) == 9
+    interior = mesh.edge_kinds == EdgeKind.INTERIOR
+    assert np.count_nonzero(interior) == 9
     # m(sigma) = 1 convention gives tau = 1/h on interior edges
-    assert all(abs(e.transmissibility - 10.0) < 1e-12 for e in interior)
+    assert np.all(np.abs(mesh.edge_tau[interior] - 10.0) < 1e-12)
     assert abs(mesh.total_measure - 1.0) < 1e-15
 
 
 def test_interval_mesh_two_cells_left():
     mesh = build_interval_mesh(2, "left")
-    kinds = [e.kind for e in mesh.edges]
+    kinds = mesh.edge_kinds.tolist()
     assert kinds.count(EdgeKind.INTERIOR) == 1
     assert kinds.count(EdgeKind.DIRICHLET) == 1
     assert kinds.count(EdgeKind.NEUMANN) == 1
     # Dirichlet sits at x = 0
-    dirichlet = mesh.edges[int(mesh.dirichlet[0])]
-    assert dirichlet.cells == (0,)
+    dirichlet = int(mesh.dirichlet[0])
+    assert (mesh.edge_K[dirichlet], mesh.edge_L[dirichlet]) == (0, -1)
 
 
 def test_interval_mesh_reference_size():
@@ -92,6 +92,22 @@ def test_rectangle_orthogonality_exact():
     assert np.abs(np.einsum("ij,ij->i", dx, tangents)).max() == 0.0
 
 
+def test_rectangle_3x2_edge_order_and_orientation():
+    # cells are numbered row by row; interior edges come cell by cell (right
+    # neighbor, then upper neighbor), then the left/right edges of each row
+    # and the bottom/top edges of each column
+    mesh = build_rectangle_mesh(3, 2, TOP)
+    I, D, N = EdgeKind.INTERIOR, EdgeKind.DIRICHLET, EdgeKind.NEUMANN
+    assert mesh.edge_K.tolist() == [0, 0, 1, 1, 2, 3, 4, 0, 2, 3, 5, 0, 3, 1, 4, 2, 5]
+    assert mesh.edge_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [-1] * 10
+    assert mesh.edge_kinds.tolist() == [I] * 7 + [N] * 4 + [N, D] * 3
+    assert mesh.edge_normals.tolist() == [
+        [1, 0], [0, 1], [1, 0], [0, 1], [0, 1], [1, 0], [1, 0],
+        [-1, 0], [1, 0], [-1, 0], [1, 0],
+        [0, -1], [0, 1], [0, -1], [0, 1], [0, -1], [0, 1],
+    ]
+
+
 def test_rectangle_empty_dirichlet_rejected():
     with pytest.raises(MeshError):
         build_rectangle_mesh(3, 3, lambda x, y: False)
@@ -124,16 +140,16 @@ def test_equilateral_pair_geometry():
     mesh = load_triangle_mesh(nodes, tris, ALL)
     # circumcenter of a unit equilateral triangle sits 1/(2 sqrt(3)) from each edge
     d = 1.0 / (2.0 * math.sqrt(3.0))
-    for edge in mesh.edges:
-        for dist in edge.center_distances:
-            assert dist == pytest.approx(d, rel=1e-12)
+    near, far = mesh.edge_center_distances.T
+    for dist in np.concatenate([near, far[mesh.interior]]):
+        assert dist == pytest.approx(d, rel=1e-12)
     # interior edge: d_sigma = 2 d, hence xi = 1/2 there and 1 on the boundary
     assert mesh.regularity_xi == pytest.approx(0.5, rel=1e-12)
-    interior = mesh.edges[int(mesh.interior[0])]
-    assert interior.distance == pytest.approx(2.0 * d, rel=1e-12)
+    interior = int(mesh.interior[0])
+    assert mesh.edge_distances[interior] == pytest.approx(2.0 * d, rel=1e-12)
     # kite identity for the dual cell
-    assert interior.dual_measure == pytest.approx(
-        interior.measure * interior.distance / 2.0, rel=1e-15
+    assert mesh.edge_dual_measures[interior] == pytest.approx(
+        mesh.edge_measures[interior] * mesh.edge_distances[interior] / 2.0, rel=1e-15
     )
 
 
@@ -169,6 +185,27 @@ def test_acute_fixture_accepted():
     assert validate_regularity(mesh) == mesh.regularity_xi
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_mesh(6, "left"),
+    lambda: build_rectangle_mesh(3, 2, TOP),
+    lambda: load_triangle_mesh_file(ACUTE_FIXTURE, ALL),
+], ids=["interval", "rectangle", "triangle"])
+def test_mesh_arrays_are_read_only(build):
+    mesh = build()
+    arrays = {name: v for name, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert {"cell_centers", "edge_K", "edge_tau", "interior_tau", "dirichlet_K"} <= set(arrays)
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+    with pytest.raises(ValueError):
+        mesh.edge_tau[0] = 1.0
+
+
+def test_triangle_mesh_leaves_input_arrays_writeable():
+    nodes, tris = read_triangle_mesh_file(ACUTE_FIXTURE)
+    load_triangle_mesh(nodes, tris, ALL)
+    assert nodes.flags.writeable and tris.flags.writeable
+
+
 def test_mesh_file_round_trip(tmp_path):
     nodes, tris = read_triangle_mesh_file(ACUTE_FIXTURE)
     path = tmp_path / "patch.mesh"
@@ -187,7 +224,6 @@ def test_boundary_edges_partition():
 
 def test_edge_moment_bound_2d():
     mesh = build_rectangle_mesh(6, 4, TOP)
-    acc = sum(
-        e.measure * d for e in mesh.edges for d in e.center_distances
-    )
+    near, far = mesh.edge_center_distances.T
+    acc = (mesh.edge_measures * near).sum() + (mesh.edge_measures * far)[mesh.interior].sum()
     assert acc <= 2.0 * mesh.total_measure + 1e-12
