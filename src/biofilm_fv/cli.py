@@ -92,22 +92,21 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
     conv_sec = parser["convergence"] if parser.has_section("convergence") else {}
     out_sec = parser["output"] if parser.has_section("output") else {}
 
-    dimension = int(mesh_sec.get("dimension", "1"))
-    n_cells = int(mesh_sec.get("cells", "80"))
-    resolutions = _ints(conv_sec.get("resolutions", "")) if conv_sec else ()
-    reference = int(conv_sec.get("reference", "0")) if conv_sec else 0
-    if paper_scale:
-        resolutions = PAPER_SCALE_RESOLUTIONS
-        reference = PAPER_SCALE_REFERENCE
-        if dimension == 1:
-            n_cells = PAPER_SCALE_CELLS_1D
-        elif "file" not in mesh_sec:
-            raise ConfigurationError(
-                "--paper-scale in 2D requires an unstructured mesh file "
-                "(set file = ... in the [mesh] section)"
-            )
-
     try:
+        dimension = int(mesh_sec.get("dimension", "1"))
+        n_cells = int(mesh_sec.get("cells", "80"))
+        resolutions = _ints(conv_sec.get("resolutions", "")) if conv_sec else ()
+        reference = int(conv_sec.get("reference", "0")) if conv_sec else 0
+        if paper_scale:
+            resolutions = PAPER_SCALE_RESOLUTIONS
+            reference = PAPER_SCALE_REFERENCE
+            if dimension == 1:
+                n_cells = PAPER_SCALE_CELLS_1D
+            elif "file" not in mesh_sec:
+                raise ConfigurationError(
+                    "--paper-scale in 2D requires an unstructured mesh file "
+                    "(set file = ... in the [mesh] section)"
+                )
         spec = ExperimentSpec(
             name=exp.get("name", Path(path).stem),
             model=exp.get("model", "case1"),

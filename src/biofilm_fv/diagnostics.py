@@ -1,9 +1,10 @@
 """Discrete entropy, dissipation, norms and gradient reconstruction.
 
 All functions here are pure in (state, mesh, model, boundary data): repeated
-evaluation returns bitwise identical results.  Edge sums follow the boundary
-convention of the scheme: Dirichlet edges contribute with the contact state,
-Neumann edges contribute nothing.
+evaluation returns bitwise identical results.  Edge sums run over the
+mesh's flux edges, as in the scheme: on a Dirichlet edge the far side is the
+ghost column ``n_cells`` holding the contact state, and Neumann edges
+contribute nothing.
 """
 
 from __future__ import annotations
@@ -44,40 +45,46 @@ def _admissible_biomass(state):
     return biomass
 
 
+def _with_contact(cell_values, contact_values):
+    """Cell values with the contact state appended as the ghost column ``n_cells``."""
+    return np.concatenate([cell_values, np.expand_dims(contact_values, -1)], axis=-1)
+
+
+def _jump(values, mesh):
+    """D_sigma of ghost-extended values on every flux edge: far side minus K."""
+    return values[..., mesh.flux_L] - values[..., mesh.flux_K]
+
+
+def _mobility(u, biomass, mesh, model, bdata):
+    """u, g(M) and p(M) on the cells and the contact state, and psq_sigma.
+
+    g and p are evaluated once, on the per-cell biomass with the contact
+    biomass appended.  psq_sigma = (p(M_K)^2 + p(M_L)^2) / 2 on every flux edge.
+    """
+    m = _with_contact(biomass, bdata.biomass)
+    g, p = model.g(m), model.p(m)
+    psq = p**2
+    return _with_contact(u, bdata.values), g, p, 0.5 * (psq[mesh.flux_K] + psq[mesh.flux_L])
+
+
 def discrete_entropy(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
     """Relative entropy sum_K m(K) h*(u_K | u^D); zero iff u is the contact state."""
     biomass = _admissible_biomass(state)
-    u_d = bdata.values
-    m_d = bdata.biomass
+    u_d, m_d = bdata.values, bdata.biomass
     kl = np.sum(xlogy(state.u, state.u / u_d[:, None]) - state.u + u_d[:, None], axis=0)
-    primitive = model.log_g_primitive
-    bregman = (
-        primitive(biomass)
-        - primitive(m_d)
-        - float(model.log_g(m_d)) * (biomass - m_d)
-    )
+    primitive = model.log_g_primitive(_with_contact(biomass, m_d))
+    bregman = primitive[:-1] - primitive[-1] - float(model.log_g(m_d)) * (biomass - m_d)
     return float(mesh.cell_measures @ (kl + bregman))
 
 
-def _edge_square_sums(values, boundary_values, mesh, psq_cell, psq_boundary):
-    """sum_sigma tau * psq_sigma * (D_sigma values)^2 per species."""
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    psq = 0.5 * (psq_cell[K] + psq_cell[L])
-    acc = ((values[:, L] - values[:, K]) ** 2 * (tau * psq)).sum(axis=1)
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    psq_b = 0.5 * (psq_cell[Kd] + psq_boundary)
-    acc += ((boundary_values[:, None] - values[:, Kd]) ** 2 * (tau_d * psq_b)).sum(axis=1)
-    return acc
+def _dissipation(u, g, psq, mesh):
+    return (_jump(np.sqrt(u * g), mesh) ** 2 * (mesh.flux_tau * psq)).sum(axis=1)
 
 
 def dissipation(state, mesh: Mesh, model: ModelFunctions, bdata) -> np.ndarray:
     """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2."""
-    biomass = _admissible_biomass(state)
-    root_v = np.sqrt(state.u * model.g(biomass))
-    root_v_d = np.sqrt(bdata.values * model.g(bdata.biomass))
-    psq_cell = model.p(biomass) ** 2
-    psq_d = model.p(bdata.biomass) ** 2
-    return _edge_square_sums(root_v, root_v_d, mesh, psq_cell, psq_d)
+    u, g, _, psq = _mobility(state.u, _admissible_biomass(state), mesh, model, bdata)
+    return _dissipation(u, g, psq, mesh)
 
 
 def entropy_production(dissipation, alphas) -> float:
@@ -90,6 +97,15 @@ def entropy_production(dissipation, alphas) -> float:
     return float(np.asarray(alphas, dtype=float) @ dissipation)
 
 
+def _dissipation_and_beta_term(state, mesh, model, bdata):
+    """Per-species dissipation and the beta term, from one evaluation of g and p."""
+    u, g, p, psq = _mobility(state.u, _admissible_biomass(state), mesh, model, bdata)
+    pq = p**2 * g
+    beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
+    rhs = (_jump(np.sqrt(u), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
+    return _dissipation(u, g, psq, mesh), 0.5 * float(rhs)
+
+
 def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdata):
     """Explicit lower bound for the total dissipation.
 
@@ -100,21 +116,8 @@ def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdat
     where pq = p(M)^2 g(M).  The inequality lhs >= rhs holds for every
     admissible state up to round-off; callers assert lhs >= rhs - 1e-12.
     """
-    biomass = _admissible_biomass(state)
-    lhs = float(dissipation(state, mesh, model, bdata).sum())
-
-    pq_cell = model.pq(biomass)
-    pq_d = float(model.pq(bdata.biomass))
-    root_u = np.sqrt(state.u)
-    root_u_d = np.sqrt(bdata.values)
-
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    beta = np.minimum(pq_cell[K], pq_cell[L])
-    rhs = ((root_u[:, L] - root_u[:, K]) ** 2 * (tau * beta)).sum()
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    beta_b = np.minimum(pq_cell[Kd], pq_d)
-    rhs += ((root_u_d[:, None] - root_u[:, Kd]) ** 2 * (tau_d * beta_b)).sum()
-    return lhs, 0.5 * float(rhs)
+    dis, rhs = _dissipation_and_beta_term(state, mesh, model, bdata)
+    return float(dis.sum()), rhs
 
 
 def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
@@ -125,49 +128,44 @@ def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) ->
     intermediate biomass value is taken as the edge midpoint by convention.
     Models without a stated singularity exponent use kappa = 0.
     """
-    biomass = _admissible_biomass(state)
+    biomass = _with_contact(_admissible_biomass(state), bdata.biomass)
     a, b = model.params.a, model.params.b
     kappa = model.params.kappa or 0.0
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    mid = 0.5 * (biomass[K] + biomass[L])
-    diff = biomass[L] - biomass[K]
-    acc = float((tau * mid ** (a - 1.0) * (1.0 - mid) ** (-1.0 - b - kappa) * diff**2).sum())
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    mid_b = 0.5 * (biomass[Kd] + bdata.biomass)
-    diff_b = bdata.biomass - biomass[Kd]
-    acc += float(
-        (tau_d * mid_b ** (a - 1.0) * (1.0 - mid_b) ** (-1.0 - b - kappa) * diff_b**2).sum()
-    )
-    return acc
+    mid = 0.5 * (biomass[mesh.flux_K] + biomass[mesh.flux_L])
+    weight = mesh.flux_tau * mid ** (a - 1.0) * (1.0 - mid) ** (-1.0 - b - kappa)
+    return float((weight * _jump(biomass, mesh) ** 2).sum())
 
 
 def entropy_report(state, mesh: Mesh, model: ModelFunctions, bdata) -> EntropyReport:
-    lhs, rhs = entropy_production_beta_bound(state, mesh, model, bdata)
+    dis, rhs = _dissipation_and_beta_term(state, mesh, model, bdata)
     return EntropyReport(
         entropy=discrete_entropy(state, mesh, model, bdata),
-        dissipation=dissipation(state, mesh, model, bdata),
+        dissipation=dis,
         lower_bound_beta_term=rhs,
         max_M=float(state.biomass.max()),
         min_u=float(state.u.min()),
     )
 
 
+def _field_jumps(v, mesh, dirichlet_value):
+    """D_sigma v on the flux edges; on the interior ones alone without a contact value."""
+    if dirichlet_value is None:
+        return _jump(_with_contact(v, np.nan), mesh)[: mesh.interior.size]
+    return _jump(_with_contact(v, float(dirichlet_value)), mesh)
+
+
 def discrete_norms(cell_values, mesh: Mesh, dirichlet_values=None) -> NormReport:
     """L2 norm, H1 seminorm and max norm of a per-cell field.
 
-    ``dirichlet_values`` (scalar or one value per Dirichlet edge) supplies the
-    field on the contact boundary; without it the Dirichlet edges are skipped,
-    which is the right convention for fields only defined in the interior.
+    ``dirichlet_values`` (a scalar) supplies the field on the contact
+    boundary; without it the Dirichlet edges are skipped, which is the right
+    convention for fields only defined in the interior.
     """
     v = np.asarray(cell_values, dtype=float)
     l2 = float(np.sqrt(mesh.cell_measures @ v**2))
     linf = float(np.abs(v).max()) if v.size else 0.0
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    h1_sq = float(((v[L] - v[K]) ** 2 * tau).sum())
-    if dirichlet_values is not None:
-        v_b = np.broadcast_to(np.asarray(dirichlet_values, dtype=float),
-                              mesh.dirichlet_K.shape)
-        h1_sq += float(((v_b - v[mesh.dirichlet_K]) ** 2 * mesh.dirichlet_tau).sum())
+    jumps = _field_jumps(v, mesh, dirichlet_values)
+    h1_sq = float((jumps**2 * mesh.flux_tau[: jumps.size]).sum())
     return NormReport(l2=l2, h1_semi=float(np.sqrt(h1_sq)), linf=linf)
 
 
@@ -177,14 +175,11 @@ def reconstruct_gradient(cell_values, mesh: Mesh, dirichlet_values=None) -> np.n
     On the dual cell of edge sigma the gradient is
     (m(sigma) / m(T_sigma)) * D_{K,sigma} v * nu_{K,sigma}.  Its squared L2
     norm equals 2 sum_sigma tau (D_sigma v)^2, i.e. sqrt(2) times the H1
-    seminorm when only interior edges contribute.
+    seminorm when only interior edges contribute.  ``dirichlet_values`` is
+    as in ``discrete_norms``.
     """
-    v = np.asarray(cell_values, dtype=float)
+    jumps = _field_jumps(np.asarray(cell_values, dtype=float), mesh, dirichlet_values)
     diff = np.zeros(mesh.n_edges)
-    diff[mesh.interior] = v[mesh.interior_L] - v[mesh.interior_K]
-    if dirichlet_values is not None:
-        v_b = np.broadcast_to(np.asarray(dirichlet_values, dtype=float),
-                              mesh.dirichlet_K.shape)
-        diff[mesh.dirichlet] = v_b - v[mesh.dirichlet_K]
+    diff[np.concatenate([mesh.interior, mesh.dirichlet])[: jumps.size]] = jumps
     factor = mesh.edge_measures / mesh.edge_dual_measures * diff
     return factor[:, None] * mesh.edge_normals

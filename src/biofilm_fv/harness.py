@@ -172,6 +172,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.t_end <= 0.0:
             raise ConfigurationError("t_end must be positive")
+        if self.dimension not in (1, 2):
+            raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
         if len(self.alphas) != len(self.u_d):
             raise ConfigurationError("alphas and u_d must have the same length")
         if self.dt_policy not in ("fixed", "adaptive"):
@@ -191,17 +193,19 @@ class ExperimentSpec:
             raise ConfigurationError(str(exc)) from exc
 
     def build_mesh(self, n_cells=None) -> Mesh:
-        if self.dimension == 1:
-            return build_interval_mesh(n_cells or self.n_cells, self.dirichlet)
         predicate = DIRICHLET_PREDICATES.get(self.dirichlet)
-        if predicate is None:
+        if self.dimension == 2 and predicate is None:
             raise ConfigurationError(f"unknown dirichlet tag {self.dirichlet!r}")
-        if self.mesh_file is not None:
-            try:
+        try:
+            if self.dimension == 1:
+                return build_interval_mesh(n_cells or self.n_cells, self.dirichlet)
+            if self.mesh_file is not None:
                 return load_triangle_mesh_file(self.mesh_file, predicate)
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read mesh file: {exc}") from exc
-        return build_rectangle_mesh(self.nx, self.ny, predicate)
+            return build_rectangle_mesh(self.nx, self.ny, predicate)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read mesh file: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def build_datum(self) -> IndicatorDatum:
         params = dict(self.initial_params)
@@ -215,14 +219,17 @@ class ExperimentSpec:
         if adaptive is None:
             adaptive = self.dt_policy == "adaptive"
         value = self.dt if dt is None else dt
-        return NewtonConfig(
-            tol=self.newton_tol,
-            max_iters=self.newton_max_iters,
-            dt_min=min(self.dt_min, value),
-            dt_max=max(self.dt_max, value) if not adaptive else self.dt_max,
-            dt_init=value,
-            adaptive=adaptive,
-        )
+        try:
+            return NewtonConfig(
+                tol=self.newton_tol,
+                max_iters=self.newton_max_iters,
+                dt_min=min(self.dt_min, value),
+                dt_max=max(self.dt_max, value) if not adaptive else self.dt_max,
+                dt_init=value,
+                adaptive=adaptive,
+            )
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
 # -- shared run machinery ------------------------------------------------------------------

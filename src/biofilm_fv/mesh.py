@@ -60,9 +60,12 @@ class Mesh:
     sum can differ from it in the last bit.
 
     Construction derives the transmissibilities m(sigma)/d_sigma, the dual
-    measures and the per-kind edge index sets, validates topology and
-    admissibility, and makes every array read-only.  Instances are never
-    mutated afterwards; they are safe to share between threads.
+    measures, the per-kind edge index sets and the flux edges ``flux_K``,
+    ``flux_L``, ``flux_tau``: the interior edges, then the Dirichlet ones,
+    whose ``flux_L`` is the ghost column ``n_cells`` holding the contact
+    state.  It validates topology and admissibility and makes every array
+    read-only.  Instances are never mutated afterwards; they are safe to
+    share between threads.
     """
 
     def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_kinds,
@@ -102,11 +105,11 @@ class Mesh:
 
         self.edge_tau = self.edge_measures / self.edge_distances
         self.edge_dual_measures = self.edge_measures * self.edge_distances / 2
-        self.interior_K = self.edge_K[self.interior]
-        self.interior_L = self.edge_L[self.interior]
-        self.interior_tau = self.edge_tau[self.interior]
-        self.dirichlet_K = self.edge_K[self.dirichlet]
-        self.dirichlet_tau = self.edge_tau[self.dirichlet]
+        flux_edges = np.concatenate([self.interior, self.dirichlet])
+        self.flux_K = self.edge_K[flux_edges]
+        self.flux_L = np.concatenate([self.edge_L[self.interior],
+                                      np.full(self.dirichlet.size, self.n_cells)])
+        self.flux_tau = self.edge_tau[flux_edges]
         self.regularity_xi = validate_regularity(self)
 
         for value in vars(self).values():

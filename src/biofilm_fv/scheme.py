@@ -6,10 +6,11 @@ One time step solves, per species i and cell K,
     F_{i,K,sigma} = -tau_sigma * alpha_i * psq_sigma * (v_{i,K,sigma} - v_{i,K}),
 
 with v_i = u_i * g(M), M the per-cell biomass, and psq the arithmetic mean of
-p(M)^2 on the two sides of the edge.  Dirichlet edges use the constant contact
-state, Neumann edges carry no flux.  The unknowns are the physical proportions
-(cell-major ordering: cell index varies slowest) and the Jacobian is exact,
-including the dependence of psq on the biomass.
+p(M)^2 on the two sides of the edge.  On Dirichlet edges the far side is a
+ghost cell holding the constant contact state; Neumann edges carry no flux.
+The unknowns are the physical proportions (cell-major ordering: cell index
+varies slowest) and the Jacobian is exact, including the dependence of psq
+on the biomass.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguards only protect transient iterates: updates are
@@ -124,6 +125,8 @@ class NewtonConfig:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.tol <= 0.0 or not (0.0 < self.damping < 1.0):
             raise ValueError("tol must be positive and damping in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -179,52 +182,56 @@ def max_principle_bound(state: State, bdata: BoundaryData) -> float:
 # -- residual and Jacobian -------------------------------------------------------------
 
 
-def _edge_coefficients(u, mesh, model, bdata):
-    """Shared per-edge quantities for assembly: potentials and psq means."""
+def _fluxes(u, mesh, model, bdata):
+    """The scheme's edge quantities at u, from one evaluation of g and p.
+
+    Returns the per-cell biomass, g and p on the cells with the contact state
+    as ghost column ``n_cells``, and psq_sigma, D_sigma v and the flux F into
+    K on every flux edge.
+    """
     biomass = u.sum(axis=0)
     if biomass.size and biomass.max() >= 1.0:
         raise InadmissibleStateError(
             f"trial biomass {float(biomass.max()):.6f} reached saturation"
         )
-    g = model.g(biomass)
-    v = u * g
-    psq_cell = model.p(biomass) ** 2
-    v_d = bdata.values * model.g(bdata.biomass)
-    psq_d_const = model.p(bdata.biomass) ** 2
-    return biomass, g, v, psq_cell, v_d, psq_d_const
+    u_ext, g, p, psq = diagnostics._mobility(u, biomass, mesh, model, bdata)
+    dv = diagnostics._jump(u_ext * g, mesh)
+    flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
+    return biomass, g, p, psq, dv, flux
 
 
 def residual(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
              bdata: BoundaryData):
     """Residual of the implicit Euler step at the trial state, shape (n, N)."""
     u = np.asarray(u_trial, dtype=float)
-    _, _, v, psq_cell, v_d, psq_d_const = _edge_coefficients(u, mesh, model, bdata)
-    alphas = model.params.alpha_array
+    flux = _fluxes(u, mesh, model, bdata)[-1]
     n, n_cells = u.shape
+    m = mesh.interior.size
+    K, L = mesh.flux_K, mesh.flux_L
 
     out = (mesh.cell_measures / dt) * (u - state_prev.u)
-
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    psq = 0.5 * (psq_cell[K] + psq_cell[L])
-    flux_K = -(alphas[:, None] * (tau * psq)) * (v[:, L] - v[:, K])
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    psq_b = 0.5 * (psq_cell[Kd] + psq_d_const)
-    flux_B = -(alphas[:, None] * (tau_d * psq_b)) * (v_d[:, None] - v[:, Kd])
     for i in range(n):
-        out[i] += np.bincount(K, weights=flux_K[i], minlength=n_cells)
-        out[i] -= np.bincount(L, weights=flux_K[i], minlength=n_cells)
-        out[i] += np.bincount(Kd, weights=flux_B[i], minlength=n_cells)
+        out[i] += np.bincount(K[:m], weights=flux[i, :m], minlength=n_cells)
+        out[i] -= np.bincount(L[:m], weights=flux[i, :m], minlength=n_cells)
+        out[i] += np.bincount(K[m:], weights=flux[i, m:], minlength=n_cells)
     return out
 
 
 def dirichlet_fluxes(u, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData):
     """Outward fluxes through the contact boundary, shape (n, #dirichlet)."""
-    u = np.asarray(u, dtype=float)
-    _, _, v, psq_cell, v_d, psq_d_const = _edge_coefficients(u, mesh, model, bdata)
-    alphas = model.params.alpha_array
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    psq_b = 0.5 * (psq_cell[Kd] + psq_d_const)
-    return -(alphas[:, None] * (tau_d * psq_b)) * (v_d[:, None] - v[:, Kd])
+    flux = _fluxes(np.asarray(u, dtype=float), mesh, model, bdata)[-1]
+    return flux[:, mesh.interior.size:]
+
+
+def _in_entry_order(diag, near, kl, ll, lk, m):
+    """Flatten the Jacobian's blocks in the order ``jacobian`` sums them.
+
+    ``near`` spans every flux edge, the other blocks the m interior ones, all
+    shaped (n, n, E): the diagonal, then KK, KL, LL and LK on the interior
+    edges, then KK on the Dirichlet edges.
+    """
+    return np.concatenate([diag, near[..., :m].ravel(), kl.ravel(), ll.ravel(), lk.ravel(),
+                           near[..., m:].ravel()])
 
 
 def _coo_pattern(mesh: Mesh, n: int):
@@ -233,21 +240,16 @@ def _coo_pattern(mesh: Mesh, n: int):
     diag = np.arange(n * mesh.n_cells)
 
     def block(rows_cells, cols_cells):
-        # index arrays of shape (n, n, E) flattened in (i, j, e) order
-        shape = (n, n, rows_cells.size)
-        r = np.broadcast_to(rows_cells[None, None, :] * n + ii[:, None, None], shape)
-        c = np.broadcast_to(cols_cells[None, None, :] * n + ii[None, :, None], shape)
-        return r.ravel(), c.ravel()
+        # row and column indices of shape (n, n, E), in (i, j, e) order
+        return np.broadcast_arrays(rows_cells[None, None, :] * n + ii[:, None, None],
+                                   cols_cells[None, None, :] * n + ii[None, :, None])
 
-    K, L = mesh.interior_K, mesh.interior_L
-    Kd = mesh.dirichlet_K
-    rows = [diag]
-    cols = [diag]
-    for rc, cc in ((K, K), (K, L), (L, L), (L, K), (Kd, Kd)):
-        r, c = block(rc, cc)
-        rows.append(r)
-        cols.append(c)
-    return np.concatenate(rows), np.concatenate(cols)
+    m = mesh.interior.size
+    K, L = mesh.flux_K, mesh.flux_L
+    near = block(K, K)
+    kl, ll, lk = block(K[:m], L[:m]), block(L[:m], L[:m]), block(L[:m], K[:m])
+    # k = 0 gives the rows, k = 1 the columns
+    return tuple(_in_entry_order(diag, near[k], kl[k], ll[k], lk[k], m) for k in (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,35 +343,21 @@ def _jacobian_entries(state_prev: State, u_trial, dt, mesh: Mesh,
                       model: ModelFunctions, bdata: BoundaryData):
     """Per-block Jacobian entries in the order of ``_coo_pattern``."""
     u = np.asarray(u_trial, dtype=float)
-    biomass, g, v, psq_cell, v_d, psq_d_const = _edge_coefficients(u, mesh, model, bdata)
+    biomass, g, p, psq, dv, _ = _fluxes(u, mesh, model, bdata)
     alphas = model.params.alpha_array
     n = u.shape[0]
 
     g_prime = model.g_prime(biomass)
-    pp = model.p(biomass) * model.p_prime(biomass)
+    pp = p[:-1] * model.p_prime(biomass)
 
-    K, L, tau = mesh.interior_K, mesh.interior_L, mesh.interior_tau
-    psq = 0.5 * (psq_cell[K] + psq_cell[L])
-    dv = v[:, L] - v[:, K]
-
-    A_KK = _edge_blocks(tau, alphas, psq, dv, g[K], g_prime[K], pp[K], u[:, K], sign=1.0)
-    A_KL = _edge_blocks(tau, alphas, psq, dv, g[L], g_prime[L], pp[L], u[:, L], sign=-1.0)
-
-    Kd, tau_d = mesh.dirichlet_K, mesh.dirichlet_tau
-    psq_b = 0.5 * (psq_cell[Kd] + psq_d_const)
-    dv_b = v_d[:, None] - v[:, Kd]
-    A_bb = _edge_blocks(tau_d, alphas, psq_b, dv_b, g[Kd], g_prime[Kd], pp[Kd],
-                        u[:, Kd], sign=1.0)
+    m = mesh.interior.size
+    K, L, tau = mesh.flux_K, mesh.flux_L[:m], mesh.flux_tau
+    near = _edge_blocks(tau, alphas, psq, dv, g[K], g_prime[K], pp[K], u[:, K], sign=1.0)
+    far = _edge_blocks(tau[:m], alphas, psq[:m], dv[:, :m], g[L], g_prime[L], pp[L], u[:, L],
+                       sign=-1.0)
 
     diag = np.repeat(mesh.cell_measures / dt, n)
-    return np.concatenate([
-        diag,
-        A_KK.ravel(),
-        A_KL.ravel(),
-        (-A_KL).ravel(),
-        (-A_KK).ravel(),
-        A_bb.ravel(),
-    ])
+    return _in_entry_order(diag, near, far, -far, -near[..., :m], m)
 
 
 def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,

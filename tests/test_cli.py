@@ -140,6 +140,31 @@ def test_threads_environment_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert "THREADS" in capsys.readouterr().err
 
 
+RUN_2D = RUN_1D.replace("initial = bumps-1d", "initial = bumps-2d").replace(
+    "dimension = 1\ncells = 20\ndirichlet = left", "dimension = 2\nnx = 4\nny = 4\ndirichlet = y=1"
+)
+CONVERGENCE_1D = RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n"
+BAD_CONFIGS = {
+    "dimension-word": ("run", RUN_1D.replace("dimension = 1", "dimension = two")),
+    "dimension-3": ("run", RUN_2D.replace("dimension = 2", "dimension = 3")),
+    "resolution-word": ("convergence", CONVERGENCE_1D.replace("8, 16", "8, x")),
+    "zero-cells": ("run", RUN_1D.replace("cells = 20", "cells = 0")),
+    "zero-nx": ("run", RUN_2D.replace("nx = 4", "nx = 0")),
+    "negative-dt": ("run", RUN_1D.replace("dt = 1e-5", "dt = -1e-5")),
+    "zero-newton-tol": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_tol = 0")),
+    "zero-newton-iters": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_max_iters = 0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
+    command, text = BAD_CONFIGS[name]
+    cfg = write_config(tmp_path / "bad.cfg", text)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_steady_state_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "ss.cfg",

@@ -71,9 +71,9 @@ def test_rectangle_2x2_geometry():
     mesh = build_rectangle_mesh(2, 2, TOP)
     assert mesh.n_cells == 4
     assert mesh.interior.size == 4
-    assert np.allclose(mesh.interior_tau, 1.0)  # tau = 0.5 / 0.5
+    assert np.allclose(mesh.flux_tau[:4], 1.0)  # tau = 0.5 / 0.5
     assert mesh.dirichlet.size == 2
-    assert np.allclose(mesh.dirichlet_tau, 2.0)  # tau = 0.5 / 0.25
+    assert np.allclose(mesh.flux_tau[4:], 2.0)  # tau = 0.5 / 0.25
     assert mesh.neumann.size == 6
 
 
@@ -85,7 +85,7 @@ def test_rectangle_unit_partition_and_xi():
 
 def test_rectangle_orthogonality_exact():
     mesh = build_rectangle_mesh(3, 3, TOP)
-    K, L = mesh.interior_K, mesh.interior_L
+    K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
     dx = mesh.cell_centers[L] - mesh.cell_centers[K]
     normals = mesh.edge_normals[mesh.interior]
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
@@ -101,11 +101,31 @@ def test_rectangle_3x2_edge_order_and_orientation():
     assert mesh.edge_K.tolist() == [0, 0, 1, 1, 2, 3, 4, 0, 2, 3, 5, 0, 3, 1, 4, 2, 5]
     assert mesh.edge_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [-1] * 10
     assert mesh.edge_kinds.tolist() == [I] * 7 + [N] * 4 + [N, D] * 3
+    # flux edges: the interior ones, then the top edges with the ghost cell 6
+    assert mesh.flux_K.tolist() == [0, 0, 1, 1, 2, 3, 4] + [3, 4, 5]
+    assert mesh.flux_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [6] * 3
     assert mesh.edge_normals.tolist() == [
         [1, 0], [0, 1], [1, 0], [0, 1], [0, 1], [1, 0], [1, 0],
         [-1, 0], [1, 0], [-1, 0], [1, 0],
         [0, -1], [0, 1], [0, -1], [0, 1], [0, -1], [0, 1],
     ]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_rectangle_mesh(3, 2, TOP),
+    lambda: load_triangle_mesh_file(ACUTE_FIXTURE, lambda x, y: x < 0.3),
+], ids=["rectangle-3x2", "acute-patch"])
+def test_flux_edges_are_interior_then_dirichlet(build):
+    # the contact state is the ghost column n_cells; Neumann edges carry no flux
+    mesh = build()
+    assert mesh.neumann.size > 0
+    edges = np.concatenate([mesh.interior, mesh.dirichlet])
+    assert mesh.flux_K.tolist() == mesh.edge_K[edges].tolist()
+    assert mesh.flux_L.tolist() == (
+        mesh.edge_L[mesh.interior].tolist() + [mesh.n_cells] * mesh.dirichlet.size
+    )
+    assert mesh.flux_tau.tolist() == mesh.edge_tau[edges].tolist()
+    assert (mesh.edge_kinds[edges] != EdgeKind.NEUMANN).all()
 
 
 def test_rectangle_empty_dirichlet_rejected():
@@ -155,7 +175,7 @@ def test_equilateral_pair_geometry():
 
 def test_triangle_mesh_kite_identity_and_partition():
     mesh = load_triangle_mesh_file(ACUTE_FIXTURE, ALL)
-    K, L = mesh.interior_K, mesh.interior_L
+    K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
     dist = np.linalg.norm(mesh.cell_centers[L] - mesh.cell_centers[K], axis=1)
     md = mesh.edge_measures[mesh.interior] * dist
     assert np.abs(md - 2.0 * mesh.edge_dual_measures[mesh.interior]).max() <= 1e-12 * md.max()
@@ -164,7 +184,7 @@ def test_triangle_mesh_kite_identity_and_partition():
 
 def test_triangle_mesh_orthogonality_invariant():
     mesh = load_triangle_mesh_file(ACUTE_FIXTURE, ALL)
-    K, L = mesh.interior_K, mesh.interior_L
+    K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
     dx = mesh.cell_centers[L] - mesh.cell_centers[K]
     dist = np.linalg.norm(dx, axis=1)
     normals = mesh.edge_normals[mesh.interior]
@@ -193,7 +213,7 @@ def test_acute_fixture_accepted():
 def test_mesh_arrays_are_read_only(build):
     mesh = build()
     arrays = {name: v for name, v in vars(mesh).items() if isinstance(v, np.ndarray)}
-    assert {"cell_centers", "edge_K", "edge_tau", "interior_tau", "dirichlet_K"} <= set(arrays)
+    assert {"cell_centers", "edge_K", "edge_tau", "flux_K", "flux_L", "flux_tau"} <= set(arrays)
     for name, array in arrays.items():
         assert not array.flags.writeable, name
     with pytest.raises(ValueError):

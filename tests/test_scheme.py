@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import biofilm_fv
-from biofilm_fv import scheme
+from biofilm_fv import diagnostics, scheme
 from biofilm_fv import (
     BoundaryData,
     InadmissibleStateError,
@@ -96,7 +96,7 @@ def test_residual_flux_antisymmetry(case2, bdata_01):
                        BoundaryData((1e-12, 1e-12)))
     # interior contribution of the swapped configuration shows up mirrored;
     # compare against a direct evaluation instead: F_K + F_L = 0 by assembly
-    tau = mesh.interior_tau[0]
+    tau = mesh.flux_tau[0]  # the one interior edge
     biomass = u.sum(axis=0)
     g = case2.g(biomass)
     psq = 0.5 * (case2.p(biomass[0]) ** 2 + case2.p(biomass[1]) ** 2)
@@ -205,7 +205,8 @@ def test_jacobian_uniform_state_block_structure(case2, bdata_01):
                 expected[L * n + i, L * n + j] += block
                 expected[L * n + i, K * n + j] -= block
 
-    for K, L, tau in zip(mesh.interior_K, mesh.interior_L, mesh.interior_tau):
+    m = mesh.interior.size
+    for K, L, tau in zip(mesh.flux_K[:m], mesh.flux_L[:m], mesh.flux_tau[:m]):
         add_edge(int(K), int(L), float(tau))
     # Dirichlet edge on cell 0 (tau = 2/h), boundary value fixed
     m_d = 0.2
@@ -257,6 +258,41 @@ def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
     rhs = rng.standard_normal(matrix.shape[0])
     x = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
     assert np.array_equal(x, splu(matrix).solve(rhs))
+
+
+@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+def test_each_call_evaluates_the_model_once(name, bdata_01):
+    # g and p cover the cells and the contact state in one call each
+    mesh = _assembly_meshes()[name]
+    model = model_case1(alphas=(1.0, 5.0))
+    calls = {}
+
+    def counted(attr):
+        fn = getattr(model, attr)
+
+        def wrapper(m):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(m)
+
+        return wrapper
+
+    for attr in ("g", "p", "g_prime", "p_prime"):
+        setattr(model, attr, counted(attr))
+    u = random_admissible(np.random.default_rng(14), 2, mesh.n_cells)
+    state = make_state(u)
+    evaluations = {
+        "residual": lambda: residual(state, u, 1e-4, mesh, model, bdata_01),
+        "dirichlet_fluxes": lambda: scheme.dirichlet_fluxes(u, mesh, model, bdata_01),
+        "dissipation": lambda: diagnostics.dissipation(state, mesh, model, bdata_01),
+        "jacobian": lambda: jacobian(state, u, 1e-4, mesh, model, bdata_01),
+    }
+    for label, evaluate in evaluations.items():
+        calls.clear()
+        evaluate()
+        expected = {"g": 1, "p": 1}
+        if label == "jacobian":
+            expected.update(g_prime=1, p_prime=1)
+        assert calls == expected, label
 
 
 def test_jacobian_pattern_cached_outside_the_mesh(case2, bdata_01):
