@@ -39,6 +39,7 @@ from .scheme import (  # noqa: F401
     State,
     StepReport,
     advance,
+    evaluate,
     jacobian,
     max_principle_bound,
     newton_step,

@@ -39,7 +39,7 @@ from .mesh import (
 )
 from .model import ModelDomainError, model_case1, model_case2
 from .oracle import fd_jacobian
-from .scheme import BoundaryData, SolverError, State, jacobian
+from .scheme import BoundaryData, SolverError, State, evaluate, jacobian
 from . import diagnostics
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def _selftest_jacobian(rng, mesh, model, bdata, label):
     u = rng.uniform(0.02, 0.4, size=(n, mesh.n_cells))
     state = State(time=0.0, u=u)
     dt = 1e-5
-    exact = jacobian(state, u, dt, mesh, model, bdata).toarray()
+    exact = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model).toarray()
     approx = fd_jacobian(state, u, dt, mesh, model, bdata)
     deviation = np.abs(exact - approx).max() / np.abs(approx).max()
     ok = deviation < 1e-6

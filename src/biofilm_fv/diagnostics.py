@@ -1,10 +1,10 @@
 """Discrete entropy, dissipation, norms and gradient reconstruction.
 
-All functions here are pure in (state, mesh, model, boundary data): repeated
-evaluation returns bitwise identical results.  Edge sums run over the
-mesh's flux edges, as in the scheme: on a Dirichlet edge the far side is the
-ghost column ``n_cells`` holding the contact state, and Neumann edges
-contribute nothing.
+All functions here are pure in (state, mesh, model, boundary data), or in
+(evaluation, mesh) for ``dissipation``: repeated evaluation returns bitwise
+identical results.  Edge sums run over the mesh's flux edges, as in the
+scheme: on a Dirichlet edge the far side is the ghost column ``n_cells``
+holding the contact state, and Neumann edges contribute nothing.
 """
 
 from __future__ import annotations
@@ -81,10 +81,13 @@ def _dissipation(u, g, psq, mesh):
     return (_jump(np.sqrt(u * g), mesh) ** 2 * (mesh.flux_tau * psq)).sum(axis=1)
 
 
-def dissipation(state, mesh: Mesh, model: ModelFunctions, bdata) -> np.ndarray:
-    """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2."""
-    u, g, _, psq = _mobility(state.u, _admissible_biomass(state), mesh, model, bdata)
-    return _dissipation(u, g, psq, mesh)
+def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
+    """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2.
+
+    ``evaluation`` is a ``scheme.Evaluation``; a negative proportion raises ModelDomainError.
+    """
+    _admissible_biomass(evaluation)
+    return _dissipation(evaluation.u_ext, evaluation.g, evaluation.psq, mesh)
 
 
 def entropy_production(dissipation, alphas) -> float:

@@ -235,38 +235,6 @@ class ExperimentSpec:
 # -- shared run machinery ------------------------------------------------------------------
 
 
-class RunRecorder:
-    """Observer collecting per-step reports and the entropy-inequality margin.
-
-    The margin is H_{k-1} - H_k - dt * sum_i alpha_i I_i, the slack of the
-    inequality ``scheme.advance`` enforces.
-    """
-
-    def __init__(self, alphas, keep_states=False):
-        self.alphas = alphas
-        self.reports = []
-        self.states = [] if keep_states else None
-        self.entropy_margin = math.inf
-        self._previous_entropy = None
-
-    def start(self, entropy):
-        self._previous_entropy = entropy
-
-    def __call__(self, report, state):
-        if self._previous_entropy is not None:
-            margin = (
-                self._previous_entropy
-                - report.entropy
-                - report.dt_used
-                * diagnostics.entropy_production(report.dissipation, self.alphas)
-            )
-            self.entropy_margin = min(self.entropy_margin, margin)
-        self._previous_entropy = report.entropy
-        self.reports.append(report)
-        if self.states is not None:
-            self.states.append(state)
-
-
 def _fmt(value):
     return repr(float(value))
 
@@ -337,8 +305,13 @@ def write_snapshot_vtk(path, mesh, u, title="snapshot"):
             fh.write(_fmt(value) + "\n")
 
 
-def write_run_metadata(path, spec, mesh, m_star, recorder):
-    reports = recorder.reports
+def _entropy_margin(reports):
+    """Smallest per-step slack of the entropy inequality; inf without steps."""
+    return min((r.entropy_margin for r in reports), default=math.inf)
+
+
+def write_run_metadata(path, spec, mesh, m_star, reports):
+    margin = _entropy_margin(reports)
     payload = {
         "experiment": spec.name,
         "model": spec.model,
@@ -350,9 +323,7 @@ def write_run_metadata(path, spec, mesh, m_star, recorder):
         "newton_iters_max": max((r.newton_iters for r in reports), default=0),
         "dt_min_used": min((r.dt_used for r in reports), default=None),
         "dt_max_used": max((r.dt_used for r in reports), default=None),
-        "entropy_margin_min": None
-        if not np.isfinite(recorder.entropy_margin)
-        else recorder.entropy_margin,
+        "entropy_margin_min": margin if np.isfinite(margin) else None,
         "max_conservation_defect": max(
             (abs(r.conservation_defect) for r in reports), default=0.0
         ),
@@ -423,8 +394,8 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None, threads=1) -> Conv
     for j, n in enumerate(res):
         ratio = reference // n
         averaged = ref_state.u.reshape(n_species, n, ratio).mean(axis=2)
-        diff = results[j][0].u - averaged
-        errors[:, j] = np.sqrt((diff**2 / n).sum(axis=1))
+        state, mesh = results[j]
+        errors[:, j] = [diagnostics.discrete_norms(diff, mesh).l2 for diff in state.u - averaged]
 
     log_h = np.log([1.0 / n for n in res])
     orders = np.array([
@@ -475,8 +446,10 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     state = project_initial(spec.build_datum(), mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
-    recorder = RunRecorder(model.params.alpha_array)
-    recorder.start(diagnostics.discrete_entropy(state, mesh, model, bdata))
+    reports = []
+
+    def observer(report, _state):
+        reports.append(report)
 
     out = None if out_dir is None else Path(out_dir)
 
@@ -497,21 +470,21 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
         if t <= 0.0:
             take_snapshot(0.0, state.u)
             continue
-        state = advance(state, t, mesh, model, bdata, cfg, observer=recorder)
+        state = advance(state, t, mesh, model, bdata, cfg, observer=observer)
         take_snapshot(state.time, state.u)
     if state.time < spec.t_end:
-        state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=recorder)
+        state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=observer)
 
     if out is not None:
-        write_entropy_csv(out / "entropy.csv", recorder.reports, recorder.alphas)
-        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, recorder)
+        write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
+        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
     return EvolutionResult(
         snapshots=snapshots,
-        reports=recorder.reports,
+        reports=reports,
         m_star=m_star,
         mesh=mesh,
         final_state=state,
-        entropy_margin=recorder.entropy_margin,
+        entropy_margin=_entropy_margin(reports),
     )
 
 
@@ -546,12 +519,10 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
     u_d = bdata.values
     times = []
     distances = []
-    recorder = RunRecorder(model.params.alpha_array)
-    recorder.start(diagnostics.discrete_entropy(state, mesh, model, bdata))
-    base_call = recorder.__call__
+    reports = []
 
     def observer(report, st):
-        base_call(report, st)
+        reports.append(report)
         diff = st.u - u_d[:, None]
         times.append(report.time)
         distances.append(np.sqrt((diff**2 * mesh.cell_measures).sum(axis=1)))
@@ -576,13 +547,13 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
             for i in range(dist_arr.shape[1])
         ]
         _write_csv(out / "decay.csv", ["time", "species", "l2_distance"], rows)
-        write_entropy_csv(out / "entropy.csv", recorder.reports, recorder.alphas)
-        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, recorder)
+        write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
+        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
     return SteadyStateResult(
         times=times_arr,
         distances=dist_arr,
         late_window_slopes=slopes,
-        entropy_margin=recorder.entropy_margin,
-        reports=recorder.reports,
+        entropy_margin=_entropy_margin(reports),
+        reports=reports,
         mesh=mesh,
     )

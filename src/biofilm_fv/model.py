@@ -169,10 +169,6 @@ class ModelFunctions:
         if abs(float(self.p(1.0))) > 1e-12 * max(float(self.p(0.0)), 1.0):
             raise ModelError(f"model {self.name!r}: p(1) must vanish")
 
-    def pq(self, m):
-        """p(m) * q(m), evaluated as p(m)^2 * g(m) to avoid q near saturation."""
-        return self.p(m) ** 2 * self.g(m)
-
     def __repr__(self):
         return f"ModelFunctions({self.name!r}, a={self.params.a}, b={self.params.b})"
 

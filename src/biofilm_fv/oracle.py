@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scheme import residual
+from .scheme import evaluate, residual
 
 
 def fd_jacobian(state, u, dt, mesh, model, bdata, step=1e-7):
@@ -21,7 +21,7 @@ def fd_jacobian(state, u, dt, mesh, model, bdata, step=1e-7):
         up, um = u.copy(), u.copy()
         up[i, k] += h
         um[i, k] -= h
-        rp = residual(state, up, dt, mesh, model, bdata)
-        rm = residual(state, um, dt, mesh, model, bdata)
+        rp = residual(state, evaluate(up, mesh, model, bdata), dt, mesh)
+        rm = residual(state, evaluate(um, mesh, model, bdata), dt, mesh)
         out[:, col] = (rp - rm).ravel(order="F") / (2.0 * h)
     return out

@@ -12,6 +12,11 @@ The unknowns are the physical proportions (cell-major ordering: cell index
 varies slowest) and the Jacobian is exact, including the dependence of psq
 on the biomass.
 
+``evaluate`` computes g, p, psq, D_sigma v and F once per trial state; its
+``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
+``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and
+``diagnostics.dissipation(ev, mesh)`` read.
+
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguards only protect transient iterates: updates are
 halved until the iterate stays above -1e-14, below saturation and inside the
@@ -49,9 +54,9 @@ class SolverError(Exception):
 class InadmissibleStateError(SolverError):
     """Trial state reached saturation.
 
-    Raised by ``residual`` and ``jacobian``.  Inside ``newton_step`` the
-    damping loop treats such a trial, like one that raises ModelDomainError,
-    as inadmissible and halves the update.
+    Raised by ``evaluate``.  Inside ``newton_step`` the damping loop treats
+    such a trial, like one that raises ModelDomainError, as inadmissible and
+    halves the update.
     """
 
 
@@ -131,7 +136,11 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step diagnostics collected after each accepted Newton solve."""
+    """Per-step diagnostics collected after each accepted Newton solve.
+
+    ``advance`` sets ``dt_halvings`` and ``entropy_margin``, the slack
+    H_{k-1} - H_k - dt * sum_i alpha_i I_i of the entropy inequality it enforces.
+    """
 
     time: float
     dt_used: float
@@ -143,6 +152,7 @@ class StepReport:
     max_M: float
     min_u: float
     conservation_defect: float
+    entropy_margin: float = np.nan
 
 
 # -- initial data --------------------------------------------------------------------
@@ -182,13 +192,30 @@ def max_principle_bound(state: State, bdata: BoundaryData) -> float:
 # -- residual and Jacobian -------------------------------------------------------------
 
 
-def _fluxes(u, mesh, model, bdata):
-    """The scheme's edge quantities at u, from one evaluation of g and p.
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """The scheme's quantities at one trial state, from one evaluation of g and p.
 
-    Returns the per-cell biomass, g and p on the cells with the contact state
-    as ghost column ``n_cells``, and psq_sigma, D_sigma v and the flux F into
-    K on every flux edge.
+    ``u_ext``, g and p carry the contact state as ghost column ``n_cells``;
+    psq (psq_sigma), dv (D_sigma v) and flux (F into K) span every flux edge.
     """
+
+    u_ext: np.ndarray
+    biomass: np.ndarray
+    g: np.ndarray
+    p: np.ndarray
+    psq: np.ndarray
+    dv: np.ndarray
+    flux: np.ndarray
+
+    @property
+    def u(self):
+        return self.u_ext[:, :-1]
+
+
+def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) -> Evaluation:
+    """Evaluate the scheme at a trial state; raises InadmissibleStateError at saturation."""
+    u = np.asarray(u_trial, dtype=float)
     biomass = u.sum(axis=0)
     if biomass.size and biomass.max() >= 1.0:
         raise InadmissibleStateError(
@@ -197,19 +224,17 @@ def _fluxes(u, mesh, model, bdata):
     u_ext, g, p, psq = diagnostics._mobility(u, biomass, mesh, model, bdata)
     dv = diagnostics._jump(u_ext * g, mesh)
     flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
-    return biomass, g, p, psq, dv, flux
+    return Evaluation(u_ext=u_ext, biomass=biomass, g=g, p=p, psq=psq, dv=dv, flux=flux)
 
 
-def residual(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
-             bdata: BoundaryData):
-    """Residual of the implicit Euler step at the trial state, shape (n, N)."""
-    u = np.asarray(u_trial, dtype=float)
-    flux = _fluxes(u, mesh, model, bdata)[-1]
-    n, n_cells = u.shape
+def residual(state_prev: State, evaluation: Evaluation, dt, mesh: Mesh):
+    """Residual of the implicit Euler step at the evaluated trial state, shape (n, N)."""
+    flux = evaluation.flux
+    n, n_cells = evaluation.u.shape
     m = mesh.interior.size
     K, L = mesh.flux_K, mesh.flux_L
 
-    out = (mesh.cell_measures / dt) * (u - state_prev.u)
+    out = (mesh.cell_measures / dt) * (evaluation.u - state_prev.u)
     for i in range(n):
         out[i] += np.bincount(K[:m], weights=flux[i, :m], minlength=n_cells)
         out[i] -= np.bincount(L[:m], weights=flux[i, :m], minlength=n_cells)
@@ -217,10 +242,9 @@ def residual(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
     return out
 
 
-def dirichlet_fluxes(u, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData):
+def dirichlet_fluxes(evaluation: Evaluation, mesh: Mesh):
     """Outward fluxes through the contact boundary, shape (n, #dirichlet)."""
-    flux = _fluxes(np.asarray(u, dtype=float), mesh, model, bdata)[-1]
-    return flux[:, mesh.interior.size:]
+    return evaluation.flux[:, mesh.interior.size:]
 
 
 def _in_entry_order(diag, near, kl, ll, lk, m):
@@ -339,36 +363,34 @@ def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
     return out
 
 
-def _jacobian_entries(state_prev: State, u_trial, dt, mesh: Mesh,
-                      model: ModelFunctions, bdata: BoundaryData):
+def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     """Per-block Jacobian entries in the order of ``_coo_pattern``."""
-    u = np.asarray(u_trial, dtype=float)
-    biomass, g, p, psq, dv, _ = _fluxes(u, mesh, model, bdata)
     alphas = model.params.alpha_array
+    u = ev.u_ext
     n = u.shape[0]
 
-    g_prime = model.g_prime(biomass)
-    pp = p[:-1] * model.p_prime(biomass)
+    g_prime = model.g_prime(ev.biomass)
+    pp = ev.p[:-1] * model.p_prime(ev.biomass)
 
     m = mesh.interior.size
     K, L, tau = mesh.flux_K, mesh.flux_L[:m], mesh.flux_tau
-    near = _edge_blocks(tau, alphas, psq, dv, g[K], g_prime[K], pp[K], u[:, K], sign=1.0)
-    far = _edge_blocks(tau[:m], alphas, psq[:m], dv[:, :m], g[L], g_prime[L], pp[L], u[:, L],
-                       sign=-1.0)
+    near = _edge_blocks(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K], u[:, K],
+                        sign=1.0)
+    far = _edge_blocks(tau[:m], alphas, ev.psq[:m], ev.dv[:, :m], ev.g[L], g_prime[L], pp[L],
+                       u[:, L], sign=-1.0)
 
     diag = np.repeat(mesh.cell_measures / dt, n)
     return _in_entry_order(diag, near, far, -far, -near[..., :m], m)
 
 
-def jacobian(state_prev: State, u_trial, dt, mesh: Mesh, model: ModelFunctions,
-             bdata: BoundaryData):
-    """Exact sparse Jacobian of ``residual`` with respect to the trial state.
+def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
+    """Exact sparse Jacobian of ``residual`` with respect to the evaluated trial state.
 
     CSC in the natural cell-major ordering.  Its index arrays are the mesh's
     cached, read-only pattern, shared by every Jacobian on that mesh.
     """
-    entries = _jacobian_entries(state_prev, u_trial, dt, mesh, model, bdata)
-    pattern = _jacobian_pattern(mesh, np.shape(u_trial)[0])
+    entries = _jacobian_entries(evaluation, dt, mesh, model)
+    pattern = _jacobian_pattern(mesh, evaluation.u_ext.shape[0])
     data = np.bincount(pattern.scatter, weights=entries, minlength=pattern.indices.size)
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
@@ -406,11 +428,12 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
     the damping budget is exhausted.
     """
     u = state_prev.u.copy()
-    res = residual(state_prev, u, dt, mesh, model, bdata)
+    evaluation = evaluate(u, mesh, model, bdata)
+    res = residual(state_prev, evaluation, dt, mesh)
     pattern = _jacobian_pattern(mesh, u.shape[0])
 
     for it in range(1, cfg.max_iters + 1):
-        matrix = jacobian(state_prev, u, dt, mesh, model, bdata)
+        matrix = jacobian(evaluation, dt, mesh, model)
         try:
             delta = _solve_linear(matrix, -res.ravel(order="F"), pattern)
         except RuntimeError as exc:  # singular factorization
@@ -418,7 +441,7 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
         delta = delta.reshape(u.shape, order="F")
 
         step = 1.0
-        candidate = res_new = None
+        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             trial = u + step * delta
             if (trial > -_NEGATIVE_SLACK).all() and (
@@ -426,25 +449,27 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
             ).all():
                 trial = np.where(trial < 0.0, 0.0, trial)
                 try:
-                    attempt = residual(state_prev, trial, dt, mesh, model, bdata)
+                    attempt = evaluate(trial, mesh, model, bdata)
                 except (InadmissibleStateError, ModelDomainError):
                     # beyond the model's domain (e.g. a quadrature model's cap)
                     attempt = None
-                if attempt is not None and np.isfinite(attempt).all():
-                    candidate, res_new = trial, attempt
-                    break
+                if attempt is not None:
+                    res_attempt = residual(state_prev, attempt, dt, mesh)
+                    if np.isfinite(res_attempt).all():
+                        accepted = trial, attempt, res_attempt
+                        break
             step *= cfg.damping
-        if candidate is None:
+        if accepted is None:
             raise NewtonFailure("damping exhausted without admissible iterate",
                                 iterations=it)
 
-        u, res = candidate, res_new
+        u, evaluation, res = accepted
         res_norm = _scaled_norm(res, dt, mesh)
         if res_norm <= cfg.tol:
             state = State(time=state_prev.time + dt, u=u, dt_last=dt)
             defect = float(
                 np.sum(mesh.cell_measures * (u - state_prev.u))
-                + dt * dirichlet_fluxes(u, mesh, model, bdata).sum()
+                + dt * dirichlet_fluxes(evaluation, mesh).sum()
             )
             report = StepReport(
                 time=state.time,
@@ -453,8 +478,8 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
                 dt_halvings=0,
                 residual_norm=res_norm,
                 entropy=diagnostics.discrete_entropy(state, mesh, model, bdata),
-                dissipation=diagnostics.dissipation(state, mesh, model, bdata),
-                max_M=float(state.biomass.max()),
+                dissipation=diagnostics.dissipation(evaluation, mesh),
+                max_M=float(evaluation.biomass.max()),
                 min_u=float(u.min()),
                 conservation_defect=defect,
             )
@@ -522,8 +547,8 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
                 f"entropy inequality violated at t = {new_state.time:.6e}"
             )
 
-        if halvings:
-            report = replace(report, dt_halvings=halvings)
+        report = replace(report, dt_halvings=halvings,
+                         entropy_margin=entropy_prev - report.entropy - produced)
         if observer is not None:
             observer(report, new_state)
         entropy_prev = report.entropy

@@ -3,6 +3,7 @@ import pytest
 
 from biofilm_fv import (
     BoundaryData,
+    ModelDomainError,
     NewtonConfig,
     advance,
     build_interval_mesh,
@@ -13,6 +14,7 @@ from biofilm_fv import (
     entropy_density,
     entropy_production_beta_bound,
     entropy_report,
+    evaluate,
     model_case2,
     project_initial,
     reconstruct_gradient,
@@ -72,7 +74,7 @@ def test_dissipation_zero_at_constant_state(case2, bdata_01):
     # constant equal to the contact value: every edge difference vanishes
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    assert np.abs(dissipation(state, mesh, case2, bdata_01)).max() == 0.0
+    assert np.abs(dissipation(evaluate(state.u, mesh, case2, bdata_01), mesh)).max() == 0.0
 
 
 def test_dissipation_two_cell_hand_value():
@@ -96,7 +98,7 @@ def test_dissipation_two_cell_hand_value():
     boundary = (
         tau_dir * 0.5 * (p2(x) + p2(0.1)) * (np.sqrt(0.1 * g(0.1)) - np.sqrt(x * g(x))) ** 2
     )
-    value = dissipation(state, mesh, model, bdata)[0]
+    value = dissipation(evaluate(state.u, mesh, model, bdata), mesh)[0]
     assert value == pytest.approx(interior + boundary, rel=1e-13)
 
 
@@ -105,7 +107,14 @@ def test_dissipation_nonnegative_random(case1, bdata_01):
     mesh = build_interval_mesh(16, "left")
     for _ in range(20):
         state = make_state(random_admissible(rng, 2, 16))
-        assert (dissipation(state, mesh, case1, bdata_01) >= 0.0).all()
+        assert (dissipation(evaluate(state.u, mesh, case1, bdata_01), mesh) >= 0.0).all()
+
+
+def test_dissipation_rejects_a_negative_proportion(case1, bdata_01):
+    mesh = build_interval_mesh(4, "left")
+    u = np.array([[0.2, -1e-3, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1]])
+    with pytest.raises(ModelDomainError, match="negative species proportion"):
+        dissipation(evaluate(u, mesh, case1, bdata_01), mesh)
 
 
 # -- production lower bound -------------------------------------------------------------
@@ -251,8 +260,8 @@ def test_diagnostics_bitwise_deterministic(case1, bdata_01):
     mesh = build_interval_mesh(16, "left")
     state = make_state(random_admissible(rng, 2, 16))
     h1 = discrete_entropy(state, mesh, case1, bdata_01)
-    d1 = dissipation(state, mesh, case1, bdata_01)
+    d1 = dissipation(evaluate(state.u, mesh, case1, bdata_01), mesh)
     h2 = discrete_entropy(state, mesh, case1, bdata_01)
-    d2 = dissipation(state, mesh, case1, bdata_01)
+    d2 = dissipation(evaluate(state.u, mesh, case1, bdata_01), mesh)
     assert h1 == h2
     assert np.array_equal(d1, d2)

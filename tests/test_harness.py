@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from biofilm_fv import (
     ConfigurationError,
     ExperimentSpec,
     build_interval_mesh,
+    discrete_entropy,
     build_named_initial_datum,
     build_rectangle_mesh,
     project_initial,
@@ -146,6 +149,28 @@ def test_evolution_snapshot_at_zero_is_projection(tmp_path):
     assert (tmp_path / "run_metadata.json").exists()
     header = (tmp_path / "entropy.csv").read_text().splitlines()[0]
     assert header == "step,time,dt,H,I_total,min_u,max_M,newton_iters"
+
+
+def test_entropy_margin_is_the_smallest_step_slack(tmp_path):
+    # snapshots split the run into several advance calls; the slack of each
+    # step is H_{k-1} - H_k - dt * sum_i alpha_i I_i from the initial entropy on
+    spec = ExperimentSpec(
+        name="margin", model="case1", alphas=(1.0, 5.0), u_d=(0.1, 0.1),
+        initial="bumps-1d", t_end=2e-3, dimension=1, n_cells=20,
+        dt_policy="adaptive", dt=1e-5, snapshot_times=(5e-4, 1e-3),
+    )
+    result = run_evolution(spec, out_dir=tmp_path)
+    initial = project_initial(spec.build_datum(), result.mesh)
+    previous = discrete_entropy(initial, result.mesh, spec.build_model(), spec.build_bdata())
+    alphas = np.array(spec.alphas)
+    slacks = []
+    for r in result.reports:
+        slacks.append(previous - r.entropy - r.dt_used * float(alphas @ r.dissipation))
+        previous = r.entropy
+    assert [r.entropy_margin for r in result.reports] == slacks
+    assert result.entropy_margin == min(slacks) > 0.0
+    metadata = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert metadata["entropy_margin_min"] == min(slacks)
 
 
 def test_evolution_rejects_late_snapshot():

@@ -19,6 +19,7 @@ from biofilm_fv import (
     advance,
     build_interval_mesh,
     build_rectangle_mesh,
+    evaluate,
     jacobian,
     load_triangle_mesh_file,
     max_principle_bound,
@@ -80,7 +81,7 @@ def test_residual_vanishes_at_uniform_contact_state(case1, bdata_01):
     mesh = build_interval_mesh(12, "left")
     u = np.full((2, 12), 0.1)
     state = make_state(u)
-    res = residual(state, u, 1e-4, mesh, case1, bdata_01)
+    res = residual(state, evaluate(u, mesh, case1, bdata_01), 1e-4, mesh)
     assert np.abs(res).max() == 0.0
 
 
@@ -91,9 +92,9 @@ def test_residual_flux_antisymmetry(case2, bdata_01):
     u = np.array([[0.3, 0.05], [0.1, 0.2]])
     state = make_state(u)
     dt = 1e30  # suppress the time term
-    res = residual(state, u, dt, mesh, case2, bdata_01)
-    swapped = residual(make_state(u[:, ::-1]), u[:, ::-1], dt, mesh, case2,
-                       BoundaryData((1e-12, 1e-12)))
+    res = residual(state, evaluate(u, mesh, case2, bdata_01), dt, mesh)
+    swapped = residual(make_state(u[:, ::-1]),
+                       evaluate(u[:, ::-1], mesh, case2, BoundaryData((1e-12, 1e-12))), dt, mesh)
     # interior contribution of the swapped configuration shows up mirrored;
     # compare against a direct evaluation instead: F_K + F_L = 0 by assembly
     tau = mesh.flux_tau[0]  # the one interior edge
@@ -138,7 +139,7 @@ def test_residual_three_cell_hand_expansion(case2):
         expected[i, 0] = h / dt * (u[i, 0] - u_prev[i, 0]) + f_d + f01
         expected[i, 1] = h / dt * (u[i, 1] - u_prev[i, 1]) - f01 + f12
         expected[i, 2] = h / dt * (u[i, 2] - u_prev[i, 2]) - f12
-    res = residual(make_state(u_prev), u, dt, mesh, model, bdata)
+    res = residual(make_state(u_prev), evaluate(u, mesh, model, bdata), dt, mesh)
     assert np.abs(res - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -146,7 +147,7 @@ def test_residual_rejects_saturated_trial(case2, bdata_01):
     mesh = build_interval_mesh(4, "left")
     u = np.full((2, 4), 0.55)  # biomass 1.1
     with pytest.raises(InadmissibleStateError):
-        residual(make_state(u), u, 1e-4, mesh, case2, bdata_01)
+        residual(make_state(u), evaluate(u, mesh, case2, bdata_01), 1e-4, mesh)
 
 
 # -- jacobian -----------------------------------------------------------------------
@@ -158,7 +159,7 @@ def test_jacobian_matches_finite_differences_1d(seed, case1, bdata_01):
     mesh = build_interval_mesh(8, "left")
     u = random_admissible(rng, 2, 8)
     state = make_state(u)
-    exact = jacobian(state, u, 1e-5, mesh, case1, bdata_01).toarray()
+    exact = jacobian(evaluate(u, mesh, case1, bdata_01), 1e-5, mesh, case1).toarray()
     approx = fd_jacobian(state, u, 1e-5, mesh, case1, bdata_01)
     assert np.abs(exact - approx).max() <= 1e-6 * np.abs(approx).max()
 
@@ -169,7 +170,7 @@ def test_jacobian_matches_finite_differences_2d(case2, bdata_01):
     model = model_case2(alphas=(1.0, 10.0))
     u = random_admissible(rng, 2, mesh.n_cells)
     state = make_state(u)
-    exact = jacobian(state, u, 1e-5, mesh, model, bdata_01).toarray()
+    exact = jacobian(evaluate(u, mesh, model, bdata_01), 1e-5, mesh, model).toarray()
     approx = fd_jacobian(state, u, 1e-5, mesh, model, bdata_01)
     assert np.abs(exact - approx).max() <= 1e-6 * np.abs(approx).max()
 
@@ -181,9 +182,8 @@ def test_jacobian_uniform_state_block_structure(case2, bdata_01):
     model = model_case2(alphas=(1.0, 3.0))
     u_const = np.array([0.15, 0.1])
     u = np.tile(u_const[:, None], (1, 4))
-    state = make_state(u)
     dt = 1e-4
-    J = jacobian(state, u, dt, mesh, model, bdata_01).toarray()
+    J = jacobian(evaluate(u, mesh, model, bdata_01), dt, mesh, model).toarray()
 
     m_val = u_const.sum()
     g, gp = float(model.g(m_val)), float(model.g_prime(m_val))
@@ -237,10 +237,10 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
     mesh = _assembly_meshes()[name]
     model = model_case1(alphas=(1.0, 5.0))
     u = random_admissible(np.random.default_rng(11), 2, mesh.n_cells)
-    state = make_state(u)
-    matrix = jacobian(state, u, 1e-4, mesh, model, bdata_01)
+    record = evaluate(u, mesh, model, bdata_01)
+    matrix = jacobian(record, 1e-4, mesh, model)
     rows, cols = scheme._coo_pattern(mesh, 2)
-    entries = scheme._jacobian_entries(state, u, 1e-4, mesh, model, bdata_01)
+    entries = scheme._jacobian_entries(record, 1e-4, mesh, model)
     reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape).tocsc()
     assert np.array_equal(matrix.indptr, reference.indptr)
     assert np.array_equal(matrix.indices, reference.indices)
@@ -254,7 +254,7 @@ def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
     model = model_case1(alphas=(1.0, 5.0))
     rng = np.random.default_rng(12)
     u = random_admissible(rng, 2, mesh.n_cells)
-    matrix = jacobian(make_state(u), u, 1e-4, mesh, model, bdata_01)
+    matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
     x = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
     assert np.array_equal(x, splu(matrix).solve(rhs))
@@ -280,27 +280,60 @@ def test_each_call_evaluates_the_model_once(name, bdata_01):
         setattr(model, attr, counted(attr))
     u = random_admissible(np.random.default_rng(14), 2, mesh.n_cells)
     state = make_state(u)
-    evaluations = {
-        "residual": lambda: residual(state, u, 1e-4, mesh, model, bdata_01),
-        "dirichlet_fluxes": lambda: scheme.dirichlet_fluxes(u, mesh, model, bdata_01),
-        "dissipation": lambda: diagnostics.dissipation(state, mesh, model, bdata_01),
-        "jacobian": lambda: jacobian(state, u, 1e-4, mesh, model, bdata_01),
+    calls.clear()
+    record = evaluate(u, mesh, model, bdata_01)
+    assert calls == {"g": 1, "p": 1}
+    consumers = {
+        "residual": lambda: residual(state, record, 1e-4, mesh),
+        "dirichlet_fluxes": lambda: scheme.dirichlet_fluxes(record, mesh),
+        "dissipation": lambda: diagnostics.dissipation(record, mesh),
+        "jacobian": lambda: jacobian(record, 1e-4, mesh, model),
     }
-    for label, evaluate in evaluations.items():
+    for label, consume in consumers.items():
         calls.clear()
-        evaluate()
-        expected = {"g": 1, "p": 1}
-        if label == "jacobian":
-            expected.update(g_prime=1, p_prime=1)
+        consume()
+        expected = {"g_prime": 1, "p_prime": 1} if label == "jacobian" else {}
         assert calls == expected, label
+
+
+def test_newton_step_evaluates_each_state_once(bdata_01, monkeypatch):
+    # g and p see the starting state and every trial that reaches evaluate,
+    # each exactly once: the Jacobian, the contact fluxes and the dissipation
+    # reuse the accepted trial's evaluation
+    mesh = build_interval_mesh(40, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    model = model_case1()
+    seen = {"g": [], "p": []}
+
+    def recorded(attr):
+        fn = getattr(model, attr)
+
+        def wrapper(m):
+            seen[attr].append(np.array(m, copy=True))
+            return fn(m)
+
+        return wrapper
+
+    for attr in seen:
+        setattr(model, attr, recorded(attr))
+    evaluations = []
+    monkeypatch.setattr(scheme, "evaluate",
+                        lambda u, *args: evaluations.append(u) or evaluate(u, *args))
+    _, report = newton_step(state, 1e-3, mesh, model, bdata_01, NewtonConfig())
+    assert report.newton_iters >= 2
+    assert len(evaluations) >= report.newton_iters + 1
+    assert len(seen["g"]) == len(seen["p"]) == len(evaluations)
+    for attr, arguments in seen.items():
+        distinct = {m.tobytes() for m in arguments}
+        assert len(distinct) == len(arguments), attr
 
 
 def test_jacobian_pattern_cached_outside_the_mesh(case2, bdata_01):
     mesh = build_rectangle_mesh(4, 4, lambda x, y: abs(y - 1.0) < 1e-12)
     attributes = dict(vars(mesh))
     u = random_admissible(np.random.default_rng(13), 2, mesh.n_cells)
-    first = jacobian(make_state(u), u, 1e-4, mesh, case2, bdata_01)
-    second = jacobian(make_state(u), 0.5 * u, 1e-4, mesh, case2, bdata_01)
+    first = jacobian(evaluate(u, mesh, case2, bdata_01), 1e-4, mesh, case2)
+    second = jacobian(evaluate(0.5 * u, mesh, case2, bdata_01), 1e-4, mesh, case2)
     assert np.shares_memory(first.indices, second.indices)
     assert np.shares_memory(first.indptr, second.indptr)
     assert not first.indices.flags.writeable
@@ -316,13 +349,13 @@ def test_jacobian_row_sum_mass_balance(case2, bdata_01):
     u = random_admissible(rng, 2, 6)
     state = make_state(u)
     dt = 1e-4
-    J = jacobian(state, u, dt, mesh, case2, bdata_01).toarray()
+    J = jacobian(evaluate(u, mesh, case2, bdata_01), dt, mesh, case2).toarray()
 
     from biofilm_fv.scheme import dirichlet_fluxes
 
     def total_residual(u_flat):
         uu = u_flat.reshape(u.shape, order="F")
-        r = residual(state, uu, dt, mesh, case2, bdata_01)
+        r = residual(state, evaluate(uu, mesh, case2, bdata_01), dt, mesh)
         return r.sum(axis=1)
 
     base = total_residual(u.ravel(order="F"))
