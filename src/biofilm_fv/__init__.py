@@ -31,7 +31,6 @@ from .model import (  # noqa: F401
 )
 from .scheme import (  # noqa: F401
     BoundaryData,
-    InadmissibleStateError,
     InvariantViolation,
     NewtonConfig,
     NewtonFailure,

@@ -139,14 +139,6 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
         raise ConfigurationError(f"{path}: {exc}") from exc
     # fail configuration problems early (H3-type data checks included)
     spec.build_bdata()
-    if spec.dimension == 1 and spec.dirichlet not in ("left", "right", "both"):
-        raise ConfigurationError(f"1D dirichlet side must be left/right/both, "
-                                 f"got {spec.dirichlet!r}")
-    if spec.dimension == 2 and spec.dirichlet not in DIRICHLET_PREDICATES:
-        raise ConfigurationError(
-            f"unknown dirichlet predicate {spec.dirichlet!r}; "
-            f"choices: {sorted(DIRICHLET_PREDICATES)}"
-        )
     return spec
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .mesh import Mesh
-from .model import ModelDomainError, ModelFunctions
+from .model import ModelFunctions, admissible_biomass
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,6 @@ class NormReport:
     l2: float
     h1_semi: float
     linf: float
-
-
-def _admissible_biomass(state):
-    biomass = state.u.sum(axis=0)
-    if biomass.size and biomass.max() >= 1.0:
-        raise ModelDomainError(
-            f"biomass reached saturation: max = {float(biomass.max())}"
-        )
-    if state.u.size and state.u.min() < 0.0:
-        raise ModelDomainError("negative species proportion")
-    return biomass
 
 
 def _with_contact(cell_values, contact_values):
@@ -69,7 +58,7 @@ def _mobility(u, biomass, mesh, model, bdata):
 
 def discrete_entropy(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
     """Relative entropy sum_K m(K) h*(u_K | u^D); zero iff u is the contact state."""
-    biomass = _admissible_biomass(state)
+    biomass = admissible_biomass(state.u)
     u_d, m_d = bdata.values, bdata.biomass
     kl = np.sum(xlogy(state.u, state.u / u_d[:, None]) - state.u + u_d[:, None], axis=0)
     primitive = model.log_g_primitive(_with_contact(biomass, m_d))
@@ -84,9 +73,8 @@ def _dissipation(u, g, psq, mesh):
 def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
     """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2.
 
-    ``evaluation`` is a ``scheme.Evaluation``; a negative proportion raises ModelDomainError.
+    ``evaluation`` is a ``scheme.Evaluation``, which exists only for an admissible state.
     """
-    _admissible_biomass(evaluation)
     return _dissipation(evaluation.u_ext, evaluation.g, evaluation.psq, mesh)
 
 
@@ -102,7 +90,7 @@ def entropy_production(dissipation, alphas) -> float:
 
 def _dissipation_and_beta_term(state, mesh, model, bdata):
     """Per-species dissipation and the beta term, from one evaluation of g and p."""
-    u, g, p, psq = _mobility(state.u, _admissible_biomass(state), mesh, model, bdata)
+    u, g, p, psq = _mobility(state.u, admissible_biomass(state.u), mesh, model, bdata)
     pq = p**2 * g
     beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
     rhs = (_jump(np.sqrt(u), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
@@ -131,7 +119,7 @@ def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) ->
     intermediate biomass value is taken as the edge midpoint by convention.
     Models without a stated singularity exponent use kappa = 0.
     """
-    biomass = _with_contact(_admissible_biomass(state), bdata.biomass)
+    biomass = _with_contact(admissible_biomass(state.u), bdata.biomass)
     a, b = model.params.a, model.params.b
     kappa = model.params.kappa or 0.0
     mid = 0.5 * (biomass[mesh.flux_K] + biomass[mesh.flux_L])

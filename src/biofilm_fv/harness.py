@@ -215,6 +215,13 @@ class ExperimentSpec:
             raise ConfigurationError("initial datum species count mismatch")
         return datum
 
+    def initial_state(self, mesh: Mesh) -> State:
+        """Cell averages of the initial datum; an inadmissible one is a configuration error."""
+        try:
+            return project_initial(self.build_datum(), mesh)
+        except modelmod.ModelDomainError as exc:
+            raise ConfigurationError(f"initial datum: {exc}") from exc
+
     def newton_config(self, dt=None, adaptive=None) -> NewtonConfig:
         if adaptive is None:
             adaptive = self.dt_policy == "adaptive"
@@ -353,7 +360,7 @@ class ConvergenceResult:
 def _final_state(spec, n_cells, dt, model):
     mesh = spec.build_mesh(n_cells=n_cells)
     bdata = spec.build_bdata()
-    state = project_initial(spec.build_datum(), mesh)
+    state = spec.initial_state(mesh)
     cfg = spec.newton_config(dt=dt, adaptive=False)
     return advance(state, spec.t_end, mesh, model, bdata, cfg), mesh
 
@@ -443,7 +450,7 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     mesh = spec.build_mesh()
     model = spec.build_model()
     bdata = spec.build_bdata()
-    state = project_initial(spec.build_datum(), mesh)
+    state = spec.initial_state(mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
     reports = []
@@ -512,7 +519,7 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
     mesh = spec.build_mesh()
     model = spec.build_model()
     bdata = spec.build_bdata()
-    state = project_initial(spec.build_datum(), mesh)
+    state = spec.initial_state(mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
 

@@ -34,6 +34,22 @@ class ModelDomainError(ModelError):
     """Evaluation outside the admissible biomass range."""
 
 
+def admissible_biomass(u):
+    """Biomass M = sum_i u_i of an admissible state: every u_i >= 0 and M < 1.
+
+    The one definition of admissibility; species run along axis 0, so ``u`` is
+    one species vector or an (n_species, n_cells) array.  Raises
+    ModelDomainError for any other state.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.size and u.min() < 0.0:
+        raise ModelDomainError("negative species proportion")
+    biomass = u.sum(axis=0)
+    if biomass.size and biomass.max() >= 1.0:
+        raise ModelDomainError(f"biomass reached saturation: max = {float(biomass.max())}")
+    return biomass
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Exponents, species count and diffusivities of one model instance."""
@@ -186,6 +202,30 @@ def _small_m_integral(m, integrand):
     return 0.5 * m * (integrand(s) @ _GL_W)
 
 
+# -- built-in saturation factors -------------------------------------------------------
+
+
+def _p_exp(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x < 1.0, np.exp(-1.0 / (1.0 - x)), 0.0)
+
+
+def _p_exp_prime(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -np.exp(-1.0 / (1.0 - x)) / (1.0 - x) ** 2
+    return np.where(x < 1.0, val, 0.0)
+
+
+def _p_linear(x):
+    return 1.0 - np.asarray(x, dtype=float)
+
+
+def _p_linear_prime(x):
+    return -np.ones_like(np.asarray(x, dtype=float))
+
+
 # -- built-in model: exponentially singular p ---------------------------------------
 
 
@@ -198,17 +238,6 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
     """
     e2 = np.exp(2.0)
     params = ModelParams(a=2.0, b=2.0, n_species=len(alphas), alphas=tuple(alphas), kappa=1.0)
-
-    def p(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x < 1.0, np.exp(-1.0 / (1.0 - x)), 0.0)
-
-    def p_prime(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = -np.exp(-1.0 / (1.0 - x)) / (1.0 - x) ** 2
-        return np.where(x < 1.0, val, 0.0)
 
     def integrand(s):
         return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
@@ -261,7 +290,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
             )
         return float(out[0]) if scalar else out
 
-    return ModelFunctions("case1", params, p, p_prime, g, g_prime, log_g)
+    return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, g_prime, log_g)
 
 
 # -- built-in model: linear p ---------------------------------------------------------
@@ -270,12 +299,6 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
 def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
     """p(x) = 1 - x with a = b = 1; everything is in closed form."""
     params = ModelParams(a=1.0, b=1.0, n_species=len(alphas), alphas=tuple(alphas))
-
-    def p(x):
-        return 1.0 - np.asarray(x, dtype=float)
-
-    def p_prime(x):
-        return -np.ones_like(np.asarray(x, dtype=float))
 
     def g(m):
         m = _as_biomass(m)
@@ -289,28 +312,14 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
         m = _as_biomass(np.asarray(m, dtype=float))
         return np.log(m) - np.log(2.0) - 2.0 * np.log1p(-m)
 
-    return ModelFunctions("case2", params, p, p_prime, g, g_prime, log_g)
+    return ModelFunctions("case2", params, _p_linear, _p_linear_prime, g, g_prime, log_g)
 
 
 # -- generic models -------------------------------------------------------------------
 
-def _p_exp(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(x < 1.0, np.exp(-1.0 / (1.0 - x)), 0.0)
-
-
-def _p_exp_prime(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -np.exp(-1.0 / (1.0 - x)) / (1.0 - x) ** 2
-    return np.where(x < 1.0, val, 0.0)
-
-
 # named p functions available to configuration files
 P_REGISTRY = {
-    "linear": (lambda x: 1.0 - np.asarray(x, float),
-               lambda x: -np.ones_like(np.asarray(x, float))),
+    "linear": (_p_linear, _p_linear_prime),
     "quadratic": (lambda x: (1.0 - np.asarray(x, float)) ** 2,
                   lambda x: -2.0 * (1.0 - np.asarray(x, float))),
     "exp": (_p_exp, _p_exp_prime),
@@ -457,12 +466,8 @@ def entropy_density(u, model: ModelFunctions, u_dirichlet) -> float:
     """
     u = np.asarray(u, dtype=float)
     u_d = np.asarray(u_dirichlet, dtype=float)
-    if np.any(u < 0.0):
-        raise ModelDomainError("species proportions must be nonnegative")
-    m = float(u.sum())
+    m = float(admissible_biomass(u))
     m_d = float(u_d.sum())
-    if m >= 1.0:
-        raise ModelDomainError(f"total biomass {m} must stay below saturation")
     if np.any(u_d <= 0.0) or m_d >= 1.0:
         raise ModelDomainError("reference state must lie strictly inside the admissible set")
     kl = float(np.sum(xlogy(u, u / u_d) - u + u_d))

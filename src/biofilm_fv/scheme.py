@@ -12,10 +12,17 @@ The unknowns are the physical proportions (cell-major ordering: cell index
 varies slowest) and the Jacobian is exact, including the dependence of psq
 on the biomass.
 
-``evaluate`` computes g, p, psq, D_sigma v and F once per trial state; its
-``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
-``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and
-``diagnostics.dissipation(ev, mesh)`` read.
+``evaluate`` computes g, p, psq, D_sigma v and F once per admissible state
+(``model.admissible_biomass``); its ``Evaluation`` record is all that
+``residual(state_prev, ev, dt, mesh)``, ``jacobian(ev, dt, mesh, model)``,
+``dirichlet_fluxes(ev, mesh)`` and ``diagnostics.dissipation(ev, mesh)`` read.
+
+``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
+``start``, the evaluation of ``state_prev.u``, and returns the new state with
+its accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
+its entry state once, hands each accepted evaluation on as the next step's
+``start`` (dt-halving retries reuse it), computes the per-step diagnostics,
+enforces the invariants and builds the one ``StepReport``.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguards only protect transient iterates: updates are
@@ -26,7 +33,7 @@ model's domain, after which tiny negatives are clipped to zero.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +42,13 @@ from scipy.sparse.linalg import splu
 
 from . import diagnostics
 from .mesh import Mesh
-from .model import ModelDomainError, ModelFunctions
+from .model import ModelDomainError, ModelFunctions, admissible_biomass
 
 # Newton iterate safeguards
 _NEGATIVE_SLACK = 1e-14
 _SATURATION_SLACK = 1e-14
 _MAX_HALVINGS = 30
+_DAMPING = 0.5
 
 # invariant tolerances checked after every accepted step
 MAX_PRINCIPLE_TOL = 1e-12
@@ -49,15 +57,6 @@ ENTROPY_STEP_TOL = 1e-9
 
 class SolverError(Exception):
     """Base class for time-stepping failures."""
-
-
-class InadmissibleStateError(SolverError):
-    """Trial state reached saturation.
-
-    Raised by ``evaluate``.  Inside ``newton_step`` the damping loop treats
-    such a trial, like one that raises ModelDomainError, as inadmissible and
-    halves the update.
-    """
 
 
 class NewtonFailure(SolverError):
@@ -122,24 +121,24 @@ class NewtonConfig:
     dt_min: float = 1e-8
     dt_max: float = 1e-2
     dt_init: float = 1e-5
-    damping: float = 0.5
     adaptive: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.tol <= 0.0 or not (0.0 < self.damping < 1.0):
-            raise ValueError("tol must be positive and damping in (0, 1)")
+        if self.tol <= 0.0:
+            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step diagnostics collected after each accepted Newton solve.
+    """Diagnostics of one accepted step, built once by ``advance``.
 
-    ``advance`` sets ``dt_halvings`` and ``entropy_margin``, the slack
-    H_{k-1} - H_k - dt * sum_i alpha_i I_i of the entropy inequality it enforces.
+    ``entropy_margin`` is the slack H_{k-1} - H_k - dt * sum_i alpha_i I_i of
+    the entropy inequality ``advance`` enforces, and ``dt_halvings`` counts
+    the Newton failures before the step was accepted.
     """
 
     time: float
@@ -152,7 +151,7 @@ class StepReport:
     max_M: float
     min_u: float
     conservation_defect: float
-    entropy_margin: float = np.nan
+    entropy_margin: float
 
 
 # -- initial data --------------------------------------------------------------------
@@ -163,8 +162,8 @@ def project_initial(u0, mesh: Mesh) -> State:
 
     ``u0`` is either an object with ``n_species``/``cell_average`` (the exact
     path for indicator-type data) or a sequence of per-species callables that
-    are sampled with the midpoint rule.  Raises ValueError when a cell average
-    reaches saturation.
+    are sampled with the midpoint rule.  Raises ModelDomainError when the
+    cell averages are not an admissible state.
     """
     if hasattr(u0, "cell_average"):
         u = u0.cell_average(mesh)
@@ -175,12 +174,7 @@ def project_initial(u0, mesh: Mesh) -> State:
             u[i] = np.asarray(
                 [float(f(*np.atleast_1d(c))) for c in mesh.cell_centers], dtype=float
             )
-    if np.any(u < 0.0):
-        raise ValueError("initial datum produced negative cell averages")
-    biomass = u.sum(axis=0)
-    if np.any(biomass >= 1.0):
-        bad = int(np.argmax(biomass))
-        raise ValueError(f"initial biomass reaches saturation in cell {bad}")
+    admissible_biomass(u)
     return State(time=0.0, u=u, dt_last=None)
 
 
@@ -214,13 +208,9 @@ class Evaluation:
 
 
 def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) -> Evaluation:
-    """Evaluate the scheme at a trial state; raises InadmissibleStateError at saturation."""
+    """Evaluate the scheme at a trial state; raises ModelDomainError if it is inadmissible."""
     u = np.asarray(u_trial, dtype=float)
-    biomass = u.sum(axis=0)
-    if biomass.size and biomass.max() >= 1.0:
-        raise InadmissibleStateError(
-            f"trial biomass {float(biomass.max()):.6f} reached saturation"
-        )
+    biomass = admissible_biomass(u)
     u_ext, g, p, psq = diagnostics._mobility(u, biomass, mesh, model, bdata)
     dv = diagnostics._jump(u_ext * g, mesh)
     flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
@@ -420,15 +410,24 @@ def _scaled_norm(res, dt, mesh):
     return float(np.abs(res * (dt / mesh.cell_measures)).max())
 
 
-def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
-                bdata: BoundaryData, cfg: NewtonConfig):
-    """One implicit Euler step via damped Newton.
+@dataclass(frozen=True, eq=False)
+class NewtonResult:
+    """A converged Newton solve: the accepted state's evaluation and how it was reached."""
 
-    Returns (state, report); raises NewtonFailure when the iteration budget or
-    the damping budget is exhausted.
+    evaluation: Evaluation
+    newton_iters: int
+    residual_norm: float
+
+
+def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
+                bdata: BoundaryData, cfg: NewtonConfig):
+    """One implicit Euler step via damped Newton from ``start``, the evaluation of state_prev.u.
+
+    Returns (state, NewtonResult); raises NewtonFailure when the iteration
+    budget or the damping budget is exhausted.
     """
-    u = state_prev.u.copy()
-    evaluation = evaluate(u, mesh, model, bdata)
+    u = state_prev.u
+    evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     pattern = _jacobian_pattern(mesh, u.shape[0])
 
@@ -450,7 +449,7 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
                 trial = np.where(trial < 0.0, 0.0, trial)
                 try:
                     attempt = evaluate(trial, mesh, model, bdata)
-                except (InadmissibleStateError, ModelDomainError):
+                except ModelDomainError:
                     # beyond the model's domain (e.g. a quadrature model's cap)
                     attempt = None
                 if attempt is not None:
@@ -458,7 +457,7 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
                     if np.isfinite(res_attempt).all():
                         accepted = trial, attempt, res_attempt
                         break
-            step *= cfg.damping
+            step *= _DAMPING
         if accepted is None:
             raise NewtonFailure("damping exhausted without admissible iterate",
                                 iterations=it)
@@ -467,23 +466,7 @@ def newton_step(state_prev: State, dt, mesh: Mesh, model: ModelFunctions,
         res_norm = _scaled_norm(res, dt, mesh)
         if res_norm <= cfg.tol:
             state = State(time=state_prev.time + dt, u=u, dt_last=dt)
-            defect = float(
-                np.sum(mesh.cell_measures * (u - state_prev.u))
-                + dt * dirichlet_fluxes(evaluation, mesh).sum()
-            )
-            report = StepReport(
-                time=state.time,
-                dt_used=dt,
-                newton_iters=it,
-                dt_halvings=0,
-                residual_norm=res_norm,
-                entropy=diagnostics.discrete_entropy(state, mesh, model, bdata),
-                dissipation=diagnostics.dissipation(evaluation, mesh),
-                max_M=float(evaluation.biomass.max()),
-                min_u=float(u.min()),
-                conservation_defect=defect,
-            )
-            return state, report
+            return state, NewtonResult(evaluation, newton_iters=it, residual_norm=res_norm)
 
     raise NewtonFailure(f"no convergence within {cfg.max_iters} iterations",
                         iterations=cfg.max_iters)
@@ -504,6 +487,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         raise ValueError("t_end lies before the current state time")
     m_star = max_principle_bound(state, bdata)
     entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
+    start = evaluate(state.u, mesh, model, bdata)
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)
@@ -522,7 +506,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         halvings = 0
         while True:
             try:
-                new_state, report = newton_step(state, dt, mesh, model, bdata, cfg)
+                new_state, result = newton_step(state, start, dt, mesh, model, bdata, cfg)
                 break
             except NewtonFailure as exc:
                 if not cfg.adaptive:
@@ -534,23 +518,44 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
                     raise SolverFailure("time step fell below its floor",
                                         time=state.time) from exc
 
-        if enforce_max_principle and report.max_M > m_star + MAX_PRINCIPLE_TOL:
+        accepted = result.evaluation
+        entropy = diagnostics.discrete_entropy(new_state, mesh, model, bdata)
+        dissipation = diagnostics.dissipation(accepted, mesh)
+        defect = float(
+            np.sum(mesh.cell_measures * (new_state.u - state.u))
+            + dt * dirichlet_fluxes(accepted, mesh).sum()
+        )
+        max_M = float(accepted.biomass.max())
+        min_u = float(new_state.u.min())
+
+        if enforce_max_principle and max_M > m_star + MAX_PRINCIPLE_TOL:
             raise InvariantViolation(
                 f"biomass bound violated at t = {new_state.time:.6e}: "
-                f"{report.max_M} > {m_star}"
+                f"{max_M} > {m_star}"
             )
-        if report.min_u < 0.0:
+        if min_u < 0.0:
             raise InvariantViolation(f"negative proportion at t = {new_state.time:.6e}")
-        produced = dt * diagnostics.entropy_production(report.dissipation, alphas)
-        if report.entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
+        produced = dt * diagnostics.entropy_production(dissipation, alphas)
+        if entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
             raise InvariantViolation(
                 f"entropy inequality violated at t = {new_state.time:.6e}"
             )
 
-        report = replace(report, dt_halvings=halvings,
-                         entropy_margin=entropy_prev - report.entropy - produced)
+        report = StepReport(
+            time=new_state.time,
+            dt_used=dt,
+            newton_iters=result.newton_iters,
+            dt_halvings=halvings,
+            residual_norm=result.residual_norm,
+            entropy=entropy,
+            dissipation=dissipation,
+            max_M=max_M,
+            min_u=min_u,
+            conservation_defect=defect,
+            entropy_margin=entropy_prev - entropy - produced,
+        )
         if observer is not None:
             observer(report, new_state)
-        entropy_prev = report.entropy
-        state = new_state
+        entropy_prev = entropy
+        state, start = new_state, accepted
     return state

@@ -153,6 +153,8 @@ BAD_CONFIGS = {
     "negative-dt": ("run", RUN_1D.replace("dt = 1e-5", "dt = -1e-5")),
     "zero-newton-tol": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_tol = 0")),
     "zero-newton-iters": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_max_iters = 0")),
+    "dirichlet-1d-side": ("run", RUN_1D.replace("dirichlet = left", "dirichlet = top")),
+    "dirichlet-2d-tag": ("run", RUN_2D.replace("dirichlet = y=1", "dirichlet = y=2")),
 }
 
 
@@ -163,6 +165,24 @@ def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+SATURATED = "u_d = 0.45, 0.45"  # the bump doubles species 1 to 0.9 beside species 2 at 0.45
+INADMISSIBLE_DATA = {
+    "run": RUN_1D,
+    "convergence": CONVERGENCE_1D,
+    "steady-state": RUN_2D.replace("policy = fixed", "policy = adaptive"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INADMISSIBLE_DATA))
+def test_inadmissible_initial_datum_is_a_configuration_error(tmp_path, capsys, command):
+    text = INADMISSIBLE_DATA[command].replace("u_d = 0.1, 0.1", SATURATED)
+    cfg = write_config(tmp_path / "sat.cfg", text)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: initial datum:") and "saturation" in err
 
 
 def test_steady_state_command(tmp_path, capsys):

@@ -9,7 +9,6 @@ import biofilm_fv
 from biofilm_fv import diagnostics, scheme
 from biofilm_fv import (
     BoundaryData,
-    InadmissibleStateError,
     ModelDomainError,
     ModelFunctions,
     NewtonConfig,
@@ -64,7 +63,7 @@ def test_project_straddling_cell_exact():
 def test_project_rejects_saturated_data():
     datum = IndicatorDatum(base=(0.6,), bump=(0.5,), boxes=((0.2, 0.5),))
     mesh = build_interval_mesh(10, "left")
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelDomainError):
         project_initial(datum, mesh)
 
 
@@ -146,7 +145,7 @@ def test_residual_three_cell_hand_expansion(case2):
 def test_residual_rejects_saturated_trial(case2, bdata_01):
     mesh = build_interval_mesh(4, "left")
     u = np.full((2, 4), 0.55)  # biomass 1.1
-    with pytest.raises(InadmissibleStateError):
+    with pytest.raises(ModelDomainError):
         residual(make_state(u), evaluate(u, mesh, case2, bdata_01), 1e-4, mesh)
 
 
@@ -297,9 +296,9 @@ def test_each_call_evaluates_the_model_once(name, bdata_01):
 
 
 def test_newton_step_evaluates_each_state_once(bdata_01, monkeypatch):
-    # g and p see the starting state and every trial that reaches evaluate,
-    # each exactly once: the Jacobian, the contact fluxes and the dissipation
-    # reuse the accepted trial's evaluation
+    # g and p see the starting state, which the caller evaluates, and every
+    # trial that reaches evaluate, each exactly once: the residual and the
+    # Jacobian reuse each accepted trial's evaluation
     mesh = build_interval_mesh(40, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     model = model_case1()
@@ -319,7 +318,8 @@ def test_newton_step_evaluates_each_state_once(bdata_01, monkeypatch):
     evaluations = []
     monkeypatch.setattr(scheme, "evaluate",
                         lambda u, *args: evaluations.append(u) or evaluate(u, *args))
-    _, report = newton_step(state, 1e-3, mesh, model, bdata_01, NewtonConfig())
+    start = scheme.evaluate(state.u, mesh, model, bdata_01)
+    _, report = newton_step(state, start, 1e-3, mesh, model, bdata_01, NewtonConfig())
     assert report.newton_iters >= 2
     assert len(evaluations) >= report.newton_iters + 1
     assert len(seen["g"]) == len(seen["p"]) == len(evaluations)
@@ -374,7 +374,8 @@ def test_jacobian_row_sum_mass_balance(case2, bdata_01):
 def test_newton_converges_immediately_at_steady_state(case1, bdata_01):
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    new, report = newton_step(state, 1e-5, mesh, case1, bdata_01, NewtonConfig())
+    start = evaluate(state.u, mesh, case1, bdata_01)
+    new, report = newton_step(state, start, 1e-5, mesh, case1, bdata_01, NewtonConfig())
     assert report.newton_iters == 1
     assert report.residual_norm == 0.0
     assert np.array_equal(new.u, state.u)
@@ -386,9 +387,15 @@ def test_first_step_from_discontinuous_data(model_name, bdata_01):
     mesh = build_interval_mesh(40, "left")
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
-    new, report = newton_step(state, 1e-5, mesh, model, bdata_01, NewtonConfig())
-    assert report.newton_iters <= 50
-    assert report.residual_norm <= 1e-10
+    start = evaluate(state.u, mesh, model, bdata_01)
+    _, result = newton_step(state, start, 1e-5, mesh, model, bdata_01, NewtonConfig())
+    assert result.newton_iters <= 50
+    assert result.residual_norm <= 1e-10
+    # the invariants of that step, as advance reports them
+    reports = []
+    advance(state, 1e-5, mesh, model, bdata_01, NewtonConfig(adaptive=False, dt_init=1e-5),
+            observer=lambda r, s: reports.append(r))
+    (report,) = reports
     assert report.min_u >= 0.0
     assert report.max_M <= max_principle_bound(state, bdata_01) + 1e-12
     # entropy inequality for this step
@@ -416,9 +423,11 @@ def test_newton_damps_trials_beyond_the_model_domain(bdata_01):
     bdata = BoundaryData((0.25, 0.25))
     state = make_state(np.full((2, 4), 0.05))
     cfg = NewtonConfig(dt_init=1.0, dt_max=1.0)
-    new, report = newton_step(state, 1.0, mesh, model, bdata, cfg)
-    reference, _ = newton_step(state, 1.0, mesh, base, bdata, cfg)
-    assert report.max_M < 0.5
+    new, result = newton_step(state, evaluate(state.u, mesh, model, bdata), 1.0, mesh, model,
+                              bdata, cfg)
+    reference, _ = newton_step(state, evaluate(state.u, mesh, base, bdata), 1.0, mesh, base,
+                               bdata, cfg)
+    assert result.evaluation.biomass.max() < 0.5
     assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
@@ -429,7 +438,8 @@ def test_newton_failure_signalled(case2, bdata_01):
     state = project_initial(datum, mesh)
     cfg = NewtonConfig(max_iters=1, tol=1e-14)
     with pytest.raises(NewtonFailure):
-        newton_step(state, 1e-2, mesh, case2, bdata_01, cfg)
+        newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-2, mesh, case2,
+                    bdata_01, cfg)
 
 
 # -- advance -------------------------------------------------------------------------
@@ -468,6 +478,26 @@ def test_advance_adaptive_doubles_and_caps(case1, bdata_01):
     assert dts[1] == pytest.approx(2e-5)
     assert max(dts) <= 1e-3 + 1e-18
     assert any(d == pytest.approx(1e-3) for d in dts)
+
+
+def test_advance_evaluates_each_state_once(bdata_01, monkeypatch):
+    # advance evaluates its entry state once and hands every accepted
+    # evaluation to the next step, so no state reaches g twice
+    mesh = build_interval_mesh(40, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    model = model_case1()
+    seen = []
+    g = model.g
+    model.g = lambda m: seen.append(np.array(m, copy=True)) or g(m)
+    residuals = []
+    monkeypatch.setattr(scheme, "residual",
+                        lambda *args: residuals.append(1) or residual(*args))
+    reports = []
+    advance(state, 4e-4, mesh, model, bdata_01, NewtonConfig(adaptive=False, dt_init=1e-4),
+            observer=lambda r, s: reports.append(r))
+    assert len(reports) == 4
+    assert len({m.tobytes() for m in seen}) == len(seen)
+    assert len(seen) == len(residuals) - len(reports) + 1
 
 
 def test_advance_conservation_identity(case1, bdata_01):
