@@ -23,7 +23,6 @@ from .model import (  # noqa: F401
     ModelFunctions,
     ModelParams,
     entropy_density,
-    flux_coefficient_edge,
     get_model,
     model_case1,
     model_case2,
@@ -46,13 +45,11 @@ from .scheme import (  # noqa: F401
     residual,
 )
 from .diagnostics import (  # noqa: F401
-    EntropyReport,
     NormReport,
     discrete_entropy,
     discrete_norms,
     dissipation,
     entropy_production_beta_bound,
-    entropy_report,
     reconstruct_gradient,
     singular_gradient_weight,
 )

@@ -78,65 +78,67 @@ def _normalize_dirichlet(token):
     return token.replace(" ", "").replace("==", "=")
 
 
-def load_config(path, paper_scale=False) -> ExperimentSpec:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    try:
-        exp = parser["experiment"]
-    except KeyError:
-        raise ConfigurationError(f"{path}: missing [experiment] section") from None
-    mesh_sec = parser["mesh"] if parser.has_section("mesh") else {}
-    time_sec = parser["time"] if parser.has_section("time") else {}
-    conv_sec = parser["convergence"] if parser.has_section("convergence") else {}
-    out_sec = parser["output"] if parser.has_section("output") else {}
+# the parser of each [section] key; ExperimentSpec's field defaults are the only defaults
+_CONFIG_KEYS = {
+    "experiment": {"name": str, "model": str, "alphas": _floats, "u_d": _floats,
+                   "initial": str, "t_end": float, "p": str, "a": float, "b": float},
+    "mesh": {"dimension": int, "cells": int, "nx": int, "ny": int, "file": str,
+             "dirichlet": _normalize_dirichlet},
+    "time": {"policy": str, "dt": float, "dt_min": float, "dt_max": float,
+             "newton_tol": float, "newton_max_iters": int},
+    "convergence": {"resolutions": _ints, "reference": int},
+    "output": {"snapshots": _floats},
+}
+# the keys whose ExperimentSpec field has another name
+_FIELD_NAMES = {"p": "generic_p", "cells": "n_cells", "file": "mesh_file",
+               "policy": "dt_policy", "snapshots": "snapshot_times"}
 
+
+def _config_fields(path):
+    """The ExperimentSpec fields that a config file sets; unknown names are errors."""
+    parser = configparser.ConfigParser()
     try:
-        dimension = int(mesh_sec.get("dimension", "1"))
-        n_cells = int(mesh_sec.get("cells", "80"))
-        resolutions = _ints(conv_sec.get("resolutions", "")) if conv_sec else ()
-        reference = int(conv_sec.get("reference", "0")) if conv_sec else 0
-        if paper_scale:
-            resolutions = PAPER_SCALE_RESOLUTIONS
-            reference = PAPER_SCALE_REFERENCE
-            if dimension == 1:
-                n_cells = PAPER_SCALE_CELLS_1D
-            elif "file" not in mesh_sec:
-                raise ConfigurationError(
-                    "--paper-scale in 2D requires an unstructured mesh file "
-                    "(set file = ... in the [mesh] section)"
-                )
-        spec = ExperimentSpec(
-            name=exp.get("name", Path(path).stem),
-            model=exp.get("model", "case1"),
-            alphas=_floats(exp.get("alphas", "1, 1")),
-            u_d=_floats(exp.get("u_d", "0.1, 0.1")),
-            initial=exp.get("initial", "bumps-1d" if dimension == 1 else "bumps-2d"),
-            t_end=float(exp.get("t_end", "1e-3")),
-            dimension=dimension,
-            n_cells=n_cells,
-            nx=int(mesh_sec.get("nx", "32")),
-            ny=int(mesh_sec.get("ny", "32")),
-            mesh_file=mesh_sec.get("file", None),
-            dirichlet=_normalize_dirichlet(
-                mesh_sec.get("dirichlet", "left" if dimension == 1 else "y=1")
-            ),
-            dt_policy=time_sec.get("policy", "fixed"),
-            dt=float(time_sec.get("dt", "1e-5")),
-            newton_tol=float(time_sec.get("newton_tol", "1e-10")),
-            newton_max_iters=int(time_sec.get("newton_max_iters", "50")),
-            dt_min=float(time_sec.get("dt_min", "1e-8")),
-            dt_max=float(time_sec.get("dt_max", "1e-2")),
-            resolutions=resolutions,
-            reference=reference,
-            snapshot_times=_floats(out_sec.get("snapshots", "")) if out_sec else (),
-            generic_p=exp.get("p", None),
-            a=float(exp["a"]) if "a" in exp else None,
-            b=float(exp["b"]) if "b" in exp else None,
-        )
-    except (KeyError, ValueError) as exc:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+        if not parser.has_section("experiment"):
+            raise ConfigurationError(f"{path}: missing [experiment] section")
+        if parser.defaults():  # [DEFAULT] would hand its keys to every section
+            raise ConfigurationError(f"{path}: unknown section [{parser.default_section}]")
+        fields = {}
+        for section in parser.sections():
+            keys = _CONFIG_KEYS.get(section)
+            if keys is None:
+                raise ConfigurationError(f"{path}: unknown section [{section}]")
+            for key, text in parser.items(section):
+                if key not in keys:
+                    raise ConfigurationError(f"{path}: unknown key {key!r} in [{section}]")
+                try:
+                    fields[_FIELD_NAMES.get(key, key)] = keys[key](text)
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
+    except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    return fields
+
+
+def load_config(path, paper_scale=False) -> ExperimentSpec:
+    """The experiment a config file describes; ``paper_scale`` swaps in the full sizes."""
+    fields = _config_fields(path)
+    fields.setdefault("name", Path(path).stem)
+    two_d = fields.get("dimension") == 2
+    if two_d:
+        fields.setdefault("initial", "bumps-2d")
+        fields.setdefault("dirichlet", "y=1")
+    if paper_scale:
+        if two_d and "mesh_file" not in fields:
+            raise ConfigurationError(
+                "--paper-scale in 2D requires an unstructured mesh file "
+                "(set file = ... in the [mesh] section)"
+            )
+        fields.update(resolutions=PAPER_SCALE_RESOLUTIONS, reference=PAPER_SCALE_REFERENCE)
+        if not two_d:
+            fields["n_cells"] = PAPER_SCALE_CELLS_1D
+    spec = ExperimentSpec(**fields)
     # fail configuration problems early (H3-type data checks included)
     spec.build_bdata()
     return spec

@@ -19,15 +19,6 @@ from .model import ModelFunctions, admissible_biomass
 
 
 @dataclass(frozen=True)
-class EntropyReport:
-    entropy: float
-    dissipation: np.ndarray
-    lower_bound_beta_term: float
-    max_M: float
-    min_u: float
-
-
-@dataclass(frozen=True)
 class NormReport:
     l2: float
     h1_semi: float
@@ -88,15 +79,6 @@ def entropy_production(dissipation, alphas) -> float:
     return float(np.asarray(alphas, dtype=float) @ dissipation)
 
 
-def _dissipation_and_beta_term(state, mesh, model, bdata):
-    """Per-species dissipation and the beta term, from one evaluation of g and p."""
-    u, g, p, psq = _mobility(state.u, admissible_biomass(state.u), mesh, model, bdata)
-    pq = p**2 * g
-    beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
-    rhs = (_jump(np.sqrt(u), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
-    return _dissipation(u, g, psq, mesh), 0.5 * float(rhs)
-
-
 def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdata):
     """Explicit lower bound for the total dissipation.
 
@@ -107,8 +89,11 @@ def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdat
     where pq = p(M)^2 g(M).  The inequality lhs >= rhs holds for every
     admissible state up to round-off; callers assert lhs >= rhs - 1e-12.
     """
-    dis, rhs = _dissipation_and_beta_term(state, mesh, model, bdata)
-    return float(dis.sum()), rhs
+    u, g, p, psq = _mobility(state.u, admissible_biomass(state.u), mesh, model, bdata)
+    pq = p**2 * g
+    beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
+    rhs = (_jump(np.sqrt(u), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
+    return float(_dissipation(u, g, psq, mesh).sum()), 0.5 * float(rhs)
 
 
 def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
@@ -125,17 +110,6 @@ def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) ->
     mid = 0.5 * (biomass[mesh.flux_K] + biomass[mesh.flux_L])
     weight = mesh.flux_tau * mid ** (a - 1.0) * (1.0 - mid) ** (-1.0 - b - kappa)
     return float((weight * _jump(biomass, mesh) ** 2).sum())
-
-
-def entropy_report(state, mesh: Mesh, model: ModelFunctions, bdata) -> EntropyReport:
-    dis, rhs = _dissipation_and_beta_term(state, mesh, model, bdata)
-    return EntropyReport(
-        entropy=discrete_entropy(state, mesh, model, bdata),
-        dissipation=dis,
-        lower_bound_beta_term=rhs,
-        max_M=float(state.biomass.max()),
-        min_u=float(state.u.min()),
-    )
 
 
 def _field_jumps(v, mesh, dirichlet_value):

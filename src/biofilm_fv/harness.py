@@ -222,19 +222,19 @@ class ExperimentSpec:
         except modelmod.ModelDomainError as exc:
             raise ConfigurationError(f"initial datum: {exc}") from exc
 
-    def newton_config(self, dt=None, adaptive=None) -> NewtonConfig:
-        if adaptive is None:
-            adaptive = self.dt_policy == "adaptive"
-        value = self.dt if dt is None else dt
+    def newton_config(self, dt=None) -> NewtonConfig:
+        """Newton tolerances and the step range for ``advance``.
+
+        A given dt, or the fixed policy's ``dt``, pins the range to that one
+        step; the adaptive policy starts at ``dt`` within [dt_min, dt_max].
+        """
+        if dt is None and self.dt_policy == "adaptive":
+            dt_min, dt_init, dt_max = self.dt_min, self.dt, self.dt_max
+        else:
+            dt_min = dt_init = dt_max = self.dt if dt is None else dt
         try:
-            return NewtonConfig(
-                tol=self.newton_tol,
-                max_iters=self.newton_max_iters,
-                dt_min=min(self.dt_min, value),
-                dt_max=max(self.dt_max, value) if not adaptive else self.dt_max,
-                dt_init=value,
-                adaptive=adaptive,
-            )
+            return NewtonConfig(tol=self.newton_tol, max_iters=self.newton_max_iters,
+                                dt_min=dt_min, dt_max=dt_max, dt_init=dt_init)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
 
@@ -361,7 +361,7 @@ def _final_state(spec, n_cells, dt, model):
     mesh = spec.build_mesh(n_cells=n_cells)
     bdata = spec.build_bdata()
     state = spec.initial_state(mesh)
-    cfg = spec.newton_config(dt=dt, adaptive=False)
+    cfg = spec.newton_config(dt=dt)
     return advance(state, spec.t_end, mesh, model, bdata, cfg), mesh
 
 

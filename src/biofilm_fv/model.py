@@ -189,9 +189,9 @@ class ModelFunctions:
         return f"ModelFunctions({self.name!r}, a={self.params.a}, b={self.params.b})"
 
 
-def _as_biomass(m, upper_open=True):
+def _as_biomass(m):
     m = np.asarray(m, dtype=float)
-    if m.size and (m.min() < 0.0 or (m.max() >= 1.0 if upper_open else m.max() > 1.0)):
+    if m.size and (m.min() < 0.0 or m.max() >= 1.0):
         raise ModelDomainError(f"biomass out of range: min={m.min()}, max={m.max()}")
     return m
 
@@ -474,10 +474,3 @@ def entropy_density(u, model: ModelFunctions, u_dirichlet) -> float:
     primitive = model.log_g_primitive
     bregman = primitive.quad(m) - primitive.quad(m_d) - float(model.log_g(m_d)) * (m - m_d)
     return kl + bregman
-
-
-def flux_coefficient_edge(m_K, m_Ksigma, model: ModelFunctions):
-    """Edge coefficient: arithmetic mean of the squared saturation factor."""
-    m_K = _as_biomass(m_K, upper_open=False)
-    m_Ksigma = _as_biomass(m_Ksigma, upper_open=False)
-    return 0.5 * (model.p(m_K) ** 2 + model.p(m_Ksigma) ** 2)

@@ -60,7 +60,7 @@ class SolverError(Exception):
 
 
 class NewtonFailure(SolverError):
-    """Newton did not converge; the adaptive driver reacts by halving dt."""
+    """Newton did not converge; ``advance`` reacts by halving dt."""
 
     def __init__(self, message, iterations):
         super().__init__(message)
@@ -116,12 +116,17 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Newton tolerances and the step range of ``advance``.
+
+    Steps start at dt_init and stay within [dt_min, dt_max]; a fixed step is
+    the range pinned to one dt, ``NewtonConfig(dt_min=dt, dt_init=dt, dt_max=dt)``.
+    """
+
     tol: float = 1e-10
     max_iters: int = 50
     dt_min: float = 1e-8
     dt_max: float = 1e-2
     dt_init: float = 1e-5
-    adaptive: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -158,22 +163,11 @@ class StepReport:
 
 
 def project_initial(u0, mesh: Mesh) -> State:
-    """Cell averages of the initial datum.
+    """Cell averages ``u0.cell_average(mesh)`` of the initial datum ``u0``.
 
-    ``u0`` is either an object with ``n_species``/``cell_average`` (the exact
-    path for indicator-type data) or a sequence of per-species callables that
-    are sampled with the midpoint rule.  Raises ModelDomainError when the
-    cell averages are not an admissible state.
+    Raises ModelDomainError when the cell averages are not an admissible state.
     """
-    if hasattr(u0, "cell_average"):
-        u = u0.cell_average(mesh)
-    else:
-        functions = list(u0)
-        u = np.empty((len(functions), mesh.n_cells))
-        for i, f in enumerate(functions):
-            u[i] = np.asarray(
-                [float(f(*np.atleast_1d(c))) for c in mesh.cell_centers], dtype=float
-            )
+    u = u0.cell_average(mesh)
     admissible_biomass(u)
     return State(time=0.0, u=u, dt_last=None)
 
@@ -474,14 +468,16 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
 
 def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             bdata: BoundaryData, cfg: NewtonConfig, observer=None) -> State:
-    """Advance to t_end with the step-halving/doubling policy.
+    """Advance to t_end with the step-halving/doubling controller.
 
-    The step for each new attempt starts at twice the previously accepted dt
-    (capped at dt_max) and is clamped to land on t_end exactly; on Newton
-    failure the step is halved, and dropping below dt_min is a hard failure.
-    With ``cfg.adaptive`` false the step is pinned to dt_init.  ``observer``,
-    when given, is called as observer(report, state) after every accepted
-    step and must not mutate the state.
+    A state without a previous step starts at dt_init; otherwise each step
+    starts at twice the previously accepted dt, clipped to [dt_min, dt_max],
+    and is clamped to land on t_end exactly.  On Newton failure the step is
+    halved, and dropping below dt_min is a SolverFailure that carries the
+    Newton reason.  A range pinned to one dt gives fixed steps, also after a
+    landing clamp.  ``observer``, when given, is called as
+    observer(report, state) after every accepted step and must not mutate
+    the state.
     """
     if t_end < state.time:
         raise ValueError("t_end lies before the current state time")
@@ -495,12 +491,10 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     time_tol = 1e-13 * max(1.0, abs(t_end))
 
     while t_end - state.time > time_tol:
-        if not cfg.adaptive:
-            dt_next = cfg.dt_init
-        elif state.dt_last is None:
+        if state.dt_last is None:
             dt_next = cfg.dt_init
         else:
-            dt_next = min(2.0 * state.dt_last, cfg.dt_max)
+            dt_next = min(max(2.0 * state.dt_last, cfg.dt_min), cfg.dt_max)
         dt = min(dt_next, t_end - state.time)
 
         halvings = 0
@@ -509,13 +503,10 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
                 new_state, result = newton_step(state, start, dt, mesh, model, bdata, cfg)
                 break
             except NewtonFailure as exc:
-                if not cfg.adaptive:
-                    raise SolverFailure(f"fixed-step Newton failed: {exc}",
-                                        time=state.time) from exc
                 dt *= 0.5
                 halvings += 1
                 if dt < cfg.dt_min:
-                    raise SolverFailure("time step fell below its floor",
+                    raise SolverFailure(f"time step fell below its floor: {exc}",
                                         time=state.time) from exc
 
         accepted = result.evaluation

@@ -74,7 +74,7 @@ def entropy_runs():
 
         h0 = discrete_entropy(state, mesh, model, bdata)
         advance(state, 1e-3, mesh, model, bdata,
-                NewtonConfig(adaptive=False, dt_init=1e-5), observer=observer)
+                NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5), observer=observer)
         out[model.name] = dict(mesh=mesh, model=model, bdata=bdata, h0=h0,
                                reports=reports, states=states, m0=state)
     out["runtime"] = time.perf_counter() - start

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biofilm_fv.cli import main
+from biofilm_fv.cli import load_config, main
 from biofilm_fv.mesh import write_triangle_mesh_file
 
 from pathlib import Path
@@ -155,7 +155,14 @@ BAD_CONFIGS = {
     "zero-newton-iters": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_max_iters = 0")),
     "dirichlet-1d-side": ("run", RUN_1D.replace("dirichlet = left", "dirichlet = top")),
     "dirichlet-2d-tag": ("run", RUN_2D.replace("dirichlet = y=1", "dirichlet = y=2")),
+    "unknown-key": ("run", RUN_1D.replace("cells = 20", "cell = 20")),
+    "unknown-section": ("run", RUN_1D.replace("[time]", "[tme]")),
+    "duplicate-key": ("run", RUN_1D.replace("cells = 20", "cells = 20\ncells = 40")),
+    "default-section": ("run", "[DEFAULT]\nt_end = 2e-5\n" + RUN_1D),
 }
+# the name an error message must give
+NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
+                  "duplicate-key": "'cells'", "default-section": "[DEFAULT]"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -164,7 +171,18 @@ def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
     cfg = write_config(tmp_path / "bad.cfg", text)
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert NAMED_IN_ERROR.get(name, "") in err
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_load(path):
+    spec = load_config(str(path))
+    assert spec.name == path.stem
 
 
 SATURATED = "u_d = 0.45, 0.45"  # the bump doubles species 1 to 0.9 beside species 2 at 0.45

@@ -3,11 +3,13 @@ import pytest
 from scipy.integrate import quad
 
 from biofilm_fv import (
+    BoundaryData,
     ModelDomainError,
     ModelError,
     ModelParams,
+    build_interval_mesh,
     entropy_density,
-    flux_coefficient_edge,
+    evaluate,
     get_model,
     model_case1,
     model_case2,
@@ -231,26 +233,20 @@ def test_generic_primitive_matches_quadrature():
 # -- edge coefficient -----------------------------------------------------------------
 
 
+def _interior_psq(m_K, m_L, model):
+    """psq_sigma of the interior edge of a two-cell mesh with biomasses m_K and m_L."""
+    u = np.array([[m_K, m_L], [m_K, m_L]]) / 2
+    ev = evaluate(u, build_interval_mesh(2, "left"), model, BoundaryData((0.1, 0.1)))
+    return float(ev.psq[0])
+
+
 def test_flux_coefficient_equal_arguments(case2):
-    assert float(flux_coefficient_edge(0.3, 0.3, case2)) == pytest.approx(
-        float(case2.p(0.3)) ** 2, rel=1e-15
-    )
-
-
-def test_flux_coefficient_endpoints(case2):
-    assert float(flux_coefficient_edge(0.0, 1.0, case2)) == pytest.approx(0.5, abs=1e-15)
+    assert _interior_psq(0.3, 0.3, case2) == pytest.approx(float(case2.p(0.3)) ** 2, rel=1e-15)
 
 
 def test_flux_coefficient_lower_bound(case1):
     rng = np.random.default_rng(3)
     for _ in range(50):
         a, b = rng.uniform(0.0, 0.99, size=2)
-        coeff = float(flux_coefficient_edge(a, b, case1))
+        coeff = _interior_psq(a, b, case1)
         assert coeff >= 0.5 * float(case1.p(max(a, b))) ** 2 - 1e-16
-
-
-def test_flux_coefficient_domain(case2):
-    with pytest.raises(ModelDomainError):
-        flux_coefficient_edge(-0.1, 0.5, case2)
-    with pytest.raises(ModelDomainError):
-        flux_coefficient_edge(0.1, 1.5, case2)

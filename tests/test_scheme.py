@@ -32,6 +32,8 @@ from biofilm_fv.harness import IndicatorDatum, build_named_initial_datum
 from biofilm_fv.oracle import fd_jacobian
 from conftest import make_state, random_admissible
 
+ACUTE_FIXTURE = Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh"
+
 
 # -- initial projection -------------------------------------------------------------
 
@@ -67,10 +69,16 @@ def test_project_rejects_saturated_data():
         project_initial(datum, mesh)
 
 
-def test_project_callables_midpoint_rule():
-    mesh = build_interval_mesh(4, "left")
-    state = project_initial([lambda x: 0.1 + 0.1 * x], mesh)
-    assert np.allclose(state.u[0], 0.1 + 0.1 * mesh.cell_centers[:, 0])
+def test_project_triangles_midpoint_rule():
+    # triangle cells take the datum's value at the cell center
+    mesh = load_triangle_mesh_file(str(ACUTE_FIXTURE), lambda x, y: True)
+    box = (0.2, 0.6, 0.1, 0.5)
+    datum = IndicatorDatum(base=(0.1,), bump=(0.2,), boxes=(box,))
+    state = project_initial(datum, mesh)
+    x, y = mesh.cell_centers.T
+    inside = (box[0] <= x) & (x <= box[1]) & (box[2] <= y) & (y <= box[3])
+    assert 0 < inside.sum() < mesh.n_cells
+    assert np.array_equal(state.u[0], np.where(inside, 0.1 + 0.2, 0.1))
 
 
 # -- residual -----------------------------------------------------------------------
@@ -223,11 +231,10 @@ def test_jacobian_uniform_state_block_structure(case2, bdata_01):
 
 
 def _assembly_meshes():
-    acute = Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh"
     return {
         "1d": build_interval_mesh(40, "left"),
         "rectangle": build_rectangle_mesh(6, 5, lambda x, y: abs(y - 1.0) < 1e-12),
-        "acute": load_triangle_mesh_file(str(acute), lambda x, y: True),
+        "acute": load_triangle_mesh_file(str(ACUTE_FIXTURE), lambda x, y: True),
     }
 
 
@@ -393,7 +400,8 @@ def test_first_step_from_discontinuous_data(model_name, bdata_01):
     assert result.residual_norm <= 1e-10
     # the invariants of that step, as advance reports them
     reports = []
-    advance(state, 1e-5, mesh, model, bdata_01, NewtonConfig(adaptive=False, dt_init=1e-5),
+    advance(state, 1e-5, mesh, model, bdata_01,
+            NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5),
             observer=lambda r, s: reports.append(r))
     (report,) = reports
     assert report.min_u >= 0.0
@@ -457,7 +465,7 @@ def test_advance_fixed_step_count_and_final_time(case2, bdata_01):
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
     reports = []
-    cfg = NewtonConfig(adaptive=False, dt_init=1e-5)
+    cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
     out = advance(state, 1e-4, mesh, case2, bdata_01, cfg,
                   observer=lambda r, s: reports.append(r))
     assert len(reports) == 10
@@ -469,7 +477,7 @@ def test_advance_adaptive_doubles_and_caps(case1, bdata_01):
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
     reports = []
-    cfg = NewtonConfig(adaptive=True, dt_init=1e-5, dt_max=1e-3)
+    cfg = NewtonConfig(dt_init=1e-5, dt_max=1e-3)
     advance(state, 1e-2, mesh, case1, bdata_01, cfg,
             observer=lambda r, s: reports.append(r))
     dts = [r.dt_used for r in reports]
@@ -493,7 +501,8 @@ def test_advance_evaluates_each_state_once(bdata_01, monkeypatch):
     monkeypatch.setattr(scheme, "residual",
                         lambda *args: residuals.append(1) or residual(*args))
     reports = []
-    advance(state, 4e-4, mesh, model, bdata_01, NewtonConfig(adaptive=False, dt_init=1e-4),
+    advance(state, 4e-4, mesh, model, bdata_01,
+            NewtonConfig(dt_min=1e-4, dt_init=1e-4, dt_max=1e-4),
             observer=lambda r, s: reports.append(r))
     assert len(reports) == 4
     assert len({m.tobytes() for m in seen}) == len(seen)
@@ -505,27 +514,44 @@ def test_advance_conservation_identity(case1, bdata_01):
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
     reports = []
-    cfg = NewtonConfig(adaptive=False, dt_init=1e-5)
+    cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
     advance(state, 2e-4, mesh, case1, bdata_01, cfg,
             observer=lambda r, s: reports.append(r))
     assert max(abs(r.conservation_defect) for r in reports) <= 1e-10
+
+
+def test_advance_fixed_step_resumes_after_a_landing_clamp(case2, bdata_01):
+    mesh = build_interval_mesh(20, "left")
+    datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
+    cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
+    reports = []
+    state = advance(project_initial(datum, mesh), 1.2e-5, mesh, case2, bdata_01, cfg)
+    assert state.dt_last == pytest.approx(2e-6)
+    advance(state, 5e-5, mesh, case2, bdata_01, cfg, observer=lambda r, s: reports.append(r))
+    # the step after the 2e-6 landing is dt again, not twice the landing
+    assert [r.dt_used for r in reports[:-1]] == [1e-5] * 3
+    assert reports[-1].dt_used == pytest.approx(8e-6)
 
 
 def test_advance_hard_failure_reports_time(case2, bdata_01):
     mesh = build_interval_mesh(20, "left")
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
-    # impossible tolerance exhausts the halving budget down to dt_min
-    cfg = NewtonConfig(adaptive=True, tol=1e-30, dt_init=1e-5, dt_min=1e-6)
-    with pytest.raises(SolverFailure):
-        advance(state, 1e-3, mesh, case2, bdata_01, cfg)
+    # an impossible tolerance exhausts the halving budget down to dt_min,
+    # at once for a fixed step
+    for cfg in (NewtonConfig(tol=1e-30, dt_init=1e-5, dt_min=1e-6),
+                NewtonConfig(tol=1e-30, dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)):
+        with pytest.raises(SolverFailure) as failure:
+            advance(state, 1e-3, mesh, case2, bdata_01, cfg)
+        assert failure.value.time == 0.0
+        assert "no convergence within 50 iterations" in str(failure.value)
 
 
 def test_uniform_steady_state_is_stationary(case2, bdata_01):
     mesh = build_interval_mesh(15, "left")
     state = make_state(np.full((2, 15), 0.1))
     out = advance(state, 5e-4, mesh, case2, bdata_01,
-                  NewtonConfig(adaptive=False, dt_init=1e-4))
+                  NewtonConfig(dt_min=1e-4, dt_init=1e-4, dt_max=1e-4))
     assert np.array_equal(out.u, state.u)
 
 
@@ -536,7 +562,7 @@ def test_max_principle_along_equal_diffusivity_run(case2, bdata_01):
     m_star = max_principle_bound(state, bdata_01)
     reports = []
     advance(state, 5e-4, mesh, case2, bdata_01,
-            NewtonConfig(adaptive=False, dt_init=1e-5),
+            NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5),
             observer=lambda r, s: reports.append(r))
     assert max(r.max_M for r in reports) <= m_star + 1e-12
     assert min(r.min_u for r in reports) >= 0.0
