@@ -15,7 +15,6 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .mesh import (
     load_triangle_mesh,
     load_triangle_mesh_file,
 )
-from .model import ModelDomainError, model_case1, model_case2
+from .model import ModelDomainError, equal_diffusivities, model_case1, model_case2
 from .oracle import fd_jacobian
 from .scheme import BoundaryData, SolverError, State, evaluate, jacobian
 from . import diagnostics
@@ -50,20 +49,6 @@ EXIT_MESH = 4
 PAPER_SCALE_RESOLUTIONS = (40, 80, 160, 320, 640, 1280, 2560)
 PAPER_SCALE_REFERENCE = 5120
 PAPER_SCALE_CELLS_1D = 5120
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    experiment: ExperimentSpec
-    output_dir: Path
-    strict_theory: bool = False
-    threads: int = 1
-
-    def validate(self):
-        if self.strict_theory and any(a != 1.0 for a in self.experiment.alphas):
-            raise ConfigurationError(
-                "strict-theory mode requires equal unit diffusivities (all alphas = 1)"
-            )
 
 
 def _floats(text):
@@ -129,6 +114,9 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
     if two_d:
         fields.setdefault("initial", "bumps-2d")
         fields.setdefault("dirichlet", "y=1")
+    if fields.get("initial") == "custom-indicator":
+        raise ConfigurationError(f"{path}: initial = custom-indicator needs base, bump and "
+                                 "boxes, which only ExperimentSpec.initial_params can give")
     if paper_scale:
         if two_d and "mesh_file" not in fields:
             raise ConfigurationError(
@@ -144,51 +132,45 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
     return spec
 
 
-def _prepare(args) -> RunConfig:
+def _prepare(args):
+    """The experiment and its output directory; resolves ``args.threads`` from THREADS."""
     spec = load_config(args.config, paper_scale=args.paper_scale)
-    threads = args.threads
-    if threads is None:
+    if args.threads is None:
         text = os.environ.get("THREADS", "1")
         try:
-            threads = int(text)
+            args.threads = int(text)
         except ValueError:
             raise ConfigurationError(f"THREADS must be an integer, got {text!r}") from None
-    cfg = RunConfig(
-        experiment=spec,
-        output_dir=Path(args.out) / spec.name,
-        strict_theory=args.strict_theory,
-        threads=max(1, threads),
-    )
-    cfg.validate()
-    return cfg
+    if args.strict_theory and not equal_diffusivities(spec.alphas):
+        raise ConfigurationError("strict-theory mode requires equal diffusivities")
+    return spec, Path(args.out) / spec.name
 
 
 def cmd_run(args):
-    cfg = _prepare(args)
-    result = run_evolution(cfg.experiment, out_dir=cfg.output_dir)
-    print(f"run {cfg.experiment.name}: {len(result.reports)} steps to "
+    spec, out_dir = _prepare(args)
+    result = run_evolution(spec, out_dir=out_dir)
+    print(f"run {spec.name}: {len(result.reports)} steps to "
           f"t = {result.final_state.time:g}, max biomass {max((r.max_M for r in result.reports), default=0.0):.6f} "
           f"(bound {result.m_star:.6f})")
-    print(f"outputs in {cfg.output_dir}")
+    print(f"outputs in {out_dir}")
     return EXIT_OK
 
 
 def cmd_convergence(args):
-    cfg = _prepare(args)
-    result = run_convergence_study(cfg.experiment, out_dir=cfg.output_dir,
-                                   threads=cfg.threads)
+    spec, out_dir = _prepare(args)
+    result = run_convergence_study(spec, out_dir=out_dir, threads=args.threads)
     for i, order in enumerate(result.fitted_order, start=1):
         print(f"species {i}: fitted spatial order {order:.3f}")
-    print(f"outputs in {cfg.output_dir}")
+    print(f"outputs in {out_dir}")
     return EXIT_OK
 
 
 def cmd_steady_state(args):
-    cfg = _prepare(args)
-    result = run_steady_state_study(cfg.experiment, out_dir=cfg.output_dir)
+    spec, out_dir = _prepare(args)
+    result = run_steady_state_study(spec, out_dir=out_dir)
     for i, slope in enumerate(result.late_window_slopes, start=1):
         print(f"species {i}: late-window decay slope {slope:.3f}")
-    print(f"entropy margin {result.entropy_margin:.3e}; outputs in {cfg.output_dir}")
+    print(f"entropy margin {result.entropy_margin:.3e}; outputs in {out_dir}")
     return EXIT_OK
 
 
@@ -322,7 +304,7 @@ def build_parser():
         p.add_argument("--threads", type=int, default=None,
                        help="harness thread count (default: THREADS env or 1)")
         p.add_argument("--strict-theory", action="store_true",
-                       help="require equal unit diffusivities")
+                       help="require equal diffusivities")
         p.add_argument("--paper-scale", action="store_true",
                        help="use the full-size 5120-cell / unstructured-mesh setup")
 

@@ -33,10 +33,8 @@ class ConfigurationError(Exception):
 class IndicatorDatum:
     """Piecewise-constant initial datum: base_i + bump_i on an axis-aligned box.
 
-    ``boxes`` holds one box per species, either None (no bump), (x0, x1) in
-    1D, or (x0, x1, y0, y1) in 2D.  Cell averages are exact for interval and
-    rectangle cells (the boxes are resolved by overlap fractions); triangle
-    cells fall back to the midpoint rule.
+    ``boxes`` holds one box per species, either None (no bump) or two closed
+    bounds per mesh axis: (x0, x1) in 1D, (x0, x1, y0, y1) in 2D.
     """
 
     base: tuple[float, ...]
@@ -47,47 +45,39 @@ class IndicatorDatum:
     def n_species(self):
         return len(self.base)
 
-    def evaluate(self, x, y=None):
-        values = np.array(self.base, dtype=float)
+    def cell_average(self, mesh: Mesh):
+        """Cell averages, (n_species, n_cells); a box of another dimension is an error.
+
+        Interval and rectangle cells take the exact overlap fraction of the box,
+        triangle cells the midpoint rule.
+        """
+        dim = mesh.dimension
+        for box in self.boxes:
+            if box is not None and len(box) != 2 * dim:
+                raise ConfigurationError(
+                    f"a box on a {dim}D mesh has {2 * dim} bounds, got {len(box)}")
+        out = np.tile(np.asarray(self.base, dtype=float)[:, None], (1, mesh.n_cells))
+        triangles = dim == 2 and mesh.cell_nodes.shape[1] == 3
+        if dim == 1:
+            lo = mesh.cell_centers - mesh.cell_measures[:, None] / 2
+            hi = mesh.cell_centers + mesh.cell_measures[:, None] / 2
+        elif not triangles:
+            corners = mesh.points[mesh.cell_nodes.T]  # (4, n_cells, 2): reduces fast over axis 0
+            lo, hi = corners.min(axis=0), corners.max(axis=0)
         for i, box in enumerate(self.boxes):
             if box is None:
                 continue
-            if len(box) == 2:
-                inside = box[0] <= x <= box[1]
-            else:
-                inside = box[0] <= x <= box[1] and y is not None and box[2] <= y <= box[3]
-            if inside:
-                values[i] += self.bump[i]
-        return values
-
-    def cell_average(self, mesh: Mesh):
-        n = self.n_species
-        out = np.tile(np.asarray(self.base, dtype=float)[:, None], (1, mesh.n_cells))
-        if mesh.dimension == 1:
-            lo = mesh.cell_centers[:, 0] - mesh.cell_measures / 2
-            hi = mesh.cell_centers[:, 0] + mesh.cell_measures / 2
-            for i, box in enumerate(self.boxes):
-                if box is None:
-                    continue
-                overlap = np.maximum(
-                    0.0, np.minimum(hi, box[1]) - np.maximum(lo, box[0])
-                )
-                out[i] += self.bump[i] * overlap / (hi - lo)
-            return out
-        if mesh.cell_nodes is not None and mesh.cell_nodes.shape[1] == 4:
-            corners = mesh.points[mesh.cell_nodes]
-            x0, y0 = corners[:, :, 0].min(axis=1), corners[:, :, 1].min(axis=1)
-            x1, y1 = corners[:, :, 0].max(axis=1), corners[:, :, 1].max(axis=1)
-            for i, box in enumerate(self.boxes):
-                if box is None:
-                    continue
-                bx0, bx1, by0, by1 = box
-                wx = np.maximum(0.0, np.minimum(x1, bx1) - np.maximum(x0, bx0))
-                wy = np.maximum(0.0, np.minimum(y1, by1) - np.maximum(y0, by0))
-                out[i] += self.bump[i] * wx * wy / ((x1 - x0) * (y1 - y0))
-            return out
-        for k, center in enumerate(mesh.cell_centers):
-            out[:, k] = self.evaluate(*center)
+            bounds = np.asarray(box, dtype=float).reshape(dim, 2)
+            if triangles:
+                c = mesh.cell_centers
+                out[i] += self.bump[i] * ((bounds[:, 0] <= c) & (c <= bounds[:, 1])).all(axis=1)
+                continue
+            overlap, width = self.bump[i], 1.0
+            for d in range(dim):
+                overlap = overlap * np.maximum(
+                    0.0, np.minimum(hi[:, d], bounds[d, 1]) - np.maximum(lo[:, d], bounds[d, 0]))
+                width = width * (hi[:, d] - lo[:, d])
+            out[i] += overlap / width
         return out
 
 
@@ -350,9 +340,6 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    resolutions: tuple[int, ...]
-    mesh_sizes: tuple[float, ...]
-    dts: tuple[float, ...]
     l2_errors: np.ndarray          # (n_species, n_resolutions)
     fitted_order: np.ndarray       # (n_species,)
 
@@ -409,13 +396,6 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None, threads=1) -> Conv
         np.polyfit(log_h, np.log(errors[i]), 1)[0] if (errors[i] > 0.0).all() else np.nan
         for i in range(n_species)
     ])
-    result = ConvergenceResult(
-        resolutions=res,
-        mesh_sizes=tuple(1.0 / n for n in res),
-        dts=tuple(dts[: len(res)]),
-        l2_errors=errors,
-        fitted_order=orders,
-    )
     if out_dir is not None:
         rows = [
             (n, 1.0 / n, dts[j], i + 1, errors[i, j])
@@ -424,7 +404,7 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None, threads=1) -> Conv
         ]
         _write_csv(Path(out_dir) / "convergence.csv",
                    ["resolution", "h", "dt", "species", "l2_error"], rows)
-    return result
+    return ConvergenceResult(l2_errors=errors, fitted_order=orders)
 
 
 # -- evolution runs -----------------------------------------------------------------------------
@@ -440,9 +420,16 @@ class EvolutionResult:
     entropy_margin: float
 
 
-def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
-    """Time evolution with snapshot output at the requested times."""
+def _evolve(spec: ExperimentSpec, out_dir, observer=None) -> EvolutionResult:
+    """Run ``spec`` to t_end through its snapshot times, each in [0, t_end].
+
+    ``observer(state, mesh, bdata)``, when given, sees every accepted state.
+    With an ``out_dir`` the snapshots, entropy.csv and run_metadata.json are
+    written there.
+    """
     times = sorted(set(float(t) for t in spec.snapshot_times))
+    if times and times[0] < 0.0:
+        raise ConfigurationError(f"snapshot time {times[0]} lies before t = 0")
     if times and times[-1] > spec.t_end + 1e-12:
         raise ConfigurationError(
             f"snapshot time {times[-1]} lies beyond t_end = {spec.t_end}"
@@ -453,34 +440,29 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     state = spec.initial_state(mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
-    reports = []
-
-    def observer(report, _state):
-        reports.append(report)
-
     out = None if out_dir is None else Path(out_dir)
-
+    reports = []
     snapshots = []
 
-    def take_snapshot(t, u):
-        snapshots.append((t, u.copy()))
-        if out is None:
-            return
-        tag = f"{t:g}"
-        if mesh.dimension == 1:
-            write_snapshot_csv(out / f"snapshot_{tag}.csv", mesh, u)
-        else:
-            write_snapshot_vtk(out / f"snapshot_{tag}.vtk", mesh, u,
-                               title=f"{spec.name} t={tag}")
+    def record(report, st):
+        reports.append(report)
+        if observer is not None:
+            observer(st, mesh, bdata)
 
     for t in times:
-        if t <= 0.0:
-            take_snapshot(0.0, state.u)
+        if t > 0.0:
+            state = advance(state, t, mesh, model, bdata, cfg, observer=record)
+        snapshots.append((state.time, state.u.copy()))
+        if out is None:
             continue
-        state = advance(state, t, mesh, model, bdata, cfg, observer=observer)
-        take_snapshot(state.time, state.u)
+        tag = f"{state.time:g}"
+        if mesh.dimension == 1:
+            write_snapshot_csv(out / f"snapshot_{tag}.csv", mesh, state.u)
+        else:
+            write_snapshot_vtk(out / f"snapshot_{tag}.vtk", mesh, state.u,
+                               title=f"{spec.name} t={tag}")
     if state.time < spec.t_end:
-        state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=observer)
+        state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=record)
 
     if out is not None:
         write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
@@ -495,17 +477,20 @@ def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     )
 
 
+def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
+    """Time evolution with snapshot output at the requested times."""
+    return _evolve(spec, out_dir)
+
+
 # -- steady-state decay --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    times: np.ndarray
     distances: np.ndarray          # (n_steps, n_species)
     late_window_slopes: np.ndarray  # (n_species,)
     entropy_margin: float
     reports: list
-    mesh: Mesh
 
 
 def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateResult:
@@ -516,51 +501,32 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
     """
     if spec.dt_policy != "adaptive":
         raise ConfigurationError("the steady-state study requires adaptive stepping")
-    mesh = spec.build_mesh()
-    model = spec.build_model()
-    bdata = spec.build_bdata()
-    state = spec.initial_state(mesh)
-    m_star = scheme.max_principle_bound(state, bdata)
-    cfg = spec.newton_config()
-
-    u_d = bdata.values
-    times = []
     distances = []
-    reports = []
 
-    def observer(report, st):
-        reports.append(report)
-        diff = st.u - u_d[:, None]
-        times.append(report.time)
+    def observer(state, mesh, bdata):
+        diff = state.u - bdata.values[:, None]
         distances.append(np.sqrt((diff**2 * mesh.cell_measures).sum(axis=1)))
 
-    state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=observer)
-
-    times_arr = np.asarray(times)
+    run = _evolve(spec, out_dir, observer)
+    times = np.array([r.time for r in run.reports])
     dist_arr = np.asarray(distances)
-    window = times_arr >= spec.t_end / 2
+    window = times >= spec.t_end / 2
     slopes = np.full(dist_arr.shape[1], np.nan)
     for i in range(dist_arr.shape[1]):
         mask = window & (dist_arr[:, i] > 0.0)
         if mask.sum() >= 2:
-            slopes[i] = np.polyfit(np.log(times_arr[mask]),
-                                   np.log(dist_arr[mask, i]), 1)[0]
+            slopes[i] = np.polyfit(np.log(times[mask]), np.log(dist_arr[mask, i]), 1)[0]
 
     if out_dir is not None:
-        out = Path(out_dir)
         rows = [
             (t, i + 1, dist_arr[k, i])
-            for k, t in enumerate(times_arr)
+            for k, t in enumerate(times)
             for i in range(dist_arr.shape[1])
         ]
-        _write_csv(out / "decay.csv", ["time", "species", "l2_distance"], rows)
-        write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
-        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
+        _write_csv(Path(out_dir) / "decay.csv", ["time", "species", "l2_distance"], rows)
     return SteadyStateResult(
-        times=times_arr,
         distances=dist_arr,
         late_window_slopes=slopes,
-        entropy_margin=_entropy_margin(reports),
-        reports=reports,
-        mesh=mesh,
+        entropy_margin=run.entropy_margin,
+        reports=run.reports,
     )

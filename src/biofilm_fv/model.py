@@ -50,6 +50,12 @@ def admissible_biomass(u):
     return biomass
 
 
+def equal_diffusivities(alphas) -> bool:
+    """The paper's hypothesis for the biomass bound M <= M*: all alpha_i equal."""
+    alphas = np.asarray(alphas, dtype=float)
+    return bool(np.all(alphas == alphas[0]))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Exponents, species count and diffusivities of one model instance."""

@@ -42,7 +42,7 @@ from scipy.sparse.linalg import splu
 
 from . import diagnostics
 from .mesh import Mesh
-from .model import ModelDomainError, ModelFunctions, admissible_biomass
+from .model import ModelDomainError, ModelFunctions, admissible_biomass, equal_diffusivities
 
 # Newton iterate safeguards
 _NEGATIVE_SLACK = 1e-14
@@ -487,7 +487,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)
-    enforce_max_principle = bool(np.all(alphas == alphas[0]))
+    enforce_max_principle = equal_diffusivities(alphas)
     time_tol = 1e-13 * max(1.0, abs(t_end))
 
     while t_end - state.time > time_tol:

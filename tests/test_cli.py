@@ -1,7 +1,10 @@
+import configparser
+
 import numpy as np
 import pytest
 
-from biofilm_fv.cli import load_config, main
+from biofilm_fv.cli import _CONFIG_KEYS, load_config, main
+from biofilm_fv.harness import ConfigurationError
 from biofilm_fv.mesh import write_triangle_mesh_file
 
 from pathlib import Path
@@ -61,6 +64,12 @@ def test_strict_theory_rejects_unequal_diffusivities(tmp_path, capsys):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--strict-theory"])
     assert code == 2
     assert "equal" in capsys.readouterr().err
+
+
+def test_strict_theory_accepts_equal_non_unit_diffusivities(tmp_path):
+    # the paper's hypothesis is alpha_1 = ... = alpha_n, not alpha_i = 1
+    cfg = write_config(tmp_path / "a.cfg", RUN_1D.replace("alphas = 1, 1", "alphas = 2, 2"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--strict-theory"]) == 0
 
 
 def test_convergence_guard_too_few_resolutions(tmp_path, capsys):
@@ -159,10 +168,18 @@ BAD_CONFIGS = {
     "unknown-section": ("run", RUN_1D.replace("[time]", "[tme]")),
     "duplicate-key": ("run", RUN_1D.replace("cells = 20", "cells = 20\ncells = 40")),
     "default-section": ("run", "[DEFAULT]\nt_end = 2e-5\n" + RUN_1D),
+    "custom-indicator": ("run", RUN_1D.replace("bumps-1d", "custom-indicator")),
+    "negative-snapshot": ("run", RUN_1D.replace("snapshots = 1e-4", "snapshots = -1, 0, 1e-5")),
+    "bumps-1d-on-rectangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")),
+    "bumps-1d-on-triangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")
+                              .replace("nx = 4", f"file = {ACUTE_FIXTURE}")
+                              .replace("dirichlet = y=1", "dirichlet = all")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
-                  "duplicate-key": "'cells'", "default-section": "[DEFAULT]"}
+                  "duplicate-key": "'cells'", "default-section": "[DEFAULT]",
+                  "custom-indicator": "custom-indicator", "negative-snapshot": "-1.0",
+                  "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -172,8 +189,9 @@ def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
+    assert err.startswith("configuration error:") and "Traceback" not in err
     assert NAMED_IN_ERROR.get(name, "") in err
+    assert not (tmp_path / "out").exists()
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
@@ -183,6 +201,24 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 def test_shipped_configs_load(path):
     spec = load_config(str(path))
     assert spec.name == path.stem
+
+
+def test_load_config_rejects_custom_indicator(tmp_path):
+    # a config file has no key for its base, bump and boxes
+    path = write_config(tmp_path / "c.cfg", RUN_1D.replace("bumps-1d", "custom-indicator"))
+    with pytest.raises(ConfigurationError, match="custom-indicator"):
+        load_config(path)
+
+
+def test_readme_config_grammar_loads_and_names_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration files", 1)[1].split("```\n", 2)[1]
+    path = write_config(tmp_path / "grammar.cfg", block)
+    load_config(path)
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert {s: set(parser[s]) for s in parser.sections()} == {
+        s: set(keys) for s, keys in _CONFIG_KEYS.items()}
 
 
 SATURATED = "u_d = 0.45, 0.45"  # the bump doubles species 1 to 0.9 beside species 2 at 0.45

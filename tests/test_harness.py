@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biofilm_fv
 from biofilm_fv import (
     ConfigurationError,
     ExperimentSpec,
@@ -15,24 +17,57 @@ from biofilm_fv import (
     run_evolution,
     run_steady_state_study,
 )
-from biofilm_fv.harness import write_snapshot_vtk
+from biofilm_fv.harness import DIRICHLET_PREDICATES, write_snapshot_vtk
+from biofilm_fv.mesh import load_triangle_mesh_file
+
+ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")
 
 
 # -- named initial data ----------------------------------------------------------------
 
 
+def cell_of(n, *point):
+    """Index of the cell that holds ``point`` on the uniform n-per-axis mesh."""
+    return sum(int(c * n) * n**axis for axis, c in enumerate(point))
+
+
+# on 8 cells per axis, the cell that holds each point below lies wholly in one
+# region of the datum, so its average is the datum's value at the point
 def test_bumps_1d_values():
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
-    assert np.allclose(datum.evaluate(0.3), [0.2, 0.1])
-    assert np.allclose(datum.evaluate(0.6), [0.1, 0.2])
-    assert np.allclose(datum.evaluate(0.9), [0.1, 0.1])
+    u = datum.cell_average(build_interval_mesh(8, "left"))
+    assert np.allclose(u[:, cell_of(8, 0.3)], [0.2, 0.1])
+    assert np.allclose(u[:, cell_of(8, 0.6)], [0.1, 0.2])
+    assert np.allclose(u[:, cell_of(8, 0.9)], [0.1, 0.1])
 
 
 def test_bumps_2d_values():
     datum = build_named_initial_datum("bumps-2d", {"u_d": (0.1, 0.1)})
-    assert np.allclose(datum.evaluate(0.3, 0.2), [0.2, 0.1])
-    assert np.allclose(datum.evaluate(0.3, 0.8), [0.1, 0.1])
-    assert np.allclose(datum.evaluate(0.6, 0.1), [0.1, 0.2])
+    u = datum.cell_average(build_rectangle_mesh(8, 8, DIRICHLET_PREDICATES["y=1"]))
+    assert np.allclose(u[:, cell_of(8, 0.3, 0.2)], [0.2, 0.1])
+    assert np.allclose(u[:, cell_of(8, 0.3, 0.8)], [0.1, 0.1])
+    assert np.allclose(u[:, cell_of(8, 0.6, 0.1)], [0.1, 0.2])
+
+
+WRONG_BOX_MESHES = {
+    "interval": (lambda: build_interval_mesh(8, "left"), "bumps-2d"),
+    "rectangle": (lambda: build_rectangle_mesh(4, 4, DIRICHLET_PREDICATES["y=1"]), "bumps-1d"),
+    "triangle": (lambda: load_triangle_mesh_file(ACUTE_FIXTURE, DIRICHLET_PREDICATES["all"]),
+                 "bumps-1d"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_BOX_MESHES))
+def test_box_of_the_wrong_length_is_a_configuration_error(kind):
+    build, name = WRONG_BOX_MESHES[kind]
+    mesh = build()
+    datum = build_named_initial_datum(name, {"u_d": (0.1, 0.1)})
+    with pytest.raises(ConfigurationError, match=f"{mesh.dimension}D mesh"):
+        datum.cell_average(mesh)
+    three = build_named_initial_datum(
+        "custom-indicator", {"base": (0.1,), "bump": (0.1,), "boxes": ((0.0, 0.5, 0.0),)})
+    with pytest.raises(ConfigurationError):
+        three.cell_average(mesh)
 
 
 def test_constant_datum_everywhere():
