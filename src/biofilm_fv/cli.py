@@ -335,15 +335,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MeshError) as exc:
+        # a config whose mesh cannot be built is a configuration error;
+        # check-mesh reports its own MeshError as an inadmissible mesh
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, ModelDomainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except MeshError as exc:
-        print(f"mesh error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if args.command != "check-mesh" else EXIT_MESH
 
 
 def entry_point():

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, diagnostics, model as modelmod, scheme
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, load_triangle_mesh_file
@@ -318,6 +319,7 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
         "steps": len(reports),
         "newton_iters_total": int(sum(r.newton_iters for r in reports)),
         "newton_iters_max": max((r.newton_iters for r in reports), default=0),
+        "dt_halvings_total": int(sum(r.dt_halvings for r in reports)),
         "dt_min_used": min((r.dt_used for r in reports), default=None),
         "dt_max_used": max((r.dt_used for r in reports), default=None),
         "entropy_margin_min": margin if np.isfinite(margin) else None,
@@ -327,6 +329,7 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
         "versions": {
             "biofilm_fv": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }

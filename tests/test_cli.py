@@ -174,12 +174,17 @@ BAD_CONFIGS = {
     "bumps-1d-on-triangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")
                               .replace("nx = 4", f"file = {ACUTE_FIXTURE}")
                               .replace("dirichlet = y=1", "dirichlet = all")),
+    # the acute patch has no edge on y = 1, so its mesh has no contact boundary
+    "contact-missing-run": ("run", RUN_2D.replace("nx = 4", f"file = {ACUTE_FIXTURE}")),
+    "contact-missing-steady-state": ("steady-state", RUN_2D.replace(
+        "nx = 4", f"file = {ACUTE_FIXTURE}").replace("policy = fixed", "policy = adaptive")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "duplicate-key": "'cells'", "default-section": "[DEFAULT]",
                   "custom-indicator": "custom-indicator", "negative-snapshot": "-1.0",
-                  "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh"}
+                  "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh",
+                  "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

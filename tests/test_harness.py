@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import biofilm_fv
 from biofilm_fv import (
@@ -17,7 +19,7 @@ from biofilm_fv import (
     run_evolution,
     run_steady_state_study,
 )
-from biofilm_fv.harness import DIRICHLET_PREDICATES, write_snapshot_vtk
+from biofilm_fv.harness import DIRICHLET_PREDICATES, write_run_metadata, write_snapshot_vtk
 from biofilm_fv.mesh import load_triangle_mesh_file
 
 ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")
@@ -206,6 +208,23 @@ def test_entropy_margin_is_the_smallest_step_slack(tmp_path):
     assert result.entropy_margin == min(slacks) > 0.0
     metadata = json.loads((tmp_path / "run_metadata.json").read_text())
     assert metadata["entropy_margin_min"] == min(slacks)
+
+
+def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
+    spec = ExperimentSpec(
+        name="meta", t_end=1e-4, dimension=1, n_cells=10,
+        dt_policy="fixed", dt=1e-5, snapshot_times=(1e-4,),
+    )
+    result = run_evolution(spec, out_dir=tmp_path)
+    metadata = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert metadata["dt_halvings_total"] == 0
+    assert metadata["versions"]["scipy"] == scipy.__version__
+    # the total is the sum of the per-step halvings
+    reports = [dataclasses.replace(r, dt_halvings=k % 3) for k, r in enumerate(result.reports)]
+    write_run_metadata(tmp_path / "halved.json", spec, result.mesh, result.m_star, reports)
+    metadata = json.loads((tmp_path / "halved.json").read_text())
+    assert metadata["dt_halvings_total"] == sum(k % 3 for k in range(len(reports))) > 0
+    assert metadata["steps"] == len(reports)
 
 
 def test_evolution_rejects_late_snapshot():

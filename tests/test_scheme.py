@@ -263,7 +263,33 @@ def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
     x = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
-    assert np.array_equal(x, splu(matrix).solve(rhs))
+    # SuperLU's own solve in the order the cache holds: COLAMD in 1D, MMD on A^T + A in 2D
+    reference = splu(matrix) if mesh.dimension == 1 else splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(x, reference.solve(rhs))
+
+
+def _probe_and_lu_fill(mesh, n=2):
+    """The pattern's probe matrix and the L+U fill of its LU in the cached order."""
+    pattern = scheme._jacobian_pattern(mesh, n)
+    counts = np.diff(pattern.indptr)
+    probe = np.ones(pattern.indices.size)
+    probe[pattern.indices == np.repeat(np.arange(pattern.shape[0]), counts)] = counts
+    probe = sp.csc_matrix((probe, pattern.indices, pattern.indptr), shape=pattern.shape)
+    lu = splu(probe[:, pattern.order], permc_spec="NATURAL")
+    return pattern, probe, lu.L.nnz + lu.U.nnz
+
+
+def test_2d_cached_order_has_less_fill_than_colamd():
+    mesh = build_rectangle_mesh(16, 16, lambda x, y: abs(y - 1.0) < 1e-12)
+    _, probe, fill = _probe_and_lu_fill(mesh)
+    colamd = splu(probe)
+    assert fill < colamd.L.nnz + colamd.U.nnz
+
+
+def test_1d_cached_order_is_colamd():
+    # the 1D path, and with it the sat1d benchmark, stays bitwise on COLAMD
+    pattern, probe, _ = _probe_and_lu_fill(build_interval_mesh(80, "left"))
+    assert np.array_equal(pattern.order, np.argsort(splu(probe).perm_c))
 
 
 @pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
