@@ -320,6 +320,7 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
         "newton_iters_total": int(sum(r.newton_iters for r in reports)),
         "newton_iters_max": max((r.newton_iters for r in reports), default=0),
         "dt_halvings_total": int(sum(r.dt_halvings for r in reports)),
+        "lu_factorizations_total": int(sum(r.lu_factorizations for r in reports)),
         "dt_min_used": min((r.dt_used for r in reports), default=None),
         "dt_max_used": max((r.dt_used for r in reports), default=None),
         "entropy_margin_min": margin if np.isfinite(margin) else None,

@@ -20,9 +20,16 @@ on the biomass.
 ``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
 ``start``, the evaluation of ``state_prev.u``, and returns the new state with
 its accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
-its entry state once, hands each accepted evaluation on as the next step's
-``start`` (dt-halving retries reuse it), computes the per-step diagnostics,
-enforces the invariants and builds the one ``StepReport``.
+its entry state once (or takes the evaluation and entropy that the previous
+call left on the state), hands each accepted evaluation on as the next
+step's ``start`` (dt-halving retries reuse it), computes the per-step
+diagnostics, enforces the invariants and builds the one ``StepReport``.
+
+The Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On
+2D meshes it keeps the LU factors of the last Jacobian it factored and
+solves against each new exact Jacobian by iterative refinement on them,
+factoring anew only when the refinement stalls, so the Newton iterates stay
+those of exact-Jacobian Newton; in 1D every iterate is factored.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguards only protect transient iterates: updates are
@@ -33,7 +40,7 @@ model's domain, after which tiny negatives are clipped to zero.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +56,13 @@ _NEGATIVE_SLACK = 1e-14
 _SATURATION_SLACK = 1e-14
 _MAX_HALVINGS = 30
 _DAMPING = 0.5
+
+# refinement of a solve on held LU factors (``_LinearSolver``, 2D meshes):
+# target relative residual, sweeps at most, and the least contraction per
+# sweep, below which the Jacobian is factored anew
+_REFINE_TOL = 1e-13
+_REFINE_SWEEPS = 4
+_REFINE_CONTRACTION = 0.1
 
 # invariant tolerances checked after every accepted step
 MAX_PRINCIPLE_TOL = 1e-12
@@ -81,11 +95,17 @@ class InvariantViolation(SolverError):
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Snapshot of the discrete solution: u has shape (n_species, n_cells)."""
+    """Snapshot of the discrete solution: u has shape (n_species, n_cells).
+
+    A state accepted by ``advance`` also carries ``accepted``, the triple
+    ((mesh, model, bdata), its ``Evaluation``, its entropy), which the next
+    ``advance`` on the same mesh, model and boundary data reuses.
+    """
 
     time: float
     u: np.ndarray
     dt_last: float | None = None
+    accepted: tuple | None = field(default=None, repr=False)
 
     @property
     def biomass(self):
@@ -142,14 +162,17 @@ class StepReport:
     """Diagnostics of one accepted step, built once by ``advance``.
 
     ``entropy_margin`` is the slack H_{k-1} - H_k - dt * sum_i alpha_i I_i of
-    the entropy inequality ``advance`` enforces, and ``dt_halvings`` counts
-    the Newton failures before the step was accepted.
+    the entropy inequality ``advance`` enforces, ``dt_halvings`` counts
+    the Newton failures before the step was accepted, and
+    ``lu_factorizations`` the LU factorisations made while taking the step,
+    its rejected attempts included.
     """
 
     time: float
     dt_used: float
     newton_iters: int
     dt_halvings: int
+    lu_factorizations: int
     residual_norm: float
     entropy: float
     dissipation: np.ndarray
@@ -269,8 +292,11 @@ class _JacobianPattern:
     (postordered) column order, minimum degree on A^T + A (MMD_AT_PLUS_A) on
     2D meshes and COLAMD in 1D, which depends on the pattern alone;
     ``gather`` takes the CSC data of J to that of J[:, order], whose pattern
-    is ``ordered_indices``/``ordered_indptr``.  All arrays are read-only,
-    because every Jacobian on the mesh shares them.
+    is ``ordered_indices``/``ordered_indptr``.  ``reuse_factors`` lets a
+    ``_LinearSolver`` hold LU factors across solves: on 2D meshes only,
+    because a 1D factorisation costs only three to four refinement sweeps.
+    All arrays are read-only, because every Jacobian on the mesh shares
+    them.
     """
 
     shape: tuple
@@ -281,6 +307,7 @@ class _JacobianPattern:
     gather: np.ndarray
     ordered_indices: np.ndarray
     ordered_indptr: np.ndarray
+    reuse_factors: bool
 
 
 # patterns per mesh and species count; a mesh's entry goes when the mesh does
@@ -322,6 +349,7 @@ def _build_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
         gather=gather,
         ordered_indices=indices[gather],
         ordered_indptr=ordered_indptr,
+        reuse_factors=mesh.dimension == 2,
     )
     for array in vars(pattern).values():
         if isinstance(array, np.ndarray):
@@ -386,22 +414,74 @@ def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def _solve_linear(matrix, rhs, pattern: _JacobianPattern):
-    """Solve matrix @ x = rhs by one LU of matrix[:, pattern.order].
+class _LinearSolver:
+    """Solves the Newton systems J x = b on one Jacobian pattern, always against the current J.
 
-    Factoring the reordered matrix in natural order repeats, bit for bit,
-    what ``splu(matrix, permc_spec=...)`` computes after its own ordering
-    (MMD_AT_PLUS_A in 2D, COLAMD in 1D), without recomputing that ordering.
-    Raises RuntimeError on a singular matrix.
+    Each factorisation is one LU of J[:, pattern.order] in natural order,
+    which repeats, bit for bit, what ``splu(J, permc_spec=...)`` computes
+    after its own ordering (MMD_AT_PLUS_A in 2D, COLAMD in 1D) without
+    recomputing that ordering.  Where ``pattern.reuse_factors`` holds (2D
+    meshes) the solver keeps the LU of the last Jacobian it factored, and a
+    later solve on a new J starts from x = LU^-1 b and refines
+    x += LU^-1 (b - J x) until ||b - J x||_inf <= _REFINE_TOL ||b||_inf.  It
+    gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks the
+    residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
+    and then drops the stale factors and factors J.  The held factors only
+    precondition the refinement, so every Newton iterate is the
+    exact-Jacobian one to round-off.  Elsewhere every solve factors J.
+    ``factorizations`` counts the LU factorisations made; ``solve`` raises
+    RuntimeError on a singular J.
     """
-    ordered = sp.csc_matrix(
-        (matrix.data[pattern.gather], pattern.ordered_indices, pattern.ordered_indptr),
-        shape=pattern.shape,
-    )
-    y = splu(ordered, permc_spec="NATURAL").solve(rhs)
-    x = np.empty_like(y)
-    x[pattern.order] = y
-    return x
+
+    def __init__(self, pattern: _JacobianPattern):
+        self.pattern = pattern
+        self.factorizations = 0
+        self._lu = None
+
+    def solve(self, matrix, rhs):
+        if self._lu is not None:
+            x = self._refined(matrix, rhs)
+            if x is not None:
+                return x
+            self._lu = None  # so that at most one set of factors is alive
+        pattern = self.pattern
+        ordered = sp.csc_matrix(
+            (matrix.data[pattern.gather], pattern.ordered_indices, pattern.ordered_indptr),
+            shape=pattern.shape,
+        )
+        lu = splu(ordered, permc_spec="NATURAL")
+        self.factorizations += 1
+        if pattern.reuse_factors:
+            self._lu = lu
+        return self._apply(lu, rhs)
+
+    def _apply(self, lu, rhs):
+        """LU^-1 rhs in the natural order of the unknowns."""
+        y = lu.solve(rhs)
+        x = np.empty_like(y)
+        x[self.pattern.order] = y
+        return x
+
+    def _refined(self, matrix, rhs):
+        """x with ||rhs - matrix x||_inf <= _REFINE_TOL ||rhs||_inf on the held factors, or None."""
+        target = _REFINE_TOL * np.abs(rhs).max()
+        x = self._apply(self._lu, rhs)
+        previous = np.inf
+        for sweeps in range(_REFINE_SWEEPS + 1):
+            r = rhs - matrix @ x
+            norm = np.abs(r).max()
+            if norm <= target:
+                return x
+            if (sweeps == _REFINE_SWEEPS or not np.isfinite(norm)
+                    or norm > _REFINE_CONTRACTION * previous):
+                return None
+            x += self._apply(self._lu, r)
+            previous = norm
+
+
+def _solve_linear(matrix, rhs, pattern: _JacobianPattern):
+    """Solve matrix @ x = rhs by one fresh LU of matrix[:, pattern.order]."""
+    return _LinearSolver(pattern).solve(matrix, rhs)
 
 
 # -- Newton and time stepping -----------------------------------------------------------
@@ -422,21 +502,25 @@ class NewtonResult:
 
 
 def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
-                bdata: BoundaryData, cfg: NewtonConfig):
+                bdata: BoundaryData, cfg: NewtonConfig, *, solver: _LinearSolver | None = None):
     """One implicit Euler step via damped Newton from ``start``, the evaluation of state_prev.u.
 
-    Returns (state, NewtonResult); raises NewtonFailure when the iteration
-    budget or the damping budget is exhausted.
+    ``solver`` solves the Newton systems and may hold LU factors from earlier
+    solves; ``advance`` passes the one it owns, and a direct call makes its
+    own.  Returns (state, NewtonResult); raises NewtonFailure when the
+    iteration budget or the damping budget is exhausted, or a Jacobian is
+    singular.
     """
     u = state_prev.u
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
-    pattern = _jacobian_pattern(mesh, u.shape[0])
+    if solver is None:
+        solver = _LinearSolver(_jacobian_pattern(mesh, u.shape[0]))
 
     for it in range(1, cfg.max_iters + 1):
         matrix = jacobian(evaluation, dt, mesh, model)
         try:
-            delta = _solve_linear(matrix, -res.ravel(order="F"), pattern)
+            delta = solver.solve(matrix, -res.ravel(order="F"))
         except RuntimeError as exc:  # singular factorization
             raise NewtonFailure(f"linear solve failed: {exc}", iterations=it) from exc
         delta = delta.reshape(u.shape, order="F")
@@ -486,12 +570,23 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     landing clamp.  ``observer``, when given, is called as
     observer(report, state) after every accepted step and must not mutate
     the state.
+
+    One ``_LinearSolver`` serves every step of the call, so LU factors held
+    on 2D meshes carry across iterates and steps; they are freed on return.
+    The entry state's evaluation and entropy come from ``state.accepted``
+    when a previous call on the same mesh, model and boundary data left
+    them there.
     """
     if t_end < state.time:
         raise ValueError("t_end lies before the current state time")
     m_star = max_principle_bound(state, bdata)
-    entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
-    start = evaluate(state.u, mesh, model, bdata)
+    context = (mesh, model, bdata)
+    if state.accepted is not None and all(a is b for a, b in zip(state.accepted[0], context)):
+        _, start, entropy_prev = state.accepted
+    else:
+        entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
+        start = evaluate(state.u, mesh, model, bdata)
+    solver = _LinearSolver(_jacobian_pattern(mesh, state.u.shape[0]))
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)
@@ -506,9 +601,11 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         dt = min(dt_next, t_end - state.time)
 
         halvings = 0
+        factored = solver.factorizations
         while True:
             try:
-                new_state, result = newton_step(state, start, dt, mesh, model, bdata, cfg)
+                new_state, result = newton_step(state, start, dt, mesh, model, bdata, cfg,
+                                                solver=solver)
                 break
             except NewtonFailure as exc:
                 dt *= 0.5
@@ -545,6 +642,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             dt_used=dt,
             newton_iters=result.newton_iters,
             dt_halvings=halvings,
+            lu_factorizations=solver.factorizations - factored,
             residual_norm=result.residual_norm,
             entropy=entropy,
             dissipation=dissipation,
@@ -556,5 +654,6 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         if observer is not None:
             observer(report, new_state)
         entropy_prev = entropy
-        state, start = new_state, accepted
+        state = replace(new_state, accepted=(context, accepted, entropy))
+        start = accepted
     return state

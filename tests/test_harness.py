@@ -7,6 +7,8 @@ import pytest
 import scipy
 
 import biofilm_fv
+import biofilm_fv.cli
+from biofilm_fv import diagnostics, harness
 from biofilm_fv import (
     ConfigurationError,
     ExperimentSpec,
@@ -21,6 +23,7 @@ from biofilm_fv import (
 )
 from biofilm_fv.harness import DIRICHLET_PREDICATES, write_run_metadata, write_snapshot_vtk
 from biofilm_fv.mesh import load_triangle_mesh_file
+from biofilm_fv.model import get_model
 
 ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")
 
@@ -218,6 +221,8 @@ def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
     result = run_evolution(spec, out_dir=tmp_path)
     metadata = json.loads((tmp_path / "run_metadata.json").read_text())
     assert metadata["dt_halvings_total"] == 0
+    # 1D factors every Newton iterate
+    assert metadata["lu_factorizations_total"] == metadata["newton_iters_total"]
     assert metadata["versions"]["scipy"] == scipy.__version__
     # the total is the sum of the per-step halvings
     reports = [dataclasses.replace(r, dt_halvings=k % 3) for k, r in enumerate(result.reports)]
@@ -225,6 +230,29 @@ def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
     metadata = json.loads((tmp_path / "halved.json").read_text())
     assert metadata["dt_halvings_total"] == sum(k % 3 for k in range(len(reports))) > 0
     assert metadata["steps"] == len(reports)
+
+
+def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
+    # each advance call after the first takes its entry state's evaluation
+    # and entropy from the state the previous call returned
+    spec = biofilm_fv.cli.load_config(str(Path(__file__).parents[1] / "configs" / "case1-1d.cfg"))
+    calls = {"g": 0, "entropy": 0}
+
+    def counted_model(*args, **kwargs):
+        model = get_model(*args, **kwargs)
+        g = model.g
+        model.g = lambda m: calls.__setitem__("g", calls["g"] + 1) or g(m)
+        return model
+
+    def counted_entropy(*args):
+        calls["entropy"] += 1
+        return discrete_entropy(*args)
+
+    monkeypatch.setattr(harness, "get_model", counted_model)
+    monkeypatch.setattr(diagnostics, "discrete_entropy", counted_entropy)
+    result = run_evolution(spec)
+    assert len(result.reports) == 100
+    assert calls == {"g": 201, "entropy": 101}
 
 
 def test_evolution_rejects_late_snapshot():
@@ -278,6 +306,9 @@ def test_steady_state_smoke(tmp_path):
         dt_policy="adaptive", dt=1e-5,
     )
     result = run_steady_state_study(spec, out_dir=tmp_path)
+    # 2D solves on held LU factors wherever the refinement converges
+    metadata = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert 0 < metadata["lu_factorizations_total"] < metadata["newton_iters_total"]
     entropies = [r.entropy for r in result.reports]
     assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(entropies, entropies[1:]))
     assert (tmp_path / "decay.csv").read_text().splitlines()[0] == "time,species,l2_distance"

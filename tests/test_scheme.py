@@ -292,6 +292,129 @@ def test_1d_cached_order_is_colamd():
     assert np.array_equal(pattern.order, np.argsort(splu(probe).perm_c))
 
 
+def _held_factors(mesh, bdata, dt=1e-2):
+    """A linear solver holding the LU of one Jacobian, and the state it was taken at."""
+    model = model_case1(alphas=(1.0, 5.0))
+    rng = np.random.default_rng(21)
+    u = random_admissible(rng, 2, mesh.n_cells, low=0.05, high=0.15)
+    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    matrix = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model)
+    solver.solve(matrix, rng.standard_normal(matrix.shape[0]))
+    assert solver.factorizations == 1
+    return solver, model, u, rng
+
+
+@pytest.mark.parametrize("name", ["rectangle", "acute"])
+def test_refined_solve_on_held_factors_meets_the_residual_target(name, bdata_01):
+    mesh = _assembly_meshes()[name]
+    solver, model, u, rng = _held_factors(mesh, bdata_01)
+    matrix = jacobian(evaluate(1.001 * u, mesh, model, bdata_01), 1e-2, mesh, model)
+    rhs = rng.standard_normal(matrix.shape[0])
+    x = solver.solve(matrix, rhs)
+    # solved on the factors of the old Jacobian, refined against the new one
+    assert solver.factorizations == 1
+    assert np.abs(rhs - matrix @ x).max() <= scheme._REFINE_TOL * np.abs(rhs).max()
+
+
+def test_factors_at_another_dt_are_abandoned(bdata_01, monkeypatch):
+    mesh = _assembly_meshes()["rectangle"]
+    factored = []
+    monkeypatch.setattr(scheme, "splu",
+                        lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
+    solver, model, u, rng = _held_factors(mesh, bdata_01, dt=1e-2)
+    assert len(factored) == 1
+    applied = []
+    apply = scheme._LinearSolver._apply
+    monkeypatch.setattr(scheme._LinearSolver, "_apply",
+                        lambda self, lu, rhs: applied.append(lu) or apply(self, lu, rhs))
+    matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-6, mesh, model)
+    rhs = rng.standard_normal(matrix.shape[0])
+    x = solver.solve(matrix, rhs)
+    assert len(factored) == solver.factorizations == 2
+    # x = LU^-1 b and one sweep that fails to shrink the residual tenfold on
+    # the old factors, then one solve on the new ones
+    assert len(applied) == 3 and applied[0] is applied[1] is not applied[2]
+    # the new factors replace the old ones and serve the next solve
+    solver.solve(matrix, rhs)
+    assert len(factored) == 2
+    fresh = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
+    assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
+
+
+def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monkeypatch):
+    mesh = _assembly_meshes()["rectangle"]
+    solver, model, u, _ = _held_factors(mesh, bdata_01)
+
+    def singular(evaluation, dt, mesh, model):
+        matrix = jacobian(evaluation, dt, mesh, model)
+        matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
+        return matrix
+
+    monkeypatch.setattr(scheme, "jacobian", singular)
+    state = make_state(u)
+    start = evaluate(state.u, mesh, model, bdata_01)
+    with pytest.raises(NewtonFailure, match="linear solve failed"):
+        newton_step(state, start, 1e-2, mesh, model, bdata_01, NewtonConfig(), solver=solver)
+    assert solver._lu is None
+
+
+def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01, monkeypatch):
+    mesh = build_rectangle_mesh(8, 8, lambda x, y: abs(y - 1.0) < 1e-12)
+    model = model_case1(alphas=(1.0, 5.0))
+    state = project_initial(build_named_initial_datum("bumps-2d", {"u_d": (0.1, 0.1)}), mesh)
+    cfg = NewtonConfig(dt_init=1e-5, dt_max=1e-2)
+
+    def run():
+        reports = []
+        final = advance(state, 0.2, mesh, model, bdata_01, cfg,
+                        observer=lambda r, s: reports.append(r))
+        return final, reports
+
+    reused, reused_reports = run()
+    monkeypatch.setattr(scheme, "_REFINE_TOL", 0.0)
+    fresh, fresh_reports = run()
+    iters = [r.newton_iters for r in fresh_reports]
+    assert [r.newton_iters for r in reused_reports] == iters
+    assert [r.dt_used for r in reused_reports] == [r.dt_used for r in fresh_reports]
+    assert sum(r.dt_halvings for r in reused_reports) == 0
+    assert [r.lu_factorizations for r in fresh_reports] == iters
+    assert sum(r.lu_factorizations for r in reused_reports) < sum(iters)
+    assert np.abs(reused.u - fresh.u).max() <= 1e-12
+
+
+def test_step_report_counts_the_factorizations_of_rejected_attempts(case1, bdata_01):
+    # 1D factors every iterate, and each rejected attempt here runs out of
+    # its two iterates
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    reports = []
+    advance(state, 1e-2, mesh, case1, bdata_01, NewtonConfig(max_iters=2, dt_init=1e-2),
+            observer=lambda r, s: reports.append(r))
+    first = reports[0]
+    assert first.dt_halvings > 0
+    assert first.lu_factorizations == first.newton_iters + 2 * first.dt_halvings
+
+
+def test_advance_takes_the_entry_evaluation_from_the_state_it_returned(case1, bdata_01,
+                                                                       monkeypatch):
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
+    split = advance(advance(state, 5e-5, mesh, case1, bdata_01, cfg), 1e-4, mesh, case1,
+                    bdata_01, cfg)
+    whole = advance(state, 1e-4, mesh, case1, bdata_01, cfg)
+    assert np.array_equal(split.u, whole.u)
+    evaluations = []
+    monkeypatch.setattr(scheme, "evaluate",
+                        lambda u, *args: evaluations.append(u) or evaluate(u, *args))
+    advance(split, 2e-4, mesh, case1, bdata_01, cfg)
+    assert not any(u is split.u for u in evaluations)
+    # another model, mesh or contact state evaluates the entry state anew
+    evaluations.clear()
+    advance(split, 1.1e-4, mesh, model_case2(), bdata_01, cfg)
+    assert evaluations[0] is split.u
+
+
 @pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
 def test_each_call_evaluates_the_model_once(name, bdata_01):
     # g and p cover the cells and the contact state in one call each
