@@ -51,8 +51,15 @@ PAPER_SCALE_REFERENCE = 5120
 PAPER_SCALE_CELLS_1D = 5120
 
 
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _floats(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_finite(tok) for tok in text.replace(",", " ").split())
 
 
 def _ints(text):
@@ -66,11 +73,11 @@ def _normalize_dirichlet(token):
 # the parser of each [section] key; ExperimentSpec's field defaults are the only defaults
 _CONFIG_KEYS = {
     "experiment": {"name": str, "model": str, "alphas": _floats, "u_d": _floats,
-                   "initial": str, "t_end": float, "p": str, "a": float, "b": float},
+                   "initial": str, "t_end": _finite, "p": str, "a": _finite, "b": _finite},
     "mesh": {"dimension": int, "cells": int, "nx": int, "ny": int, "file": str,
              "dirichlet": _normalize_dirichlet},
-    "time": {"policy": str, "dt": float, "dt_min": float, "dt_max": float,
-             "newton_tol": float, "newton_max_iters": int},
+    "time": {"policy": str, "dt": _finite, "dt_min": _finite, "dt_max": _finite,
+             "newton_tol": _finite, "newton_max_iters": int},
     "convergence": {"resolutions": _ints, "reference": int},
     "output": {"snapshots": _floats},
 }

@@ -161,7 +161,7 @@ class ExperimentSpec:
     b: float | None = None
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:  # NaN fails too
             raise ConfigurationError("t_end must be positive")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
@@ -419,7 +419,6 @@ class EvolutionResult:
     snapshots: list
     reports: list
     m_star: float
-    mesh: Mesh
     final_state: State
     entropy_margin: float
 
@@ -475,7 +474,6 @@ def _evolve(spec: ExperimentSpec, out_dir, observer=None) -> EvolutionResult:
         snapshots=snapshots,
         reports=reports,
         m_star=m_star,
-        mesh=mesh,
         final_state=state,
         entropy_margin=_entropy_margin(reports),
     )

@@ -42,10 +42,11 @@ def admissible_biomass(u):
     ModelDomainError for any other state.
     """
     u = np.asarray(u, dtype=float)
-    if u.size and u.min() < 0.0:
-        raise ModelDomainError("negative species proportion")
+    # written so that NaN fails both tests
+    if not (u >= 0.0).all():
+        raise ModelDomainError("negative species proportion (or NaN)")
     biomass = u.sum(axis=0)
-    if biomass.size and biomass.max() >= 1.0:
+    if not (biomass < 1.0).all():
         raise ModelDomainError(f"biomass reached saturation: max = {float(biomass.max())}")
     return biomass
 

@@ -32,9 +32,10 @@ factoring anew only when the refinement stalls, so the Newton iterates stay
 those of exact-Jacobian Newton; in 1D every iterate is factored.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
-scheme, so the Newton safeguards only protect transient iterates: updates are
-halved until the iterate stays above -1e-14, below saturation and inside the
-model's domain, after which tiny negatives are clipped to zero.
+scheme, so the Newton safeguard only protects transient iterates, by one rule.
+A damping trial has its round-off negatives in (-1e-14, 0) clipped to zero and
+is accepted when ``evaluate`` takes it (it is admissible and inside the
+model's domain) and its residual is finite; otherwise the update is halved.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .model import ModelDomainError, ModelFunctions, admissible_biomass, equal_d
 
 # Newton iterate safeguards
 _NEGATIVE_SLACK = 1e-14
-_SATURATION_SLACK = 1e-14
 _MAX_HALVINGS = 30
 _DAMPING = 0.5
 
@@ -75,10 +75,6 @@ class SolverError(Exception):
 
 class NewtonFailure(SolverError):
     """Newton did not converge; ``advance`` reacts by halving dt."""
-
-    def __init__(self, message, iterations):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class SolverFailure(SolverError):
@@ -479,11 +475,6 @@ class _LinearSolver:
             previous = norm
 
 
-def _solve_linear(matrix, rhs, pattern: _JacobianPattern):
-    """Solve matrix @ x = rhs by one fresh LU of matrix[:, pattern.order]."""
-    return _LinearSolver(pattern).solve(matrix, rhs)
-
-
 # -- Newton and time stepping -----------------------------------------------------------
 
 
@@ -522,40 +513,32 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
         try:
             delta = solver.solve(matrix, -res.ravel(order="F"))
         except RuntimeError as exc:  # singular factorization
-            raise NewtonFailure(f"linear solve failed: {exc}", iterations=it) from exc
+            raise NewtonFailure(f"linear solve failed: {exc}") from exc
         delta = delta.reshape(u.shape, order="F")
 
         step = 1.0
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             trial = u + step * delta
-            if (trial > -_NEGATIVE_SLACK).all() and (
-                trial.sum(axis=0) < 1.0 - _SATURATION_SLACK
-            ).all():
-                trial = np.where(trial < 0.0, 0.0, trial)
-                try:
-                    attempt = evaluate(trial, mesh, model, bdata)
-                except ModelDomainError:
-                    # beyond the model's domain (e.g. a quadrature model's cap)
-                    attempt = None
-                if attempt is not None:
-                    res_attempt = residual(state_prev, attempt, dt, mesh)
-                    if np.isfinite(res_attempt).all():
-                        accepted = trial, attempt, res_attempt
-                        break
+            trial = np.where((-_NEGATIVE_SLACK < trial) & (trial < 0.0), 0.0, trial)
+            try:
+                attempt = evaluate(trial, mesh, model, bdata)
+            except ModelDomainError:
+                pass  # inadmissible, or beyond the model's domain
+            else:
+                res_attempt = residual(state_prev, attempt, dt, mesh)
+                if np.isfinite(res_attempt).all():
+                    break
             step *= _DAMPING
-        if accepted is None:
-            raise NewtonFailure("damping exhausted without admissible iterate",
-                                iterations=it)
+        else:
+            raise NewtonFailure("damping exhausted without admissible iterate")
 
-        u, evaluation, res = accepted
+        u, evaluation, res = trial, attempt, res_attempt
         res_norm = _scaled_norm(res, dt, mesh)
         if res_norm <= cfg.tol:
             state = State(time=state_prev.time + dt, u=u, dt_last=dt)
             return state, NewtonResult(evaluation, newton_iters=it, residual_norm=res_norm)
 
-    raise NewtonFailure(f"no convergence within {cfg.max_iters} iterations",
-                        iterations=cfg.max_iters)
+    raise NewtonFailure(f"no convergence within {cfg.max_iters} iterations")
 
 
 def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,

@@ -170,6 +170,10 @@ BAD_CONFIGS = {
     "default-section": ("run", "[DEFAULT]\nt_end = 2e-5\n" + RUN_1D),
     "custom-indicator": ("run", RUN_1D.replace("bumps-1d", "custom-indicator")),
     "negative-snapshot": ("run", RUN_1D.replace("snapshots = 1e-4", "snapshots = -1, 0, 1e-5")),
+    "nan-t-end": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = nan")),
+    "nan-u-d": ("run", RUN_1D.replace("u_d = 0.1, 0.1", "u_d = nan, 0.1")),
+    "nan-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = nan, 1")),
+    "inf-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = inf, 1")),
     "bumps-1d-on-rectangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")),
     "bumps-1d-on-triangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")
                               .replace("nx = 4", f"file = {ACUTE_FIXTURE}")
@@ -184,7 +188,9 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "duplicate-key": "'cells'", "default-section": "[DEFAULT]",
                   "custom-indicator": "custom-indicator", "negative-snapshot": "-1.0",
                   "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh",
-                  "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet"}
+                  "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet",
+                  "nan-t-end": "'nan' is not a finite number", "nan-u-d": "u_d",
+                  "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

@@ -177,7 +177,7 @@ def test_evolution_snapshot_at_zero_is_projection(tmp_path):
     result = run_evolution(spec, out_dir=tmp_path)
     t0, u0 = result.snapshots[0]
     assert t0 == 0.0
-    mesh = result.mesh
+    mesh = spec.build_mesh()
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     assert np.array_equal(u0, project_initial(datum, mesh).u)
     # biomass bound and conservation hold at every step
@@ -200,8 +200,9 @@ def test_entropy_margin_is_the_smallest_step_slack(tmp_path):
         dt_policy="adaptive", dt=1e-5, snapshot_times=(5e-4, 1e-3),
     )
     result = run_evolution(spec, out_dir=tmp_path)
-    initial = project_initial(spec.build_datum(), result.mesh)
-    previous = discrete_entropy(initial, result.mesh, spec.build_model(), spec.build_bdata())
+    mesh = spec.build_mesh()
+    initial = project_initial(spec.build_datum(), mesh)
+    previous = discrete_entropy(initial, mesh, spec.build_model(), spec.build_bdata())
     alphas = np.array(spec.alphas)
     slacks = []
     for r in result.reports:
@@ -226,7 +227,7 @@ def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
     assert metadata["versions"]["scipy"] == scipy.__version__
     # the total is the sum of the per-step halvings
     reports = [dataclasses.replace(r, dt_halvings=k % 3) for k, r in enumerate(result.reports)]
-    write_run_metadata(tmp_path / "halved.json", spec, result.mesh, result.m_star, reports)
+    write_run_metadata(tmp_path / "halved.json", spec, spec.build_mesh(), result.m_star, reports)
     metadata = json.loads((tmp_path / "halved.json").read_text())
     assert metadata["dt_halvings_total"] == sum(k % 3 for k in range(len(reports))) > 0
     assert metadata["steps"] == len(reports)
@@ -276,7 +277,7 @@ def test_evolution_2d_writes_vtk(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 3.0"
     assert "DATASET UNSTRUCTURED_GRID" in text
-    assert f"CELL_DATA {result.mesh.n_cells}" in text
+    assert f"CELL_DATA {spec.build_mesh().n_cells}" in text
     assert sum(1 for line in text if line.startswith("SCALARS")) == 3  # u_1, u_2, M
 
 

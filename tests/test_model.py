@@ -15,6 +15,7 @@ from biofilm_fv import (
     model_case2,
     model_generic,
 )
+from biofilm_fv.model import admissible_biomass
 
 # frozen oracle values (30-digit quadrature of the defining integrals)
 H_STAR_CASE2_02_01 = 0.0888060151737645965048222734305
@@ -185,6 +186,14 @@ def test_entropy_domain_errors(case2):
         entropy_density([0.6, 0.5], case2, [0.1, 0.1])
     with pytest.raises(ModelDomainError):
         entropy_density([-0.01, 0.1], case2, [0.1, 0.1])
+
+
+@pytest.mark.parametrize("u", [[np.nan, 0.1], [[0.1, 0.2], [0.1, np.nan]]],
+                         ids=["vector", "cells"])
+def test_admissible_biomass_rejects_nan(u):
+    # NaN compares false both ways, so the rule must ask for u >= 0 and M < 1
+    with pytest.raises(ModelDomainError, match="negative species proportion"):
+        admissible_biomass(u)
 
 
 def test_cached_primitive_matches_quadrature(case1, case2):

@@ -262,7 +262,7 @@ def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
     u = random_admissible(rng, 2, mesh.n_cells)
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
-    x = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
+    x = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2)).solve(matrix, rhs)
     # SuperLU's own solve in the order the cache holds: COLAMD in 1D, MMD on A^T + A in 2D
     reference = splu(matrix) if mesh.dimension == 1 else splu(matrix, permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(x, reference.solve(rhs))
@@ -337,7 +337,7 @@ def test_factors_at_another_dt_are_abandoned(bdata_01, monkeypatch):
     # the new factors replace the old ones and serve the next solve
     solver.solve(matrix, rhs)
     assert len(factored) == 2
-    fresh = scheme._solve_linear(matrix, rhs, scheme._jacobian_pattern(mesh, 2))
+    fresh = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2)).solve(matrix, rhs)
     assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
 
 
@@ -597,6 +597,68 @@ def test_newton_failure_signalled(case2, bdata_01):
     with pytest.raises(NewtonFailure):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-2, mesh, case2,
                     bdata_01, cfg)
+
+
+def test_nan_update_exhausts_the_damping(case2, bdata_01):
+    # a NaN stays NaN under halving, and evaluate rejects it on every trial
+    mesh = build_interval_mesh(10, "left")
+    state = make_state(np.full((2, 10), 0.1))
+    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
+    with pytest.raises(NewtonFailure, match="damping exhausted"):
+        newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
+                    bdata_01, NewtonConfig(), solver=solver)
+
+
+def test_trial_with_non_finite_residual_is_halved(case2, bdata_01, monkeypatch):
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    start = evaluate(state.u, mesh, case2, bdata_01)
+    cfg = NewtonConfig()
+    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    calls = []
+
+    def first_trial_infinite(state_prev, evaluation, dt, mesh):
+        calls.append(evaluation)
+        out = residual(state_prev, evaluation, dt, mesh)
+        return np.full_like(out, np.inf) if len(calls) == 2 else out
+
+    monkeypatch.setattr(scheme, "residual", first_trial_infinite)
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    # the full step of the first iterate was refused and its half step taken
+    half_step = state.u + 0.5 * (calls[1].u - state.u)
+    assert np.abs(calls[2].u - half_step).max() <= 1e-15
+    assert result.residual_norm <= cfg.tol
+    assert np.abs(new.u - reference.u).max() <= 1e-9
+
+
+def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monkeypatch):
+    # only negatives above -_NEGATIVE_SLACK are clipped; a larger one makes
+    # the trial inadmissible, so the update is halved until it is gone
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    start = evaluate(state.u, mesh, case2, bdata_01)
+    cfg = NewtonConfig()
+    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    solve, updates = solver.solve, []
+
+    def overshooting(matrix, rhs):
+        x = solve(matrix, rhs)
+        if not updates:
+            x[0] = -3.0 * state.u[0, 0]  # full step -2 u, half step -u/2, quarter step u/4
+        updates.append(x.reshape(state.u.shape, order="F"))
+        return x
+
+    solver.solve = overshooting
+    calls = []
+    monkeypatch.setattr(scheme, "residual",
+                        lambda *args: calls.append(args[1]) or residual(*args))
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg, solver=solver)
+    # the first residual after the start's is that of the accepted quarter step
+    assert np.abs(calls[1].u - (state.u + 0.25 * updates[0])).max() <= 1e-15
+    assert result.residual_norm <= cfg.tol
+    assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
 # -- advance -------------------------------------------------------------------------
