@@ -5,15 +5,13 @@ Exit codes are stable contracts: 0 success, 2 configuration error,
 3 solver failure, 4 inadmissible mesh.
 
 Configuration files are flat key = value text with INI-style sections; see
-the README for the grammar.  The only honored environment variable is
-THREADS (default thread count for the harness).
+the README for the grammar.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from pathlib import Path
 
@@ -140,14 +138,8 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
 
 
 def _prepare(args):
-    """The experiment and its output directory; resolves ``args.threads`` from THREADS."""
+    """The experiment and its output directory."""
     spec = load_config(args.config, paper_scale=args.paper_scale)
-    if args.threads is None:
-        text = os.environ.get("THREADS", "1")
-        try:
-            args.threads = int(text)
-        except ValueError:
-            raise ConfigurationError(f"THREADS must be an integer, got {text!r}") from None
     if args.strict_theory and not equal_diffusivities(spec.alphas):
         raise ConfigurationError("strict-theory mode requires equal diffusivities")
     return spec, Path(args.out) / spec.name
@@ -165,7 +157,7 @@ def cmd_run(args):
 
 def cmd_convergence(args):
     spec, out_dir = _prepare(args)
-    result = run_convergence_study(spec, out_dir=out_dir, threads=args.threads)
+    result = run_convergence_study(spec, out_dir=out_dir)
     for i, order in enumerate(result.fitted_order, start=1):
         print(f"species {i}: fitted spatial order {order:.3f}")
     print(f"outputs in {out_dir}")
@@ -309,7 +301,7 @@ def build_parser():
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output root directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="harness thread count (default: THREADS env or 1)")
+                       help="ignored; runs are serial")
         p.add_argument("--strict-theory", action="store_true",
                        help="require equal diffusivities")
         p.add_argument("--paper-scale", action="store_true",

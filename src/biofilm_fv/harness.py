@@ -1,7 +1,7 @@
 """Experiment harness: convergence studies, evolution runs, steady-state decay.
 
-Everything here is deterministic: a given experiment specification produces
-byte-identical CSV output in single-threaded mode.  CSV files use a header
+Everything here is deterministic and serial: a given experiment
+specification produces byte-identical CSV output.  CSV files use a header
 row, '.' decimals and shortest round-trip float formatting.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,8 +160,8 @@ class ExperimentSpec:
     b: float | None = None
 
     def __post_init__(self):
-        if not self.t_end > 0.0:  # NaN fails too
-            raise ConfigurationError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:  # NaN fails too
+            raise ConfigurationError("t_end must be positive and finite")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
         if len(self.alphas) != len(self.u_d):
@@ -356,7 +355,7 @@ def _final_state(spec, n_cells, dt, model):
     return advance(state, spec.t_end, mesh, model, bdata, cfg), mesh
 
 
-def run_convergence_study(spec: ExperimentSpec, out_dir=None, threads=1) -> ConvergenceResult:
+def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResult:
     """Spatial-accuracy study against a block-averaged fine reference.
 
     Each resolution N runs with the fixed step dt = (1/N)^2 so the first-order
@@ -379,12 +378,7 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None, threads=1) -> Conv
     model = spec.build_model()
     jobs = list(res) + [reference]
     dts = [1.0 / n**2 for n in jobs]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda nd: _final_state(spec, nd[0], nd[1], model),
-                                    zip(jobs, dts)))
-    else:
-        results = [_final_state(spec, n, dt, model) for n, dt in zip(jobs, dts)]
+    results = [_final_state(spec, n, dt, model) for n, dt in zip(jobs, dts)]
 
     ref_state = results[-1][0]
     n_species = ref_state.u.shape[0]

@@ -198,7 +198,7 @@ class ModelFunctions:
 
 def _as_biomass(m):
     m = np.asarray(m, dtype=float)
-    if m.size and (m.min() < 0.0 or m.max() >= 1.0):
+    if not ((m >= 0.0) & (m < 1.0)).all():  # written so that NaN fails
         raise ModelDomainError(f"biomass out of range: min={m.min()}, max={m.max()}")
     return m
 

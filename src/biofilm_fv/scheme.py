@@ -20,10 +20,10 @@ on the biomass.
 ``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
 ``start``, the evaluation of ``state_prev.u``, and returns the new state with
 its accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
-its entry state once (or takes the evaluation and entropy that the previous
-call left on the state), hands each accepted evaluation on as the next
-step's ``start`` (dt-halving retries reuse it), computes the per-step
-diagnostics, enforces the invariants and builds the one ``StepReport``.
+its entry state and that state's entropy once per call, hands each accepted
+evaluation on as the next step's ``start`` (dt-halving retries reuse it),
+computes the per-step diagnostics, enforces the invariants and builds the
+one ``StepReport``.  Nothing is kept between calls.
 
 The Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On
 2D meshes it keeps the LU factors of the last Jacobian it factored and
@@ -41,7 +41,7 @@ model's domain) and its residual is finite; otherwise the update is halved.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,15 +93,13 @@ class InvariantViolation(SolverError):
 class State:
     """Snapshot of the discrete solution: u has shape (n_species, n_cells).
 
-    A state accepted by ``advance`` also carries ``accepted``, the triple
-    ((mesh, model, bdata), its ``Evaluation``, its entropy), which the next
-    ``advance`` on the same mesh, model and boundary data reuses.
+    The fields cannot be rebound, but ``u`` is an ordinary writeable array;
+    ``advance`` reads only ``time``, ``u`` and ``dt_last`` of its entry state.
     """
 
     time: float
     u: np.ndarray
     dt_last: float | None = None
-    accepted: tuple | None = field(default=None, repr=False)
 
     @property
     def biomass(self):
@@ -147,7 +145,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -556,19 +554,13 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
 
     One ``_LinearSolver`` serves every step of the call, so LU factors held
     on 2D meshes carry across iterates and steps; they are freed on return.
-    The entry state's evaluation and entropy come from ``state.accepted``
-    when a previous call on the same mesh, model and boundary data left
-    them there.
+    The entry state is evaluated, and its entropy computed, on every call.
     """
     if t_end < state.time:
         raise ValueError("t_end lies before the current state time")
     m_star = max_principle_bound(state, bdata)
-    context = (mesh, model, bdata)
-    if state.accepted is not None and all(a is b for a, b in zip(state.accepted[0], context)):
-        _, start, entropy_prev = state.accepted
-    else:
-        entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
-        start = evaluate(state.u, mesh, model, bdata)
+    entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
+    start = evaluate(state.u, mesh, model, bdata)
     solver = _LinearSolver(_jacobian_pattern(mesh, state.u.shape[0]))
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
@@ -636,7 +628,5 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         )
         if observer is not None:
             observer(report, new_state)
-        entropy_prev = entropy
-        state = replace(new_state, accepted=(context, accepted, entropy))
-        start = accepted
+        state, start, entropy_prev = new_state, accepted, entropy
     return state

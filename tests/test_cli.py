@@ -138,17 +138,6 @@ def test_check_mesh_rejects_malformed_file(tmp_path, capsys, name):
     assert err.startswith("inadmissible mesh:") and "Traceback" not in err
 
 
-def test_threads_environment_must_be_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("THREADS", "two")
-    cfg = write_config(
-        tmp_path / "conv.cfg",
-        RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n",
-    )
-    code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "THREADS" in capsys.readouterr().err
-
-
 RUN_2D = RUN_1D.replace("initial = bumps-1d", "initial = bumps-2d").replace(
     "dimension = 1\ncells = 20\ndirichlet = left", "dimension = 2\nnx = 4\nny = 4\ndirichlet = y=1"
 )

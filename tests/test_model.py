@@ -196,6 +196,17 @@ def test_admissible_biomass_rejects_nan(u):
         admissible_biomass(u)
 
 
+@pytest.mark.parametrize("selector", ["case1", "case2", "generic:quadratic"])
+@pytest.mark.parametrize("function", ["g", "log_g"])
+def test_model_functions_reject_nan_biomass(selector, function):
+    if selector == "generic:quadratic":
+        model = get_model("generic", (1.0, 1.0), a=1.0, b=1.0, p_name="quadratic")
+    else:
+        model = get_model(selector, (1.0, 1.0))
+    with pytest.raises(ModelDomainError, match="biomass out of range"):
+        getattr(model, function)(np.array([np.nan, 0.2]))
+
+
 def test_cached_primitive_matches_quadrature(case1, case2):
     for model in (case1, case2):
         for m in (0.05, 0.2, 0.45, 0.8):

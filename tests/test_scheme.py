@@ -395,8 +395,7 @@ def test_step_report_counts_the_factorizations_of_rejected_attempts(case1, bdata
     assert first.lu_factorizations == first.newton_iters + 2 * first.dt_halvings
 
 
-def test_advance_takes_the_entry_evaluation_from_the_state_it_returned(case1, bdata_01,
-                                                                       monkeypatch):
+def test_advance_in_two_calls_equals_one_call(case1, bdata_01):
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
@@ -404,15 +403,27 @@ def test_advance_takes_the_entry_evaluation_from_the_state_it_returned(case1, bd
                     bdata_01, cfg)
     whole = advance(state, 1e-4, mesh, case1, bdata_01, cfg)
     assert np.array_equal(split.u, whole.u)
-    evaluations = []
-    monkeypatch.setattr(scheme, "evaluate",
-                        lambda u, *args: evaluations.append(u) or evaluate(u, *args))
-    advance(split, 2e-4, mesh, case1, bdata_01, cfg)
-    assert not any(u is split.u for u in evaluations)
-    # another model, mesh or contact state evaluates the entry state anew
-    evaluations.clear()
-    advance(split, 1.1e-4, mesh, model_case2(), bdata_01, cfg)
-    assert evaluations[0] is split.u
+
+
+def test_advance_reads_a_state_changed_in_place_afresh(case2, bdata_01):
+    # advance keeps nothing on the states it returns: a returned state whose
+    # u is then changed in place steps exactly like a new State of that u
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    cfg = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
+    returned = advance(state, 5e-5, mesh, case2, bdata_01, cfg)
+    returned.u[:] = bdata_01.values[:, None]  # the contact steady state
+
+    def step(entry):
+        reports = []
+        out = advance(entry, 6e-5, mesh, case2, bdata_01, cfg,
+                      observer=lambda r, s: reports.append(r))
+        return out.u, [(r.newton_iters, r.entropy_margin) for r in reports]
+
+    (u_changed, changed), (u_fresh, fresh) = (
+        step(returned), step(State(returned.time, returned.u.copy(), returned.dt_last)))
+    assert np.array_equal(u_changed, u_fresh)
+    assert changed == fresh == [(1, 0.0)]
 
 
 @pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
@@ -756,6 +767,13 @@ def test_advance_hard_failure_reports_time(case2, bdata_01):
             advance(state, 1e-3, mesh, case2, bdata_01, cfg)
         assert failure.value.time == 0.0
         assert "no convergence within 50 iterations" in str(failure.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_newton_config_rejects_a_tolerance_that_is_not_positive(tol):
+    # a NaN tolerance would never be met, and each step would halve dt to its floor
+    with pytest.raises(ValueError, match="tol must be positive"):
+        NewtonConfig(tol=tol)
 
 
 def test_uniform_steady_state_is_stationary(case2, bdata_01):
