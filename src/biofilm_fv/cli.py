@@ -88,7 +88,7 @@ def _config_fields(path):
     """The ExperimentSpec fields that a config file sets; unknown names are errors."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigurationError(f"cannot read config file {path}")
         if not parser.has_section("experiment"):
             raise ConfigurationError(f"{path}: missing [experiment] section")
@@ -106,7 +106,7 @@ def _config_fields(path):
                     fields[_FIELD_NAMES.get(key, key)] = keys[key](text)
                 except ValueError as exc:
                     raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return fields
 
@@ -116,9 +116,6 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
     fields = _config_fields(path)
     fields.setdefault("name", Path(path).stem)
     two_d = fields.get("dimension") == 2
-    if two_d:
-        fields.setdefault("initial", "bumps-2d")
-        fields.setdefault("dirichlet", "y=1")
     if fields.get("initial") == "custom-indicator":
         raise ConfigurationError(f"{path}: initial = custom-indicator needs base, bump and "
                                  "boxes, which only ExperimentSpec.initial_params can give")

@@ -4,7 +4,10 @@ All functions here are pure in (state, mesh, model, boundary data), or in
 (evaluation, mesh) for ``dissipation``: repeated evaluation returns bitwise
 identical results.  Edge sums run over the mesh's flux edges, as in the
 scheme: on a Dirichlet edge the far side is the ghost column ``n_cells``
-holding the contact state, and Neumann edges contribute nothing.
+holding the contact state (``mesh.with_contact``), and Neumann edges
+contribute nothing.  g and p are never evaluated here: the dissipation and
+its lower bound read them from ``scheme.evaluate``'s record, and the entropy
+needs only the primitive of log g.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .mesh import Mesh
+from . import scheme
+from .mesh import Mesh, jump, with_contact
 from .model import ModelFunctions, admissible_biomass
 
 
@@ -25,40 +29,14 @@ class NormReport:
     linf: float
 
 
-def _with_contact(cell_values, contact_values):
-    """Cell values with the contact state appended as the ghost column ``n_cells``."""
-    return np.concatenate([cell_values, np.expand_dims(contact_values, -1)], axis=-1)
-
-
-def _jump(values, mesh):
-    """D_sigma of ghost-extended values on every flux edge: far side minus K."""
-    return values[..., mesh.flux_L] - values[..., mesh.flux_K]
-
-
-def _mobility(u, biomass, mesh, model, bdata):
-    """u, g(M) and p(M) on the cells and the contact state, and psq_sigma.
-
-    g and p are evaluated once, on the per-cell biomass with the contact
-    biomass appended.  psq_sigma = (p(M_K)^2 + p(M_L)^2) / 2 on every flux edge.
-    """
-    m = _with_contact(biomass, bdata.biomass)
-    g, p = model.g(m), model.p(m)
-    psq = p**2
-    return _with_contact(u, bdata.values), g, p, 0.5 * (psq[mesh.flux_K] + psq[mesh.flux_L])
-
-
 def discrete_entropy(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
     """Relative entropy sum_K m(K) h*(u_K | u^D); zero iff u is the contact state."""
     biomass = admissible_biomass(state.u)
     u_d, m_d = bdata.values, bdata.biomass
     kl = np.sum(xlogy(state.u, state.u / u_d[:, None]) - state.u + u_d[:, None], axis=0)
-    primitive = model.log_g_primitive(_with_contact(biomass, m_d))
+    primitive = model.log_g_primitive(with_contact(biomass, m_d))
     bregman = primitive[:-1] - primitive[-1] - float(model.log_g(m_d)) * (biomass - m_d)
     return float(mesh.cell_measures @ (kl + bregman))
-
-
-def _dissipation(u, g, psq, mesh):
-    return (_jump(np.sqrt(u * g), mesh) ** 2 * (mesh.flux_tau * psq)).sum(axis=1)
 
 
 def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
@@ -66,7 +44,8 @@ def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
 
     ``evaluation`` is a ``scheme.Evaluation``, which exists only for an admissible state.
     """
-    return _dissipation(evaluation.u_ext, evaluation.g, evaluation.psq, mesh)
+    return (jump(np.sqrt(evaluation.u_ext * evaluation.g), mesh) ** 2
+            * (mesh.flux_tau * evaluation.psq)).sum(axis=1)
 
 
 def entropy_production(dissipation, alphas) -> float:
@@ -86,14 +65,15 @@ def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdat
 
         rhs = 1/2 sum_i sum_sigma tau * min(pq_K, pq_Ksigma) * (D_sigma sqrt(u_i))^2,
 
-    where pq = p(M)^2 g(M).  The inequality lhs >= rhs holds for every
-    admissible state up to round-off; callers assert lhs >= rhs - 1e-12.
+    where pq = p(M)^2 g(M), from the g and p of ``scheme.evaluate``.  The
+    inequality lhs >= rhs holds for every admissible state up to round-off;
+    callers assert lhs >= rhs - 1e-12.
     """
-    u, g, p, psq = _mobility(state.u, admissible_biomass(state.u), mesh, model, bdata)
-    pq = p**2 * g
+    evaluation = scheme.evaluate(state.u, mesh, model, bdata)
+    pq = evaluation.p**2 * evaluation.g
     beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
-    rhs = (_jump(np.sqrt(u), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
-    return float(_dissipation(u, g, psq, mesh).sum()), 0.5 * float(rhs)
+    rhs = (jump(np.sqrt(evaluation.u_ext), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
+    return float(dissipation(evaluation, mesh).sum()), 0.5 * float(rhs)
 
 
 def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
@@ -104,19 +84,19 @@ def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) ->
     intermediate biomass value is taken as the edge midpoint by convention.
     Models without a stated singularity exponent use kappa = 0.
     """
-    biomass = _with_contact(admissible_biomass(state.u), bdata.biomass)
+    biomass = with_contact(admissible_biomass(state.u), bdata.biomass)
     a, b = model.params.a, model.params.b
     kappa = model.params.kappa or 0.0
     mid = 0.5 * (biomass[mesh.flux_K] + biomass[mesh.flux_L])
     weight = mesh.flux_tau * mid ** (a - 1.0) * (1.0 - mid) ** (-1.0 - b - kappa)
-    return float((weight * _jump(biomass, mesh) ** 2).sum())
+    return float((weight * jump(biomass, mesh) ** 2).sum())
 
 
 def _field_jumps(v, mesh, dirichlet_value):
     """D_sigma v on the flux edges; on the interior ones alone without a contact value."""
     if dirichlet_value is None:
-        return _jump(_with_contact(v, np.nan), mesh)[: mesh.interior.size]
-    return _jump(_with_contact(v, float(dirichlet_value)), mesh)
+        return jump(with_contact(v, np.nan), mesh)[: mesh.interior.size]
+    return jump(with_contact(v, float(dirichlet_value)), mesh)
 
 
 def discrete_norms(cell_values, mesh: Mesh, dirichlet_values=None) -> NormReport:

@@ -1,5 +1,9 @@
 """Experiment harness: convergence studies, evolution runs, steady-state decay.
 
+All three studies run through ``run_evolution``: the steady-state study
+watches its accepted states, and the convergence study makes one run per
+resolution N with the step pinned to dt = 1/N^2.
+
 Everything here is deterministic and serial: a given experiment
 specification produces byte-identical CSV output.  CSV files use a header
 row, '.' decimals and shortest round-trip float formatting.
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +135,17 @@ DIRICHLET_PREDICATES = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one run or study."""
+    """Declarative description of one run or study.
+
+    ``initial`` and ``dirichlet`` default to bumps-1d and left in 1D, to
+    bumps-2d and y=1 in 2D.
+    """
 
     name: str
     model: str = "case1"
     alphas: tuple[float, ...] = (1.0, 1.0)
     u_d: tuple[float, ...] = (0.1, 0.1)
-    initial: str = "bumps-1d"
+    initial: str | None = None
     initial_params: dict = field(default_factory=dict)
     t_end: float = 1e-3
     dimension: int = 1
@@ -145,7 +153,7 @@ class ExperimentSpec:
     nx: int = 32
     ny: int = 32
     mesh_file: str | None = None
-    dirichlet: str = "left"
+    dirichlet: str | None = None
     dt_policy: str = "fixed"
     dt: float = 1e-5
     newton_tol: float = 1e-10
@@ -164,6 +172,10 @@ class ExperimentSpec:
             raise ConfigurationError("t_end must be positive and finite")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.initial is None:
+            object.__setattr__(self, "initial", f"bumps-{self.dimension}d")
+        if self.dirichlet is None:
+            object.__setattr__(self, "dirichlet", "left" if self.dimension == 1 else "y=1")
         if len(self.alphas) != len(self.u_d):
             raise ConfigurationError("alphas and u_d must have the same length")
         if self.dt_policy not in ("fixed", "adaptive"):
@@ -212,21 +224,28 @@ class ExperimentSpec:
         except modelmod.ModelDomainError as exc:
             raise ConfigurationError(f"initial datum: {exc}") from exc
 
-    def newton_config(self, dt=None) -> NewtonConfig:
+    def newton_config(self) -> NewtonConfig:
         """Newton tolerances and the step range for ``advance``.
 
-        A given dt, or the fixed policy's ``dt``, pins the range to that one
-        step; the adaptive policy starts at ``dt`` within [dt_min, dt_max].
+        The fixed policy pins the range to ``dt``; the adaptive policy starts
+        at ``dt`` within [dt_min, dt_max].
         """
-        if dt is None and self.dt_policy == "adaptive":
-            dt_min, dt_init, dt_max = self.dt_min, self.dt, self.dt_max
-        else:
-            dt_min = dt_init = dt_max = self.dt if dt is None else dt
+        fixed = self.dt_policy == "fixed"
         try:
             return NewtonConfig(tol=self.newton_tol, max_iters=self.newton_max_iters,
-                                dt_min=dt_min, dt_max=dt_max, dt_init=dt_init)
+                                dt_min=self.dt if fixed else self.dt_min, dt_init=self.dt,
+                                dt_max=self.dt if fixed else self.dt_max)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+
+    def snapshot_schedule(self) -> list:
+        """The distinct snapshot times in increasing order; each must lie in [0, t_end]."""
+        times = sorted(set(float(t) for t in self.snapshot_times))
+        for t in times:
+            if not 0.0 <= t <= self.t_end + 1e-12:  # NaN fails too
+                raise ConfigurationError(
+                    f"snapshot time {t} lies outside [0, t_end = {self.t_end}]")
+        return times
 
 
 # -- shared run machinery ------------------------------------------------------------------
@@ -237,8 +256,6 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -273,8 +290,6 @@ def write_snapshot_vtk(path, mesh, u, title="snapshot"):
     """Legacy ASCII VTK (version 3.0) with one scalar per species plus biomass."""
     if mesh.points is None or mesh.cell_nodes is None:
         raise ConfigurationError("mesh carries no vertex data; VTK output unavailable")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     n = u.shape[0]
     biomass = u.sum(axis=0)
     cell_type = {3: 5, 4: 9}
@@ -300,6 +315,16 @@ def write_snapshot_vtk(path, mesh, u, title="snapshot"):
         fh.write("SCALARS M double 1\nLOOKUP_TABLE default\n")
         for value in biomass:
             fh.write(_fmt(value) + "\n")
+
+
+def _output_dir(out_dir):
+    """``out_dir`` as a Path, created with its parents; None stays None."""
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory: {exc}") from exc
+        return Path(out_dir)
 
 
 def _entropy_margin(reports):
@@ -333,9 +358,7 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
             "python": sys.version.split()[0],
         },
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
 
 
 # -- convergence study ------------------------------------------------------------------------
@@ -345,14 +368,6 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
 class ConvergenceResult:
     l2_errors: np.ndarray          # (n_species, n_resolutions)
     fitted_order: np.ndarray       # (n_species,)
-
-
-def _final_state(spec, n_cells, dt, model):
-    mesh = spec.build_mesh(n_cells=n_cells)
-    bdata = spec.build_bdata()
-    state = spec.initial_state(mesh)
-    cfg = spec.newton_config(dt=dt)
-    return advance(state, spec.t_end, mesh, model, bdata, cfg), mesh
 
 
 def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResult:
@@ -375,32 +390,31 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
         raise ConfigurationError("reference resolution must be a common multiple "
                                  "of every coarse resolution")
 
-    model = spec.build_model()
-    jobs = list(res) + [reference]
-    dts = [1.0 / n**2 for n in jobs]
-    results = [_final_state(spec, n, dt, model) for n, dt in zip(jobs, dts)]
+    out = _output_dir(out_dir)
+    runs = [run_evolution(replace(spec, n_cells=n, dt_policy="fixed", dt=1.0 / n**2,
+                                  snapshot_times=()))
+            for n in res + (reference,)]
 
-    ref_state = results[-1][0]
-    n_species = ref_state.u.shape[0]
+    ref_u = runs[-1].final_state.u
+    n_species = ref_u.shape[0]
     errors = np.empty((n_species, len(res)))
-    for j, n in enumerate(res):
-        ratio = reference // n
-        averaged = ref_state.u.reshape(n_species, n, ratio).mean(axis=2)
-        state, mesh = results[j]
-        errors[:, j] = [diagnostics.discrete_norms(diff, mesh).l2 for diff in state.u - averaged]
+    for j, (n, run) in enumerate(zip(res, runs)):
+        averaged = ref_u.reshape(n_species, n, reference // n).mean(axis=2)
+        errors[:, j] = [diagnostics.discrete_norms(diff, run.mesh).l2
+                        for diff in run.final_state.u - averaged]
 
     log_h = np.log([1.0 / n for n in res])
     orders = np.array([
         np.polyfit(log_h, np.log(errors[i]), 1)[0] if (errors[i] > 0.0).all() else np.nan
         for i in range(n_species)
     ])
-    if out_dir is not None:
+    if out is not None:
         rows = [
-            (n, 1.0 / n, dts[j], i + 1, errors[i, j])
+            (n, 1.0 / n, 1.0 / n**2, i + 1, errors[i, j])
             for j, n in enumerate(res)
             for i in range(n_species)
         ]
-        _write_csv(Path(out_dir) / "convergence.csv",
+        _write_csv(out / "convergence.csv",
                    ["resolution", "h", "dt", "species", "l2_error"], rows)
     return ConvergenceResult(l2_errors=errors, fitted_order=orders)
 
@@ -410,6 +424,7 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    mesh: Mesh
     snapshots: list
     reports: list
     m_star: float
@@ -417,27 +432,21 @@ class EvolutionResult:
     entropy_margin: float
 
 
-def _evolve(spec: ExperimentSpec, out_dir, observer=None) -> EvolutionResult:
+def run_evolution(spec: ExperimentSpec, out_dir=None, observer=None) -> EvolutionResult:
     """Run ``spec`` to t_end through its snapshot times, each in [0, t_end].
 
     ``observer(state, mesh, bdata)``, when given, sees every accepted state.
     With an ``out_dir`` the snapshots, entropy.csv and run_metadata.json are
     written there.
     """
-    times = sorted(set(float(t) for t in spec.snapshot_times))
-    if times and times[0] < 0.0:
-        raise ConfigurationError(f"snapshot time {times[0]} lies before t = 0")
-    if times and times[-1] > spec.t_end + 1e-12:
-        raise ConfigurationError(
-            f"snapshot time {times[-1]} lies beyond t_end = {spec.t_end}"
-        )
+    times = spec.snapshot_schedule()
     mesh = spec.build_mesh()
     model = spec.build_model()
     bdata = spec.build_bdata()
     state = spec.initial_state(mesh)
     m_star = scheme.max_principle_bound(state, bdata)
     cfg = spec.newton_config()
-    out = None if out_dir is None else Path(out_dir)
+    out = _output_dir(out_dir)
     reports = []
     snapshots = []
 
@@ -465,17 +474,13 @@ def _evolve(spec: ExperimentSpec, out_dir, observer=None) -> EvolutionResult:
         write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
         write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
     return EvolutionResult(
+        mesh=mesh,
         snapshots=snapshots,
         reports=reports,
         m_star=m_star,
         final_state=state,
         entropy_margin=_entropy_margin(reports),
     )
-
-
-def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
-    """Time evolution with snapshot output at the requested times."""
-    return _evolve(spec, out_dir)
 
 
 # -- steady-state decay --------------------------------------------------------------------------
@@ -503,7 +508,7 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
         diff = state.u - bdata.values[:, None]
         distances.append(np.sqrt((diff**2 * mesh.cell_measures).sum(axis=1)))
 
-    run = _evolve(spec, out_dir, observer)
+    run = run_evolution(spec, out_dir, observer)
     times = np.array([r.time for r in run.reports])
     dist_arr = np.asarray(distances)
     window = times >= spec.t_end / 2

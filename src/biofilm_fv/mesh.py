@@ -63,7 +63,8 @@ class Mesh:
     measures, the per-kind edge index sets and the flux edges ``flux_K``,
     ``flux_L``, ``flux_tau``: the interior edges, then the Dirichlet ones,
     whose ``flux_L`` is the ghost column ``n_cells`` holding the contact
-    state.  It validates topology and admissibility and makes every array
+    state (``with_contact`` appends it, ``jump`` differences across each flux
+    edge).  It validates topology and admissibility and makes every array
     read-only.  Instances are never mutated afterwards; they are safe to
     share between threads.
     """
@@ -167,6 +168,16 @@ class Mesh:
             f"Mesh(dim={self.dimension}, cells={self.n_cells}, edges={self.n_edges}, "
             f"xi={self.regularity_xi:.3f})"
         )
+
+
+def with_contact(cell_values, contact_values):
+    """Per-cell values with the contact state appended as the ghost column ``n_cells``."""
+    return np.concatenate([cell_values, np.expand_dims(contact_values, -1)], axis=-1)
+
+
+def jump(values, mesh: Mesh):
+    """D_sigma of ghost-extended values on every flux edge: far side minus K."""
+    return values[..., mesh.flux_L] - values[..., mesh.flux_K]
 
 
 def validate_regularity(mesh: Mesh) -> float:

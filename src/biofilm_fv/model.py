@@ -152,7 +152,7 @@ class _LogGPrimitive:
         return float(head + tail)
 
     def __call__(self, m):
-        m = np.asarray(m, dtype=float)
+        m = _as_biomass(m)
         scalar = m.ndim == 0
         m = np.atleast_1d(m)
         out = self.a * (xlogy(m, m) - m)
@@ -168,9 +168,11 @@ class _LogGPrimitive:
 class ModelFunctions:
     """Vectorized model functions, immutable after construction.
 
-    All callables accept scalars or arrays of biomass values in [0, 1).
-    ``g = G / m`` is the ratio q/p, with G the cumulative mobility integral,
-    and ``log_g`` an overflow-safe evaluation of log(g) used by the entropy.
+    All callables accept scalars or arrays of biomass values; g, g_prime,
+    log_g and log_g_primitive raise ModelDomainError, naming the range of the
+    argument, outside [0, 1) (NaN included).  ``g = G / m`` is the ratio q/p,
+    with G the cumulative mobility integral, and ``log_g`` an overflow-safe
+    evaluation of log(g) used by the entropy.
     """
 
     def __init__(self, name, params, p, p_prime, g, g_prime, log_g, primitive_cap=0.99):
@@ -274,7 +276,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
         return np.where(m == 0.0, 0.0, val)
 
     def g_prime(m):
-        m = np.asarray(m, dtype=float)
+        m = _as_biomass(m)
         with np.errstate(invalid="ignore"):
             val = (G_prime(m) * m - G(m)) / m**2
         return np.where(m == 0.0, 0.0, val)
@@ -312,7 +314,7 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
         return m / (2.0 * (1.0 - m) ** 2)
 
     def g_prime(m):
-        m = np.asarray(m, dtype=float)
+        m = _as_biomass(m)
         return (1.0 + m) / (2.0 * (1.0 - m) ** 3)
 
     def log_g(m):
@@ -430,7 +432,7 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
         return _cached_c(m) * np.asarray(m, dtype=float) ** a
 
     def g_prime(m):
-        m2 = np.asarray(m, dtype=float)
+        m2 = _as_biomass(m)
         cval = _cached_c(m2)
         with np.errstate(divide="ignore", invalid="ignore"):
             gp = m2 ** (a - 1.0) * (weight(m2) - cval)

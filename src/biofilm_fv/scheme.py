@@ -12,10 +12,11 @@ The unknowns are the physical proportions (cell-major ordering: cell index
 varies slowest) and the Jacobian is exact, including the dependence of psq
 on the biomass.
 
-``evaluate`` computes g, p, psq, D_sigma v and F once per admissible state
-(``model.admissible_biomass``); its ``Evaluation`` record is all that
-``residual(state_prev, ev, dt, mesh)``, ``jacobian(ev, dt, mesh, model)``,
-``dirichlet_fluxes(ev, mesh)`` and ``diagnostics.dissipation(ev, mesh)`` read.
+``evaluate``, the only code that evaluates g and p on a state, computes g,
+p, psq, D_sigma v and F once per admissible state (``admissible_biomass``);
+its ``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
+``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and the
+dissipation and its lower bound in ``diagnostics`` read.
 
 ``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
 ``start``, the evaluation of ``state_prev.u``, and returns the new state with
@@ -49,7 +50,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
-from .mesh import Mesh
+from .mesh import Mesh, jump, with_contact
 from .model import ModelDomainError, ModelFunctions, admissible_biomass, equal_diffusivities
 
 # Newton iterate safeguards
@@ -222,8 +223,11 @@ def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) ->
     """Evaluate the scheme at a trial state; raises ModelDomainError if it is inadmissible."""
     u = np.asarray(u_trial, dtype=float)
     biomass = admissible_biomass(u)
-    u_ext, g, p, psq = diagnostics._mobility(u, biomass, mesh, model, bdata)
-    dv = diagnostics._jump(u_ext * g, mesh)
+    m = with_contact(biomass, bdata.biomass)
+    g, p = model.g(m), model.p(m)
+    psq = 0.5 * (p[mesh.flux_K] ** 2 + p[mesh.flux_L] ** 2)
+    u_ext = with_contact(u, bdata.values)
+    dv = jump(u_ext * g, mesh)
     flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
     return Evaluation(u_ext=u_ext, biomass=biomass, g=g, p=p, psq=psq, dv=dv, flux=flux)
 

@@ -3,6 +3,7 @@ import configparser
 import numpy as np
 import pytest
 
+from biofilm_fv import harness
 from biofilm_fv.cli import _CONFIG_KEYS, load_config, main
 from biofilm_fv.harness import ConfigurationError
 from biofilm_fv.mesh import write_triangle_mesh_file
@@ -15,7 +16,8 @@ ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mes
 
 
 def write_config(path, text):
-    path.write_text(text)
+    # a lone surrogate such as "\udce9" becomes the single byte 0xe9
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -158,6 +160,7 @@ BAD_CONFIGS = {
     "duplicate-key": ("run", RUN_1D.replace("cells = 20", "cells = 20\ncells = 40")),
     "default-section": ("run", "[DEFAULT]\nt_end = 2e-5\n" + RUN_1D),
     "custom-indicator": ("run", RUN_1D.replace("bumps-1d", "custom-indicator")),
+    "not-utf8": ("run", RUN_1D.replace("name = smoke-1d", "name = smoke-1d\udce9")),
     "negative-snapshot": ("run", RUN_1D.replace("snapshots = 1e-4", "snapshots = -1, 0, 1e-5")),
     "nan-t-end": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = nan")),
     "nan-u-d": ("run", RUN_1D.replace("u_d = 0.1, 0.1", "u_d = nan, 0.1")),
@@ -178,6 +181,7 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "custom-indicator": "custom-indicator", "negative-snapshot": "-1.0",
                   "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh",
                   "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet",
+                  "not-utf8": "bad.cfg: 'utf-8' codec can't decode byte 0xe9",
                   "nan-t-end": "'nan' is not a finite number", "nan-u-d": "u_d",
                   "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number"}
 
@@ -227,6 +231,23 @@ INADMISSIBLE_DATA = {
     "convergence": CONVERGENCE_1D,
     "steady-state": RUN_2D.replace("policy = fixed", "policy = adaptive"),
 }
+
+
+@pytest.mark.parametrize("command", sorted(INADMISSIBLE_DATA))
+def test_unusable_output_directory_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                            command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("advance called")
+
+    monkeypatch.setattr(harness, "advance", no_solve)
+    cfg = write_config(tmp_path / "run.cfg", INADMISSIBLE_DATA[command])
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = main([command, "--config", cfg, "--out", str(blocker)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output directory")
+    assert "a-file" in err
 
 
 @pytest.mark.parametrize("command", sorted(INADMISSIBLE_DATA))

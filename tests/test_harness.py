@@ -265,6 +265,23 @@ def test_evolution_rejects_late_snapshot():
         run_evolution(spec)
 
 
+def test_evolution_rejects_a_nan_snapshot_time():
+    spec = ExperimentSpec(
+        name="evo", t_end=1e-4, dimension=1, n_cells=10,
+        dt_policy="fixed", dt=1e-5, snapshot_times=(np.nan,),
+    )
+    with pytest.raises(ConfigurationError, match="snapshot time nan"):
+        run_evolution(spec)
+
+
+def test_spec_defaults_follow_the_dimension():
+    spec = ExperimentSpec(name="x")
+    assert (spec.initial, spec.dirichlet) == ("bumps-1d", "left")
+    spec = ExperimentSpec(name="x", dimension=2, nx=4, ny=4, t_end=1e-4)
+    assert (spec.initial, spec.dirichlet) == ("bumps-2d", "y=1")
+    assert len(run_evolution(spec).reports) == 10
+
+
 def test_evolution_2d_writes_vtk(tmp_path):
     spec = ExperimentSpec(
         name="evo2d", model="case2", alphas=(1.0, 1.0), u_d=(0.1, 0.1),

@@ -197,7 +197,7 @@ def test_admissible_biomass_rejects_nan(u):
 
 
 @pytest.mark.parametrize("selector", ["case1", "case2", "generic:quadratic"])
-@pytest.mark.parametrize("function", ["g", "log_g"])
+@pytest.mark.parametrize("function", ["g", "log_g", "g_prime", "log_g_primitive"])
 def test_model_functions_reject_nan_biomass(selector, function):
     if selector == "generic:quadratic":
         model = get_model("generic", (1.0, 1.0), a=1.0, b=1.0, p_name="quadratic")
@@ -205,6 +205,9 @@ def test_model_functions_reject_nan_biomass(selector, function):
         model = get_model(selector, (1.0, 1.0))
     with pytest.raises(ModelDomainError, match="biomass out of range"):
         getattr(model, function)(np.array([np.nan, 0.2]))
+    # past saturation the message names the argument, not a point inside the function
+    with pytest.raises(ModelDomainError, match="biomass out of range: min=0.2, max=1.5"):
+        getattr(model, function)(np.array([0.2, 1.5]))
 
 
 def test_cached_primitive_matches_quadrature(case1, case2):
