@@ -1,8 +1,8 @@
 """Experiment harness: convergence studies, evolution runs, steady-state decay.
 
-All three studies run through ``run_evolution``: the steady-state study
-watches its accepted states, and the convergence study makes one run per
-resolution N with the step pinned to dt = 1/N^2.
+All three studies go through ``_set_up``, the set-up of ``run_evolution``:
+the steady-state study watches its accepted states, and the convergence
+study sets up one run per N, at dt = 1/N^2, before it makes its output dir.
 
 Everything here is deterministic and serial: a given experiment
 specification produces byte-identical CSV output.  CSV files use a header
@@ -137,8 +137,9 @@ DIRICHLET_PREDICATES = {
 class ExperimentSpec:
     """Declarative description of one run or study.
 
-    ``initial`` and ``dirichlet`` default to bumps-1d and left in 1D, to
-    bumps-2d and y=1 in 2D.
+    An unset ``initial`` or ``dirichlet`` stays None and follows the
+    dimension (``datum_name``, ``dirichlet_tag``): bumps-1d and left in 1D,
+    bumps-2d and y=1 in 2D, also on a copy made by ``dataclasses.replace``.
     """
 
     name: str
@@ -172,14 +173,20 @@ class ExperimentSpec:
             raise ConfigurationError("t_end must be positive and finite")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.initial is None:
-            object.__setattr__(self, "initial", f"bumps-{self.dimension}d")
-        if self.dirichlet is None:
-            object.__setattr__(self, "dirichlet", "left" if self.dimension == 1 else "y=1")
         if len(self.alphas) != len(self.u_d):
             raise ConfigurationError("alphas and u_d must have the same length")
         if self.dt_policy not in ("fixed", "adaptive"):
             raise ConfigurationError(f"unknown dt policy {self.dt_policy!r}")
+
+    @property
+    def datum_name(self) -> str:
+        return f"bumps-{self.dimension}d" if self.initial is None else self.initial
+
+    @property
+    def dirichlet_tag(self) -> str:
+        if self.dirichlet is None:
+            return "left" if self.dimension == 1 else "y=1"
+        return self.dirichlet
 
     def build_model(self) -> ModelFunctions:
         try:
@@ -195,12 +202,13 @@ class ExperimentSpec:
             raise ConfigurationError(str(exc)) from exc
 
     def build_mesh(self, n_cells=None) -> Mesh:
-        predicate = DIRICHLET_PREDICATES.get(self.dirichlet)
+        tag = self.dirichlet_tag
+        predicate = DIRICHLET_PREDICATES.get(tag)
         if self.dimension == 2 and predicate is None:
-            raise ConfigurationError(f"unknown dirichlet tag {self.dirichlet!r}")
+            raise ConfigurationError(f"unknown dirichlet tag {tag!r}")
         try:
             if self.dimension == 1:
-                return build_interval_mesh(n_cells or self.n_cells, self.dirichlet)
+                return build_interval_mesh(n_cells or self.n_cells, tag)
             if self.mesh_file is not None:
                 return load_triangle_mesh_file(self.mesh_file, predicate)
             return build_rectangle_mesh(self.nx, self.ny, predicate)
@@ -212,7 +220,7 @@ class ExperimentSpec:
     def build_datum(self) -> IndicatorDatum:
         params = dict(self.initial_params)
         params.setdefault("u_d", self.u_d)
-        datum = build_named_initial_datum(self.initial, params)
+        datum = build_named_initial_datum(self.datum_name, params)
         if datum.n_species != len(self.u_d):
             raise ConfigurationError("initial datum species count mismatch")
         return datum
@@ -390,10 +398,11 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
         raise ConfigurationError("reference resolution must be a common multiple "
                                  "of every coarse resolution")
 
+    set_up = [_set_up(replace(spec, n_cells=n, dt_policy="fixed", dt=1.0 / n**2,
+                              snapshot_times=()))
+              for n in res + (reference,)]
     out = _output_dir(out_dir)
-    runs = [run_evolution(replace(spec, n_cells=n, dt_policy="fixed", dt=1.0 / n**2,
-                                  snapshot_times=()))
-            for n in res + (reference,)]
+    runs = [run() for run in set_up]
 
     ref_u = runs[-1].final_state.u
     n_species = ref_u.shape[0]
@@ -439,48 +448,61 @@ def run_evolution(spec: ExperimentSpec, out_dir=None, observer=None) -> Evolutio
     With an ``out_dir`` the snapshots, entropy.csv and run_metadata.json are
     written there.
     """
+    return _set_up(spec)(out_dir, observer)
+
+
+def _set_up(spec: ExperimentSpec):
+    """Build what ``run_evolution(spec)`` needs before its first step; return the run.
+
+    The run, a function of ``out_dir`` and ``observer``, makes the output directory.
+    """
     times = spec.snapshot_schedule()
     mesh = spec.build_mesh()
     model = spec.build_model()
     bdata = spec.build_bdata()
-    state = spec.initial_state(mesh)
-    m_star = scheme.max_principle_bound(state, bdata)
+    initial = spec.initial_state(mesh)
+    m_star = scheme.max_principle_bound(initial, bdata)
     cfg = spec.newton_config()
-    out = _output_dir(out_dir)
-    reports = []
-    snapshots = []
 
-    def record(report, st):
-        reports.append(report)
-        if observer is not None:
-            observer(st, mesh, bdata)
+    def run(out_dir=None, observer=None) -> EvolutionResult:
+        state = initial
+        out = _output_dir(out_dir)
+        reports = []
+        snapshots = []
 
-    for t in times:
-        if t > 0.0:
-            state = advance(state, t, mesh, model, bdata, cfg, observer=record)
-        snapshots.append((state.time, state.u.copy()))
-        if out is None:
-            continue
-        tag = f"{state.time:g}"
-        if mesh.dimension == 1:
-            write_snapshot_csv(out / f"snapshot_{tag}.csv", mesh, state.u)
-        else:
-            write_snapshot_vtk(out / f"snapshot_{tag}.vtk", mesh, state.u,
-                               title=f"{spec.name} t={tag}")
-    if state.time < spec.t_end:
-        state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=record)
+        def record(report, st):
+            reports.append(report)
+            if observer is not None:
+                observer(st, mesh, bdata)
 
-    if out is not None:
-        write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
-        write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
-    return EvolutionResult(
-        mesh=mesh,
-        snapshots=snapshots,
-        reports=reports,
-        m_star=m_star,
-        final_state=state,
-        entropy_margin=_entropy_margin(reports),
-    )
+        for t in times:
+            if t > 0.0:
+                state = advance(state, t, mesh, model, bdata, cfg, observer=record)
+            snapshots.append((state.time, state.u.copy()))
+            if out is None:
+                continue
+            tag = f"{state.time:g}"
+            if mesh.dimension == 1:
+                write_snapshot_csv(out / f"snapshot_{tag}.csv", mesh, state.u)
+            else:
+                write_snapshot_vtk(out / f"snapshot_{tag}.vtk", mesh, state.u,
+                                   title=f"{spec.name} t={tag}")
+        if state.time < spec.t_end:
+            state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=record)
+
+        if out is not None:
+            write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
+            write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
+        return EvolutionResult(
+            mesh=mesh,
+            snapshots=snapshots,
+            reports=reports,
+            m_star=m_star,
+            final_state=state,
+            entropy_margin=_entropy_margin(reports),
+        )
+
+    return run
 
 
 # -- steady-state decay --------------------------------------------------------------------------

@@ -26,9 +26,11 @@ evaluation on as the next step's ``start`` (dt-halving retries reuse it),
 computes the per-step diagnostics, enforces the invariants and builds the
 one ``StepReport``.  Nothing is kept between calls.
 
-The Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On
-2D meshes it keeps the LU factors of the last Jacobian it factored and
-solves against each new exact Jacobian by iterative refinement on them,
+``jacobian`` fills the mesh's cached CSC pattern with one ``bincount``, and
+the Newton systems go through one ``_LinearSolver`` per ``advance`` call,
+which lets SuperLU order each factorisation: MMD on A^T + A in 2D, COLAMD in
+1D.  On 2D meshes it keeps the LU factors of the last Jacobian it factored
+and solves against each new exact Jacobian by iterative refinement on them,
 factoring anew only when the refinement stalls, so the Newton iterates stay
 those of exact-Jacobian Newton; in 1D every iterate is factored.
 
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
@@ -286,81 +287,37 @@ class _JacobianPattern:
     """Fixed CSC structure of the Jacobian on one mesh for n species.
 
     ``scatter`` maps each per-block entry to its slot in the CSC data, so one
-    ``bincount`` assembles the matrix.  ``order`` is SuperLU's own
-    (postordered) column order, minimum degree on A^T + A (MMD_AT_PLUS_A) on
-    2D meshes and COLAMD in 1D, which depends on the pattern alone;
-    ``gather`` takes the CSC data of J to that of J[:, order], whose pattern
-    is ``ordered_indices``/``ordered_indptr``.  ``reuse_factors`` lets a
-    ``_LinearSolver`` hold LU factors across solves: on 2D meshes only,
-    because a 1D factorisation costs only three to four refinement sweeps.
-    All arrays are read-only, because every Jacobian on the mesh shares
-    them.
+    ``bincount`` assembles the matrix.  All arrays are read-only, because
+    every Jacobian on the mesh shares them.
     """
 
     shape: tuple
     indices: np.ndarray
     indptr: np.ndarray
     scatter: np.ndarray
-    order: np.ndarray
-    gather: np.ndarray
-    ordered_indices: np.ndarray
-    ordered_indptr: np.ndarray
-    reuse_factors: bool
 
 
 # patterns per mesh and species count; a mesh's entry goes when the mesh does
 _PATTERNS = weakref.WeakKeyDictionary()
 
 
-def _build_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
-    rows, cols = _coo_pattern(mesh, n)
-    size = n * mesh.n_cells
-    keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-    indices = (keys % size).astype(np.intc)
-    counts = np.bincount(keys // size, minlength=size)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
-
-    # a nonsingular matrix with this pattern: ones off the diagonal and the
-    # column's entry count on it, strictly diagonally dominant by columns
-    probe = np.ones(keys.size)
-    on_diagonal = indices == np.repeat(np.arange(size), counts)
-    probe[on_diagonal] = counts
-    # 2D: minimum degree on A^T + A (the pattern is symmetric) cuts the 32x32
-    # mesh's L+U fill from 146,588 (COLAMD) to 90,424.  1D: the matrix is
-    # block-tridiagonal, COLAMD already orders it by the band (fill 17,920
-    # against 17,912 for MMD at N = 1280), and keeping it keeps 1D round-off.
-    permc_spec = "MMD_AT_PLUS_A" if mesh.dimension == 2 else "COLAMD"
-    lu = spla.splu(sp.csc_matrix((probe, indices, indptr), shape=(size, size)),
-                   permc_spec=permc_spec)
-    order = np.argsort(lu.perm_c)
-
-    ordered_counts = counts[order]
-    ordered_indptr = np.concatenate([[0], np.cumsum(ordered_counts)]).astype(np.intc)
-    gather = (np.repeat(indptr[:-1][order] - ordered_indptr[:-1], ordered_counts)
-              + np.arange(keys.size))
-    pattern = _JacobianPattern(
-        shape=(size, size),
-        indices=indices,
-        indptr=indptr,
-        scatter=scatter,
-        order=order,
-        gather=gather,
-        ordered_indices=indices[gather],
-        ordered_indptr=ordered_indptr,
-        reuse_factors=mesh.dimension == 2,
-    )
-    for array in vars(pattern).values():
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    return pattern
-
-
 def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     """The cached pattern of ``mesh`` for n species, built on first use."""
     per_mesh = _PATTERNS.setdefault(mesh, {})
-    pattern = per_mesh.get(n)
-    if pattern is None:
-        pattern = per_mesh[n] = _build_pattern(mesh, n)
+    if n in per_mesh:
+        return per_mesh[n]
+    rows, cols = _coo_pattern(mesh, n)
+    size = n * mesh.n_cells
+    keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+    counts = np.bincount(keys // size, minlength=size)
+    pattern = per_mesh[n] = _JacobianPattern(
+        shape=(size, size),
+        indices=(keys % size).astype(np.intc),
+        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.intc),
+        scatter=scatter,
+    )
+    for array in (pattern.indices, pattern.indptr, pattern.scatter):
+        array.flags.writeable = False
     return pattern
 
 
@@ -413,26 +370,28 @@ def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 
 
 class _LinearSolver:
-    """Solves the Newton systems J x = b on one Jacobian pattern, always against the current J.
+    """Solves the Newton systems J x = b of one mesh dimension, always against the current J.
 
-    Each factorisation is one LU of J[:, pattern.order] in natural order,
-    which repeats, bit for bit, what ``splu(J, permc_spec=...)`` computes
-    after its own ordering (MMD_AT_PLUS_A in 2D, COLAMD in 1D) without
-    recomputing that ordering.  Where ``pattern.reuse_factors`` holds (2D
-    meshes) the solver keeps the LU of the last Jacobian it factored, and a
-    later solve on a new J starts from x = LU^-1 b and refines
-    x += LU^-1 (b - J x) until ||b - J x||_inf <= _REFINE_TOL ||b||_inf.  It
-    gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks the
-    residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
-    and then drops the stale factors and factors J.  The held factors only
-    precondition the refinement, so every Newton iterate is the
-    exact-Jacobian one to round-off.  Elsewhere every solve factors J.
-    ``factorizations`` counts the LU factorisations made; ``solve`` raises
-    RuntimeError on a singular J.
+    Each factorisation is one ``splu(J, permc_spec=...)`` of the natural-order
+    J, so SuperLU orders it itself.  On 2D meshes the solver keeps the LU of
+    the last Jacobian it factored, and a later solve on a new J starts from
+    x = LU^-1 b and refines x += LU^-1 (b - J x) until
+    ||b - J x||_inf <= _REFINE_TOL ||b||_inf.  It gives up after
+    _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks the residual by less
+    than 1/_REFINE_CONTRACTION or leaves it non-finite, and then drops the
+    stale factors and factors J.  The held factors only precondition the
+    refinement, so every Newton iterate is the exact-Jacobian one to
+    round-off.  In 1D, where a factorisation costs only three to four
+    refinement sweeps, every solve factors J.  ``factorizations`` counts the
+    LU factorisations made; ``solve`` raises RuntimeError on a singular J.
     """
 
-    def __init__(self, pattern: _JacobianPattern):
-        self.pattern = pattern
+    def __init__(self, dimension: int):
+        # 2D: minimum degree on A^T + A (the pattern is symmetric) cuts the
+        # 32x32 L+U fill from 146,588 (COLAMD) to 90,424.  1D: COLAMD orders
+        # the block-tridiagonal matrix by the band and keeps 1D round-off.
+        self.permc_spec = "MMD_AT_PLUS_A" if dimension == 2 else "COLAMD"
+        self.reuse_factors = dimension == 2
         self.factorizations = 0
         self._lu = None
 
@@ -442,28 +401,16 @@ class _LinearSolver:
             if x is not None:
                 return x
             self._lu = None  # so that at most one set of factors is alive
-        pattern = self.pattern
-        ordered = sp.csc_matrix(
-            (matrix.data[pattern.gather], pattern.ordered_indices, pattern.ordered_indptr),
-            shape=pattern.shape,
-        )
-        lu = splu(ordered, permc_spec="NATURAL")
+        lu = splu(matrix, permc_spec=self.permc_spec)
         self.factorizations += 1
-        if pattern.reuse_factors:
+        if self.reuse_factors:
             self._lu = lu
-        return self._apply(lu, rhs)
-
-    def _apply(self, lu, rhs):
-        """LU^-1 rhs in the natural order of the unknowns."""
-        y = lu.solve(rhs)
-        x = np.empty_like(y)
-        x[self.pattern.order] = y
-        return x
+        return lu.solve(rhs)
 
     def _refined(self, matrix, rhs):
         """x with ||rhs - matrix x||_inf <= _REFINE_TOL ||rhs||_inf on the held factors, or None."""
         target = _REFINE_TOL * np.abs(rhs).max()
-        x = self._apply(self._lu, rhs)
+        x = self._lu.solve(rhs)
         previous = np.inf
         for sweeps in range(_REFINE_SWEEPS + 1):
             r = rhs - matrix @ x
@@ -473,7 +420,7 @@ class _LinearSolver:
             if (sweeps == _REFINE_SWEEPS or not np.isfinite(norm)
                     or norm > _REFINE_CONTRACTION * previous):
                 return None
-            x += self._apply(self._lu, r)
+            x += self._lu.solve(r)
             previous = norm
 
 
@@ -508,7 +455,7 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:
-        solver = _LinearSolver(_jacobian_pattern(mesh, u.shape[0]))
+        solver = _LinearSolver(mesh.dimension)
 
     for it in range(1, cfg.max_iters + 1):
         matrix = jacobian(evaluation, dt, mesh, model)
@@ -565,7 +512,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     m_star = max_principle_bound(state, bdata)
     entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
     start = evaluate(state.u, mesh, model, bdata)
-    solver = _LinearSolver(_jacobian_pattern(mesh, state.u.shape[0]))
+    solver = _LinearSolver(mesh.dimension)
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)

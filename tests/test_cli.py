@@ -144,6 +144,8 @@ RUN_2D = RUN_1D.replace("initial = bumps-1d", "initial = bumps-2d").replace(
     "dimension = 1\ncells = 20\ndirichlet = left", "dimension = 2\nnx = 4\nny = 4\ndirichlet = y=1"
 )
 CONVERGENCE_1D = RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n"
+CONVERGENCE_CASE2 = (Path(__file__).parents[1] / "configs" / "convergence-case2.cfg").read_text(
+    encoding="ascii")
 BAD_CONFIGS = {
     "dimension-word": ("run", RUN_1D.replace("dimension = 1", "dimension = two")),
     "dimension-3": ("run", RUN_2D.replace("dimension = 2", "dimension = 3")),
@@ -174,6 +176,11 @@ BAD_CONFIGS = {
     "contact-missing-run": ("run", RUN_2D.replace("nx = 4", f"file = {ACUTE_FIXTURE}")),
     "contact-missing-steady-state": ("steady-state", RUN_2D.replace(
         "nx = 4", f"file = {ACUTE_FIXTURE}").replace("policy = fixed", "policy = adaptive")),
+    # every run of a study is set up before its output directory is made
+    "convergence-saturated": ("convergence", CONVERGENCE_CASE2.replace(
+        "u_d = 0.1, 0.1", "u_d = 0.45, 0.45")),
+    "convergence-one-cell": ("convergence", CONVERGENCE_CASE2.replace(
+        "40, 80, 160, 320, 640", "1, 2, 4, 8").replace("reference = 1280", "reference = 16")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -183,7 +190,9 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet",
                   "not-utf8": "bad.cfg: 'utf-8' codec can't decode byte 0xe9",
                   "nan-t-end": "'nan' is not a finite number", "nan-u-d": "u_d",
-                  "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number"}
+                  "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number",
+                  "convergence-saturated": "saturation",
+                  "convergence-one-cell": "at least 2 cells"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

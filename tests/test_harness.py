@@ -276,10 +276,19 @@ def test_evolution_rejects_a_nan_snapshot_time():
 
 def test_spec_defaults_follow_the_dimension():
     spec = ExperimentSpec(name="x")
-    assert (spec.initial, spec.dirichlet) == ("bumps-1d", "left")
+    assert (spec.datum_name, spec.dirichlet_tag) == ("bumps-1d", "left")
     spec = ExperimentSpec(name="x", dimension=2, nx=4, ny=4, t_end=1e-4)
-    assert (spec.initial, spec.dirichlet) == ("bumps-2d", "y=1")
+    assert (spec.datum_name, spec.dirichlet_tag) == ("bumps-2d", "y=1")
     assert len(run_evolution(spec).reports) == 10
+
+
+def test_replaced_dimension_takes_that_dimensions_defaults():
+    spec = dataclasses.replace(ExperimentSpec(name="x"), dimension=2)
+    mesh = spec.build_mesh()
+    contact = build_rectangle_mesh(32, 32, DIRICHLET_PREDICATES["y=1"])
+    assert (mesh.dimension, mesh.n_cells) == (2, 32 * 32)
+    assert mesh.dirichlet.size == 32 and np.array_equal(mesh.dirichlet, contact.dirichlet)
+    assert spec.build_datum() == build_named_initial_datum("bumps-2d", {"u_d": spec.u_d})
 
 
 def test_evolution_2d_writes_vtk(tmp_path):

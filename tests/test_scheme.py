@@ -262,34 +262,67 @@ def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
     u = random_admissible(rng, 2, mesh.n_cells)
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
-    x = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2)).solve(matrix, rhs)
-    # SuperLU's own solve in the order the cache holds: COLAMD in 1D, MMD on A^T + A in 2D
+    x = scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
+    # SuperLU's own solve in its own order: COLAMD in 1D, MMD on A^T + A in 2D
     reference = splu(matrix) if mesh.dimension == 1 else splu(matrix, permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(x, reference.solve(rhs))
 
 
-def _probe_and_lu_fill(mesh, n=2):
-    """The pattern's probe matrix and the L+U fill of its LU in the cached order."""
-    pattern = scheme._jacobian_pattern(mesh, n)
-    counts = np.diff(pattern.indptr)
-    probe = np.ones(pattern.indices.size)
-    probe[pattern.indices == np.repeat(np.arange(pattern.shape[0]), counts)] = counts
-    probe = sp.csc_matrix((probe, pattern.indices, pattern.indptr), shape=pattern.shape)
-    lu = splu(probe[:, pattern.order], permc_spec="NATURAL")
-    return pattern, probe, lu.L.nnz + lu.U.nnz
+class _RecordedLU:
+    """One factorisation made through ``scheme.splu``: its ordering, L+U fill and solves."""
+
+    def __init__(self, lu, permc_spec, solves):
+        self.lu, self.permc_spec = lu, permc_spec
+        self.fill = lu.L.nnz + lu.U.nnz
+        self._solves = solves
+
+    def solve(self, rhs):
+        self._solves.append(self)
+        return self.lu.solve(rhs)
 
 
-def test_2d_cached_order_has_less_fill_than_colamd():
+@pytest.fixture
+def recorded_splu(monkeypatch):
+    """Every LU ``scheme.splu`` returns, in order, and the LU of every ``.solve`` call."""
+    factored, solves = [], []
+
+    def recording(matrix, permc_spec=None, **kwargs):
+        factored.append(_RecordedLU(splu(matrix, permc_spec=permc_spec, **kwargs), permc_spec,
+                                    solves))
+        return factored[-1]
+
+    monkeypatch.setattr(scheme, "splu", recording)
+    return factored, solves
+
+
+def _one_jacobian(mesh, bdata, seed=12):
+    model = model_case1(alphas=(1.0, 5.0))
+    rng = np.random.default_rng(seed)
+    u = random_admissible(rng, 2, mesh.n_cells)
+    matrix = jacobian(evaluate(u, mesh, model, bdata), 1e-4, mesh, model)
+    return matrix, rng.standard_normal(matrix.shape[0])
+
+
+def test_2d_factors_in_mmd_order_with_less_fill_than_colamd(recorded_splu, bdata_01):
+    factored, _ = recorded_splu
     mesh = build_rectangle_mesh(16, 16, lambda x, y: abs(y - 1.0) < 1e-12)
-    _, probe, fill = _probe_and_lu_fill(mesh)
-    colamd = splu(probe)
-    assert fill < colamd.L.nnz + colamd.U.nnz
+    matrix, rhs = _one_jacobian(mesh, bdata_01)
+    scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
+    assert [lu.permc_spec for lu in factored] == ["MMD_AT_PLUS_A"]
+    colamd = splu(matrix, permc_spec="COLAMD")
+    assert factored[0].fill < colamd.L.nnz + colamd.U.nnz
 
 
-def test_1d_cached_order_is_colamd():
+def test_1d_factors_every_solve_with_colamd(recorded_splu, bdata_01):
     # the 1D path, and with it the sat1d benchmark, stays bitwise on COLAMD
-    pattern, probe, _ = _probe_and_lu_fill(build_interval_mesh(80, "left"))
-    assert np.array_equal(pattern.order, np.argsort(splu(probe).perm_c))
+    factored, solves = recorded_splu
+    mesh = build_interval_mesh(80, "left")
+    matrix, rhs = _one_jacobian(mesh, bdata_01)
+    solver = scheme._LinearSolver(mesh.dimension)
+    solver.solve(matrix, rhs)
+    solver.solve(matrix, rhs)
+    assert [lu.permc_spec for lu in factored] == ["COLAMD", "COLAMD"]
+    assert solves == factored and solver.factorizations == 2
 
 
 def _held_factors(mesh, bdata, dt=1e-2):
@@ -297,7 +330,7 @@ def _held_factors(mesh, bdata, dt=1e-2):
     model = model_case1(alphas=(1.0, 5.0))
     rng = np.random.default_rng(21)
     u = random_admissible(rng, 2, mesh.n_cells, low=0.05, high=0.15)
-    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    solver = scheme._LinearSolver(mesh.dimension)
     matrix = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model)
     solver.solve(matrix, rng.standard_normal(matrix.shape[0]))
     assert solver.factorizations == 1
@@ -316,28 +349,24 @@ def test_refined_solve_on_held_factors_meets_the_residual_target(name, bdata_01)
     assert np.abs(rhs - matrix @ x).max() <= scheme._REFINE_TOL * np.abs(rhs).max()
 
 
-def test_factors_at_another_dt_are_abandoned(bdata_01, monkeypatch):
+def test_factors_at_another_dt_are_abandoned(recorded_splu, bdata_01):
+    factored, solves = recorded_splu
     mesh = _assembly_meshes()["rectangle"]
-    factored = []
-    monkeypatch.setattr(scheme, "splu",
-                        lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
     solver, model, u, rng = _held_factors(mesh, bdata_01, dt=1e-2)
-    assert len(factored) == 1
-    applied = []
-    apply = scheme._LinearSolver._apply
-    monkeypatch.setattr(scheme._LinearSolver, "_apply",
-                        lambda self, lu, rhs: applied.append(lu) or apply(self, lu, rhs))
+    assert len(factored) == 1 and solves == factored
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-6, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
     x = solver.solve(matrix, rhs)
     assert len(factored) == solver.factorizations == 2
+    old, new = factored
     # x = LU^-1 b and one sweep that fails to shrink the residual tenfold on
     # the old factors, then one solve on the new ones
-    assert len(applied) == 3 and applied[0] is applied[1] is not applied[2]
+    assert solves[1:] == [old, old, new]
     # the new factors replace the old ones and serve the next solve
+    del solves[:]
     solver.solve(matrix, rhs)
-    assert len(factored) == 2
-    fresh = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2)).solve(matrix, rhs)
+    assert len(factored) == 2 and solves and all(lu is new for lu in solves)
+    fresh = scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
     assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
 
 
@@ -614,7 +643,7 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     # a NaN stays NaN under halving, and evaluate rejects it on every trial
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    solver = scheme._LinearSolver(mesh.dimension)
     solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
@@ -651,7 +680,7 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monke
     start = evaluate(state.u, mesh, case2, bdata_01)
     cfg = NewtonConfig()
     reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
-    solver = scheme._LinearSolver(scheme._jacobian_pattern(mesh, 2))
+    solver = scheme._LinearSolver(mesh.dimension)
     solve, updates = solver.solve, []
 
     def overshooting(matrix, rhs):
