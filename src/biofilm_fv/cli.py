@@ -34,7 +34,8 @@ from .mesh import (
     load_triangle_mesh,
     load_triangle_mesh_file,
 )
-from .model import ModelDomainError, equal_diffusivities, model_case1, model_case2
+from .model import (ModelDomainError, equal_diffusivities, get_model, model_case1,
+                    model_case2)
 from .oracle import fd_jacobian
 from .scheme import BoundaryData, SolverError, State, evaluate, jacobian
 from . import diagnostics
@@ -114,7 +115,10 @@ def _config_fields(path):
 def load_config(path, paper_scale=False) -> ExperimentSpec:
     """The experiment a config file describes; ``paper_scale`` swaps in the full sizes."""
     fields = _config_fields(path)
-    fields.setdefault("name", Path(path).stem)
+    name = fields.setdefault("name", Path(path).stem)
+    # the outputs go to <out>/<name>, so the name may not lead out of --out
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigurationError(f"{path}: [experiment] name: {name!r} is not a plain file name")
     two_d = fields.get("dimension") == 2
     if fields.get("initial") == "custom-indicator":
         raise ConfigurationError(f"{path}: initial = custom-indicator needs base, bump and "
@@ -224,7 +228,8 @@ def _selftest_models():
     from scipy.integrate import quad
 
     ok = True
-    for model in (model_case1(), model_case2()):
+    generic = get_model("generic", (1.0, 1.0), a=1.5, b=1.0, p_name="quadratic")
+    for model in (model_case1(), model_case2(), generic):
         a, b = model.params.a, model.params.b
 
         def integrand(s):

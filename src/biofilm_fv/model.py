@@ -17,13 +17,13 @@ G'(m) = m^a / ((1 - m)^b p(m)^2).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_jacobi, xlogy
+from scipy.special import xlogy
 
 
 class ModelError(Exception):
@@ -87,9 +87,55 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 # is handled with the leading power behaviour g(s) ~ C s^a
 _LOG_SPLIT = 1e-6
 
-# degree of each Chebyshev panel of the entropy primitive; with panels that
-# halve the distance to saturation, degree 20 already reaches round-off
+# degree of each Chebyshev panel of _PanelInterpolant; with panels that halve
+# the distance to saturation, degree 20 already reaches round-off
 _PANEL_DEGREE = 24
+
+
+class _PanelInterpolant:
+    """Piecewise Chebyshev interpolant of f on [0, cap].
+
+    The panel breaks halve the distance to s = 1 (0, 1/2, 3/4, ..., cap), so
+    every panel is the same number of its own widths away from the
+    saturation singularity and one low degree ``_PANEL_DEGREE`` resolves all
+    of them (Trefethen, Approximation Theory and Approximation Practice,
+    2013).  f is sampled once, on a flat array of the first-kind Chebyshev
+    points of every panel.
+    """
+
+    def __init__(self, f, cap):
+        halvings = 1.0 - 0.5 ** np.arange(1, 64)
+        self.breaks = np.concatenate([[0.0], halvings[halvings < cap], [cap]])
+        left, right = self.breaks[:-1], self.breaks[1:]
+        self._half = 0.5 * (right - left)
+        self._mid = 0.5 * (left + right)
+        self._inv_half = 1.0 / self._half
+
+        x = chebyshev.chebpts1(_PANEL_DEGREE + 1)
+        s = self._mid + self._half * x[:, None]
+        coef = chebyshev.chebvander(x, _PANEL_DEGREE).T @ f(s.ravel()).reshape(s.shape)
+        coef[0] /= _PANEL_DEGREE + 1
+        coef[1:] /= 0.5 * (_PANEL_DEGREE + 1)
+        self._coef = coef  # one column per panel
+
+    def antiderivative(self):
+        """The antiderivative that vanishes at s = 0, on the same panels."""
+        # per-panel antiderivatives in s, zero at the panel's left break
+        coef = chebyshev.chebint(self._coef, lbnd=-1.0) * self._half
+        totals = coef.sum(axis=0)  # value at the right break, T_k(1) = 1
+        coef[0, 1:] += np.cumsum(totals[:-1])
+        out = copy.copy(self)
+        out._coef = coef
+        return out
+
+    def _panels(self, m, panel):
+        """The interpolant at m evaluated on the given panels."""
+        x = (m - self._mid[panel]) * self._inv_half[panel]
+        return chebyshev.chebval(x, self._coef[:, panel], tensor=False)
+
+    def __call__(self, m):
+        """The interpolant at m in [0, cap], any shape."""
+        return self._panels(m, np.searchsorted(self.breaks[1:-1], m, side="right"))
 
 
 class _LogGPrimitive:
@@ -97,45 +143,17 @@ class _LogGPrimitive:
 
     Splits log g(s) = a log s + phi(s) with phi smooth up to the saturation
     singularity; the a log s part integrates in closed form.  phi is
-    interpolated on [0, cap] by piecewise Chebyshev panels of degree
-    ``_PANEL_DEGREE`` and integrated exactly.  The panel breaks halve the
-    distance to s = 1 (0, 1/2, 3/4, ..., cap), so every panel is the same
-    number of its own widths away from the singularity and one low degree
-    resolves all of them (Trefethen, Approximation Theory and Approximation
-    Practice, 2013).  Each panel's antiderivative carries the integral over
-    the panels before it.  Beyond the cap the (slow) adaptive quadrature path
-    is used.
+    interpolated on the halving panels of ``_PanelInterpolant`` up to the cap
+    and integrated exactly.  Beyond the cap the (slow) adaptive quadrature
+    path is used.
     """
 
     def __init__(self, log_g, a, cap=0.99):
         self.a = float(a)
         self.cap = float(cap)
         self._log_g = log_g
-
-        halvings = 1.0 - 0.5 ** np.arange(1, 64)
-        self.breaks = np.concatenate([[0.0], halvings[halvings < self.cap], [self.cap]])
-        left, right = self.breaks[:-1], self.breaks[1:]
-        half = 0.5 * (right - left)
-        self._mid = 0.5 * (left + right)
-        self._inv_half = 1.0 / half
-
-        # interpolate phi at first-kind Chebyshev points of every panel at once
-        x = chebyshev.chebpts1(_PANEL_DEGREE + 1)
-        s = self._mid + half * x[:, None]
-        phi = log_g(s.ravel()).reshape(s.shape) - self.a * np.log(s)
-        coef = chebyshev.chebvander(x, _PANEL_DEGREE).T @ phi
-        coef[0] /= _PANEL_DEGREE + 1
-        coef[1:] /= 0.5 * (_PANEL_DEGREE + 1)
-        # columns: per-panel antiderivatives in s, zero at the panel's left break
-        antiderivative = chebyshev.chebint(coef, lbnd=-1.0) * half
-        totals = antiderivative.sum(axis=0)  # value at the right break, T_k(1) = 1
-        antiderivative[0, 1:] += np.cumsum(totals[:-1])
-        self._coef = antiderivative
-
-    def _panels(self, m, panel):
-        """Antiderivative of phi at m evaluated on the given panels."""
-        x = (m - self._mid[panel]) * self._inv_half[panel]
-        return chebyshev.chebval(x, self._coef[:, panel], tensor=False)
+        self._phi = _PanelInterpolant(
+            lambda s: log_g(s) - self.a * np.log(s), self.cap).antiderivative()
 
     def quad(self, m):
         """Adaptive-quadrature evaluation of integral_0^m log g(s) ds."""
@@ -157,9 +175,7 @@ class _LogGPrimitive:
         m = np.atleast_1d(m)
         out = self.a * (xlogy(m, m) - m)
         inside = m <= self.cap
-        m_in = m[inside]
-        panel = np.searchsorted(self.breaks[1:-1], m_in, side="right")
-        out[inside] += self._panels(m_in, panel)
+        out[inside] += self._phi(m[inside])
         for idx in np.flatnonzero(~inside):
             out[idx] = self.quad(m[idx])
         return float(out[0]) if scalar else out
@@ -334,20 +350,35 @@ P_REGISTRY = {
     "exp": (_p_exp, _p_exp_prime),
 }
 
-_JACOBI_NODES = 48
-_GRID_LOW = 512       # uniform c-grid on [0, 0.5]
-_GRID_HIGH = 3584     # log(1-s)-graded panels on (0.5, cap]
-_PANEL_GL_X, _PANEL_GL_W = np.polynomial.legendre.leggauss(15)
+
+def _sigma_rule():
+    """Composite 10-point Gauss-Legendre rule on [0, 1], panels halving towards both ends.
+
+    Towards 0 the panels resolve sigma^a for any real a >= 1; towards 1 they
+    reach 2^-20 < 1 - cap, which resolves the saturation layer of w(s sigma)
+    for every s up to a generic model's cap.
+    """
+    levels = 0.5 ** np.arange(20, 0, -1)  # 2^-20, ..., 1/4, 1/2
+    breaks = np.concatenate([[0.0], levels, 1.0 - levels[-2::-1], [1.0]])
+    x, w = np.polynomial.legendre.leggauss(10)
+    half = 0.5 * np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+_SIGMA_X, _SIGMA_W = _sigma_rule()
 
 
 def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunctions:
     """Build model functions for a user-supplied p by quadrature.
 
-    G is cached as m^(a+1) * c(m) with c smooth; c is computed once on a
-    4096-point monotone grid (uniform up to 0.5, then graded towards the
-    saturation point) and interpolated with a shape-preserving cubic.  The
-    cache stops where log g would overflow; evaluations beyond it raise
-    ModelDomainError naming the offending biomass value.
+    G is m^(a+1) c(m) with c(s) = integral_0^1 sigma^a w(s sigma) d sigma and
+    w(s) = 1 / ((1 - s)^b p(s)^2).  c is computed once by a fixed composite
+    Gauss-Legendre rule in sigma at the Chebyshev points of the halving
+    panels of ``_PanelInterpolant``, and log c is interpolated on them; the
+    s^a factor stays in closed form.  The panels, and the entropy primitive
+    built on the same layout, stop at the cap where log g would overflow;
+    evaluations beyond it raise ModelDomainError naming the offending
+    biomass value.
     """
     a, b = params.a, params.b
 
@@ -371,10 +402,11 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
         with np.errstate(divide="ignore"):
             return -b * np.log1p(-s) - 2.0 * np.log(p(s))
 
-    # cap the cache where log g stays representable
+    # cap the panels where log g stays representable; the bracket starts at 0
+    # because for a large b, log w passes the threshold below s = 1/2
     cap = 1.0 - 1e-6
     if log_weight(np.array([cap]))[0] > 690.0:
-        lo, hi = 0.5, cap
+        lo, hi = 0.0, cap
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if log_weight(np.array([mid]))[0] > 690.0:
@@ -383,67 +415,34 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
                 lo = mid
         cap = lo
 
-    # c(s) = G(s) / s^(a+1) = integral_0^1 sigma^a w(s sigma) / w-normalization
-    xj, wj = roots_jacobi(_JACOBI_NODES, 0.0, a)
-    sigma = 0.5 * (xj + 1.0)
-    wj = wj / 2.0 ** (a + 1.0)
+    sigma_weights = _SIGMA_W * _SIGMA_X**a
+    log_c_panels = _PanelInterpolant(
+        lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), cap)
 
-    def c_direct(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return weight(s[:, None] * sigma[None, :]) @ wj
-
-    low_grid = np.linspace(0.0, 0.5, _GRID_LOW + 1)
-    c_low = c_direct(low_grid)
-
-    # cumulative panels for G on (0.5, cap], graded like -log(1-s)
-    zeta = np.linspace(-np.log1p(-0.5), -np.log1p(-cap), _GRID_HIGH + 1)
-    high_grid = 1.0 - np.exp(-zeta)
-    high_grid[0] = 0.5
-    g_accum = np.empty(_GRID_HIGH + 1)
-    g_accum[0] = c_low[-1] * 0.5 ** (a + 1.0)
-    left, right = high_grid[:-1], high_grid[1:]
-    mid = 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * _PANEL_GL_X[None, :]
-    panel = 0.5 * (right - left) * ((mid**a * weight(mid)) @ _PANEL_GL_W)
-    g_accum[1:] = g_accum[0] + np.cumsum(panel)
-
-    # low section: c is smooth in s; high section: interpolate log c against the
-    # graded coordinate -log(1-s), which keeps the interpolation error relative
-    low_interp = PchipInterpolator(low_grid, c_low, extrapolate=False)
-    log_c_high = np.log(g_accum) - (a + 1.0) * np.log(high_grid)
-    high_interp = PchipInterpolator(zeta, log_c_high, extrapolate=False)
-
-    def _cached_c(m):
+    def log_c(m):
         m = _as_biomass(m)
-        scalar = m.ndim == 0
-        m = np.atleast_1d(m)
         if m.size and m.max() > cap:
             raise ModelDomainError(
                 f"model {name!r}: biomass {float(m.max()):.8f} beyond quadrature range "
                 f"(saturation singularity, cap={cap:.8f})"
             )
-        out = np.empty_like(m)
-        low = m <= 0.5
-        out[low] = low_interp(m[low])
-        if np.any(~low):
-            out[~low] = np.exp(high_interp(-np.log1p(-m[~low])))
-        return (float(out[0]) if scalar else out)
+        return log_c_panels(m)
 
     def g(m):
-        return _cached_c(m) * np.asarray(m, dtype=float) ** a
+        return np.exp(log_c(m)) * np.asarray(m, dtype=float) ** a
 
     def g_prime(m):
         m2 = _as_biomass(m)
-        cval = _cached_c(m2)
+        cval = np.exp(log_c(m2))
         with np.errstate(divide="ignore", invalid="ignore"):
             gp = m2 ** (a - 1.0) * (weight(m2) - cval)
         return np.where(m2 == 0.0, 0.0 if a > 1.0 else cval, gp)
 
     def log_g(m):
         m2 = np.asarray(m, dtype=float)
-        return np.log(_cached_c(m2)) + a * np.log(m2)
+        return log_c(m2) + a * np.log(m2)
 
-    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g,
-                          primitive_cap=min(0.99, cap))
+    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g, primitive_cap=cap)
 
 
 def get_model(selector: str, alphas, a=None, b=None, p_name=None) -> ModelFunctions:

@@ -181,6 +181,11 @@ BAD_CONFIGS = {
         "u_d = 0.1, 0.1", "u_d = 0.45, 0.45")),
     "convergence-one-cell": ("convergence", CONVERGENCE_CASE2.replace(
         "40, 80, 160, 320, 640", "1, 2, 4, 8").replace("reference = 1280", "reference = 16")),
+    # the outputs go to <out>/<name>; TMP stands for the test's own directory
+    "name-parent": ("run", RUN_1D.replace("name = smoke-1d", "name = ../escaped")),
+    "name-absolute": ("run", RUN_1D.replace("name = smoke-1d", "name = TMP/escaped")),
+    "name-dot": ("run", RUN_1D.replace("name = smoke-1d", "name = .")),
+    "name-empty": ("run", RUN_1D.replace("name = smoke-1d", "name =")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -192,19 +197,24 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "nan-t-end": "'nan' is not a finite number", "nan-u-d": "u_d",
                   "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number",
                   "convergence-saturated": "saturation",
-                  "convergence-one-cell": "at least 2 cells"}
+                  "convergence-one-cell": "at least 2 cells",
+                  "name-parent": "name: '../escaped' is not a plain file name",
+                  "name-absolute": "escaped' is not a plain file name",
+                  "name-dot": "name: '.' is not a plain file name",
+                  "name-empty": "name: '' is not a plain file name"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
     command, text = BAD_CONFIGS[name]
-    cfg = write_config(tmp_path / "bad.cfg", text)
+    cfg = write_config(tmp_path / "bad.cfg", text.replace("TMP", str(tmp_path)))
     code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert NAMED_IN_ERROR.get(name, "") in err
-    assert not (tmp_path / "out").exists()
+    # no output directory, and nothing written beside it
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
@@ -308,6 +318,16 @@ def test_run_generic_model(tmp_path):
     cfg = write_config(
         tmp_path / "gen.cfg",
         RUN_1D.replace("model = case1", "model = generic\np = linear\na = 1\nb = 1"),
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_run_generic_model_with_a_large_exponent(tmp_path):
+    # 2^(a+1) overflows for a above about 1000; the model never forms it
+    cfg = write_config(
+        tmp_path / "gen.cfg",
+        RUN_1D.replace("model = case1", "model = generic\np = linear\na = 2000\nb = 1")
+        .replace("cells = 20", "cells = 4"),
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 

@@ -256,6 +256,20 @@ def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
     assert calls == {"g": 202, "entropy": 102}
 
 
+def test_generic_exp_model_reproduces_the_case1_run():
+    # generic p = exp with a = b = 2 is case1's model, computed by quadrature
+    spec = ExperimentSpec(name="case1", model="case1", u_d=(0.3, 0.3), t_end=1e-3,
+                          n_cells=40, dt=1e-5)
+    generic = dataclasses.replace(spec, model="generic", generic_p="exp", a=2.0, b=2.0)
+    reference, result = run_evolution(spec), run_evolution(generic)
+    assert len(result.reports) == len(reference.reports) == 100
+    assert [r.newton_iters for r in result.reports] == [r.newton_iters for r in reference.reports]
+    assert np.abs(result.final_state.u - reference.final_state.u).max() <= 1e-14
+    entropy = np.array([r.entropy for r in result.reports])
+    reference_entropy = np.array([r.entropy for r in reference.reports])
+    assert np.abs(entropy / reference_entropy - 1.0).max() <= 1e-13
+
+
 def test_evolution_rejects_late_snapshot():
     spec = ExperimentSpec(
         name="evo", t_end=1e-4, dimension=1, n_cells=10,

@@ -101,6 +101,21 @@ def test_p_shape_asserted_on_construction():
 # -- generic models -----------------------------------------------------------------
 
 
+# the generic models' error against the closed forms on [1e-4, 0.985]; case1's
+# own closed form is ~4e-12 off just above its switch to quadrature at m = 1e-2
+GENERIC_GRID = np.linspace(1e-4, 0.985, 2001)
+GENERIC_TOL = 1e-11
+
+
+def assert_generic_matches(generic, model):
+    for function in ("g", "g_prime"):
+        ratio = getattr(generic, function)(GENERIC_GRID) / getattr(model, function)(GENERIC_GRID)
+        assert np.abs(ratio - 1.0).max() < GENERIC_TOL, function
+    for function in ("log_g", "log_g_primitive"):
+        difference = getattr(generic, function)(GENERIC_GRID) - getattr(model, function)(GENERIC_GRID)
+        assert np.abs(difference).max() < GENERIC_TOL, function
+
+
 def test_generic_reproduces_case2(case2):
     params = ModelParams(a=1.0, b=1.0, n_species=2, alphas=(1.0, 1.0))
     generic = model_generic(
@@ -108,16 +123,30 @@ def test_generic_reproduces_case2(case2):
         lambda x: -np.ones_like(np.asarray(x, float)),
         params,
     )
-    grid = np.linspace(0.02, 0.9, 50)
-    assert np.abs(generic.g(grid) / case2.g(grid) - 1.0).max() < 1e-8
+    assert_generic_matches(generic, case2)
     assert float(generic.g(0.0)) == 0.0
 
 
 def test_generic_reproduces_case1(case1):
-    params = ModelParams(a=2.0, b=2.0, n_species=2, alphas=(1.0, 1.0))
     generic = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="exp")
-    grid = np.linspace(0.02, 0.9, 20)
-    assert np.abs(generic.g(grid) / case1.g(grid) - 1.0).max() < 1e-7
+    assert_generic_matches(generic, case1)
+
+
+def test_generic_non_integer_exponent_matches_quadrature():
+    model = get_model("generic", (1.0, 1.0), a=1.5, b=1.0, p_name="quadratic")
+    for m in np.linspace(1e-4, 0.985, 40):
+        assert float(model.g(m)) == pytest.approx(quadrature_g(model, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(2000.0, 1.0), (1e4, 1.0), (1.0, 2000.0)])
+def test_generic_builds_for_large_exponents(a, b):
+    # s^a stays in closed form, so 2^(a+1) overflowing is harmless; for a large
+    # b, log w passes the overflow threshold below s = 1/2, and so does the cap
+    model = get_model("generic", (1.0,), a=a, b=b, p_name="linear")
+    ms = np.linspace(0.0, model.log_g_primitive.cap, 101)
+    for function in ("g", "g_prime", "log_g_primitive"):
+        assert np.isfinite(getattr(model, function)(ms)).all(), function
+    assert np.isfinite(model.log_g(ms[1:])).all()
 
 
 def test_generic_rejects_increasing_p():
@@ -237,11 +266,11 @@ def test_primitive_panels_continuous_at_breaks(selector):
         model = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="quadratic")
     else:
         model = get_model(selector, (1.0, 1.0))
-    primitive = model.log_g_primitive
-    breaks = primitive.breaks[1:-1]
+    phi = model.log_g_primitive._phi
+    breaks = phi.breaks[1:-1]
     panel = np.arange(breaks.size)
-    left = primitive._panels(breaks, panel)
-    right = primitive._panels(breaks, panel + 1)
+    left = phi._panels(breaks, panel)
+    right = phi._panels(breaks, panel + 1)
     assert np.abs(left - right).max() <= 1e-14
 
 
@@ -251,6 +280,16 @@ def test_generic_primitive_matches_quadrature():
         assert float(model.log_g_primitive(m)) == pytest.approx(
             model.log_g_primitive.quad(m), abs=1e-9
         )
+
+
+def test_generic_primitive_panels_reach_the_cap():
+    # a generic model's panels stop at its own cap, not at 0.99, so no biomass
+    # in its domain falls back to the adaptive quadrature
+    primitive = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="exp").log_g_primitive
+    ms = np.array([0.995, primitive.cap])
+    expected = [primitive.quad(m) for m in ms]
+    primitive.quad = None
+    assert primitive(ms) == pytest.approx(expected, abs=1e-9)
 
 
 # -- edge coefficient -----------------------------------------------------------------
