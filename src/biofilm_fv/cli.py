@@ -83,6 +83,8 @@ _CONFIG_KEYS = {
 # the keys whose ExperimentSpec field has another name
 _FIELD_NAMES = {"p": "generic_p", "cells": "n_cells", "file": "mesh_file",
                "policy": "dt_policy", "snapshots": "snapshot_times"}
+# the [mesh] keys that a dimension never reads
+_UNREAD_MESH_KEYS = {1: ("nx", "ny", "file"), 2: ("cells",)}
 
 
 def _config_fields(path):
@@ -119,7 +121,11 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
     # the outputs go to <out>/<name>, so the name may not lead out of --out
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigurationError(f"{path}: [experiment] name: {name!r} is not a plain file name")
-    two_d = fields.get("dimension") == 2
+    dimension = fields.get("dimension", ExperimentSpec.dimension)
+    for key in _UNREAD_MESH_KEYS.get(dimension, ()):
+        if _FIELD_NAMES.get(key, key) in fields:
+            raise ConfigurationError(f"{path}: [mesh] {key} is not read in {dimension}D")
+    two_d = dimension == 2
     if fields.get("initial") == "custom-indicator":
         raise ConfigurationError(f"{path}: initial = custom-indicator needs base, bump and "
                                  "boxes, which only ExperimentSpec.initial_params can give")
@@ -215,8 +221,7 @@ def _selftest_beta_bound(rng):
     for _ in range(100):
         u = rng.uniform(0.01, 0.45, size=(2, mesh.n_cells))
         lhs, rhs = diagnostics.entropy_production_beta_bound(
-            State(time=0.0, u=u), mesh, model, bdata
-        )
+            evaluate(u, mesh, model, bdata), mesh)
         worst = min(worst, lhs - rhs)
     ok = worst >= -1e-12
     print(f"{'ok' if ok else 'FAIL'}: dissipation lower bound on 100 random states, "

@@ -1,13 +1,13 @@
 """Discrete entropy, dissipation, norms and gradient reconstruction.
 
-All functions here are pure in (state, mesh, model, boundary data), or in
-(evaluation, mesh) for ``dissipation``: repeated evaluation returns bitwise
-identical results.  Edge sums run over the mesh's flux edges, as in the
-scheme: on a Dirichlet edge the far side is the ghost column ``n_cells``
-holding the contact state (``mesh.with_contact``), and Neumann edges
-contribute nothing.  g and p are never evaluated here: the dissipation and
-its lower bound read them from ``scheme.evaluate``'s record, and the entropy
-needs only the primitive of log g.
+The per-state diagnostics read one ``scheme.Evaluation``: its u, the contact
+state u^D in ghost column ``n_cells`` (``mesh.with_contact``), the biomass M
+with M^D beside it, and g and p.  They are pure in (evaluation, mesh, model):
+repeated evaluation returns bitwise identical results, and an entropy is
+always taken against the contact state that the scheme used.  Edge sums run
+over the mesh's flux edges, as in the scheme; Neumann edges contribute
+nothing.  g and p are never evaluated here, and the entropy needs only the
+primitive of log g.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from . import scheme
 from .mesh import Mesh, jump, with_contact
-from .model import ModelFunctions, admissible_biomass
+from .model import ModelFunctions
 
 
 @dataclass(frozen=True)
@@ -29,21 +28,18 @@ class NormReport:
     linf: float
 
 
-def discrete_entropy(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
+def discrete_entropy(evaluation, mesh: Mesh, model: ModelFunctions) -> float:
     """Relative entropy sum_K m(K) h*(u_K | u^D); zero iff u is the contact state."""
-    biomass = admissible_biomass(state.u)
-    u_d, m_d = bdata.values, bdata.biomass
-    kl = np.sum(xlogy(state.u, state.u / u_d[:, None]) - state.u + u_d[:, None], axis=0)
-    primitive = model.log_g_primitive(with_contact(biomass, m_d))
-    bregman = primitive[:-1] - primitive[-1] - float(model.log_g(m_d)) * (biomass - m_d)
+    u, u_d, m_d = evaluation.u, evaluation.u_ext[:, -1:], evaluation.m[-1]
+    kl = np.sum(xlogy(u, u / u_d) - u + u_d, axis=0)
+    primitive = model.log_g_primitive(evaluation.m)
+    bregman = (primitive[:-1] - primitive[-1]
+               - float(model.log_g(m_d)) * (evaluation.biomass - m_d))
     return float(mesh.cell_measures @ (kl + bregman))
 
 
 def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
-    """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2.
-
-    ``evaluation`` is a ``scheme.Evaluation``, which exists only for an admissible state.
-    """
+    """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2."""
     return (jump(np.sqrt(evaluation.u_ext * evaluation.g), mesh) ** 2
             * (mesh.flux_tau * evaluation.psq)).sum(axis=1)
 
@@ -58,25 +54,24 @@ def entropy_production(dissipation, alphas) -> float:
     return float(np.asarray(alphas, dtype=float) @ dissipation)
 
 
-def entropy_production_beta_bound(state, mesh: Mesh, model: ModelFunctions, bdata):
+def entropy_production_beta_bound(evaluation, mesh: Mesh):
     """Explicit lower bound for the total dissipation.
 
     Returns (lhs, rhs) with lhs the summed dissipation and
 
         rhs = 1/2 sum_i sum_sigma tau * min(pq_K, pq_Ksigma) * (D_sigma sqrt(u_i))^2,
 
-    where pq = p(M)^2 g(M), from the g and p of ``scheme.evaluate``.  The
-    inequality lhs >= rhs holds for every admissible state up to round-off;
-    callers assert lhs >= rhs - 1e-12.
+    where pq = p(M)^2 g(M), from the evaluation's g and p.  The inequality
+    lhs >= rhs holds for every admissible state up to round-off; callers
+    assert lhs >= rhs - 1e-12.
     """
-    evaluation = scheme.evaluate(state.u, mesh, model, bdata)
     pq = evaluation.p**2 * evaluation.g
     beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])
     rhs = (jump(np.sqrt(evaluation.u_ext), mesh) ** 2 * (mesh.flux_tau * beta)).sum()
     return float(dissipation(evaluation, mesh).sum()), 0.5 * float(rhs)
 
 
-def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) -> float:
+def singular_gradient_weight(evaluation, mesh: Mesh, model: ModelFunctions) -> float:
     """Informational edge sum sum_sigma tau M_mid^(a-1) (1-M_mid)^(-1-b-kappa) (D M)^2.
 
     Reported alongside the dissipation bound but never asserted: the constant
@@ -84,12 +79,12 @@ def singular_gradient_weight(state, mesh: Mesh, model: ModelFunctions, bdata) ->
     intermediate biomass value is taken as the edge midpoint by convention.
     Models without a stated singularity exponent use kappa = 0.
     """
-    biomass = with_contact(admissible_biomass(state.u), bdata.biomass)
+    m = evaluation.m
     a, b = model.params.a, model.params.b
     kappa = model.params.kappa or 0.0
-    mid = 0.5 * (biomass[mesh.flux_K] + biomass[mesh.flux_L])
+    mid = 0.5 * (m[mesh.flux_K] + m[mesh.flux_L])
     weight = mesh.flux_tau * mid ** (a - 1.0) * (1.0 - mid) ** (-1.0 - b - kappa)
-    return float((weight * jump(biomass, mesh) ** 2).sum())
+    return float((weight * jump(m, mesh) ** 2).sum())
 
 
 def _field_jumps(v, mesh, dirichlet_value):

@@ -199,19 +199,22 @@ class ModelFunctions:
         self.g = g
         self.g_prime = g_prime
         self.log_g = log_g
-        self._assert_p_shape()
+        _check_p_shape(p, name)
         self.log_g_primitive = _LogGPrimitive(log_g, params.a, cap=primitive_cap)
-
-    def _assert_p_shape(self):
-        grid = np.linspace(0.0, 1.0, 257)
-        values = self.p(grid)
-        if np.any(np.diff(values) > 1e-12):
-            raise ModelError(f"model {self.name!r}: p must be decreasing on [0, 1]")
-        if abs(float(self.p(1.0))) > 1e-12 * max(float(self.p(0.0)), 1.0):
-            raise ModelError(f"model {self.name!r}: p(1) must vanish")
 
     def __repr__(self):
         return f"ModelFunctions({self.name!r}, a={self.params.a}, b={self.params.b})"
+
+
+def _check_p_shape(p, name):
+    """Raise ModelError unless p decreases on [0, 1] and p(1) = 0."""
+    grid = np.linspace(0.0, 1.0, 257)
+    rising = np.diff(p(grid)) > 1e-12
+    if rising.any():
+        raise ModelError(f"model {name!r}: p is increasing near m = "
+                         f"{grid[int(np.argmax(rising))]:.4f}")
+    if abs(float(p(1.0))) > 1e-12 * max(float(p(0.0)), 1.0):
+        raise ModelError(f"model {name!r}: p(1) must vanish")
 
 
 def _as_biomass(m):
@@ -382,11 +385,7 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
     """
     a, b = params.a, params.b
 
-    grid = np.linspace(0.0, 1.0, 129)
-    pvals = p(grid)
-    if np.any(np.diff(pvals) > 1e-12):
-        bad = grid[int(np.argmax(np.diff(pvals) > 1e-12))]
-        raise ModelError(f"model {name!r}: p is increasing near m = {bad:.4f}")
+    _check_p_shape(p, name)  # before any panel is built on p
     # spot-check the supplied derivative against central differences
     check = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     step = 1e-6

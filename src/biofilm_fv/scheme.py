@@ -16,15 +16,15 @@ on the biomass.
 p, psq, D_sigma v and F once per admissible state (``admissible_biomass``);
 its ``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
 ``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and the
-dissipation and its lower bound in ``diagnostics`` read.
+per-state functions of ``diagnostics``, the entropy included, read.
 
 ``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
 ``start``, the evaluation of ``state_prev.u``, and returns the new state with
 its accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
-its entry state and that state's entropy once per call, hands each accepted
-evaluation on as the next step's ``start`` (dt-halving retries reuse it),
-computes the per-step diagnostics, enforces the invariants and builds the
-one ``StepReport``.  Nothing is kept between calls.
+its entry state, and takes its entropy from that, once per call; hands each
+accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
+it); enforces the invariants, then takes the step's diagnostics from it; and
+builds the one ``StepReport``.  Nothing is kept between calls.
 
 ``jacobian`` fills the mesh's cached CSC pattern with one ``bincount``, and
 the Newton systems go through one ``_LinearSolver`` per ``advance`` call,
@@ -203,12 +203,12 @@ def max_principle_bound(state: State, bdata: BoundaryData) -> float:
 class Evaluation:
     """The scheme's quantities at one trial state, from one evaluation of g and p.
 
-    ``u_ext``, g and p carry the contact state as ghost column ``n_cells``;
-    psq (psq_sigma), dv (D_sigma v) and flux (F into K) span every flux edge.
+    ``u_ext``, the biomass m, g and p carry the contact state as ghost column
+    ``n_cells``; psq (psq_sigma), dv (D_sigma v) and flux (F into K) span every flux edge.
     """
 
     u_ext: np.ndarray
-    biomass: np.ndarray
+    m: np.ndarray
     g: np.ndarray
     p: np.ndarray
     psq: np.ndarray
@@ -219,18 +219,21 @@ class Evaluation:
     def u(self):
         return self.u_ext[:, :-1]
 
+    @property
+    def biomass(self):
+        return self.m[:-1]
+
 
 def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) -> Evaluation:
     """Evaluate the scheme at a trial state; raises ModelDomainError if it is inadmissible."""
     u = np.asarray(u_trial, dtype=float)
-    biomass = admissible_biomass(u)
-    m = with_contact(biomass, bdata.biomass)
+    m = with_contact(admissible_biomass(u), bdata.biomass)
     g, p = model.g(m), model.p(m)
     psq = 0.5 * (p[mesh.flux_K] ** 2 + p[mesh.flux_L] ** 2)
     u_ext = with_contact(u, bdata.values)
     dv = jump(u_ext * g, mesh)
     flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
-    return Evaluation(u_ext=u_ext, biomass=biomass, g=g, p=p, psq=psq, dv=dv, flux=flux)
+    return Evaluation(u_ext=u_ext, m=m, g=g, p=p, psq=psq, dv=dv, flux=flux)
 
 
 def residual(state_prev: State, evaluation: Evaluation, dt, mesh: Mesh):
@@ -505,13 +508,13 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
 
     One ``_LinearSolver`` serves every step of the call, so LU factors held
     on 2D meshes carry across iterates and steps; they are freed on return.
-    The entry state is evaluated, and its entropy computed, on every call.
+    The entry state is evaluated, and its entropy taken, on every call.
     """
     if t_end < state.time:
         raise ValueError("t_end lies before the current state time")
     m_star = max_principle_bound(state, bdata)
-    entropy_prev = diagnostics.discrete_entropy(state, mesh, model, bdata)
     start = evaluate(state.u, mesh, model, bdata)
+    entropy_prev = diagnostics.discrete_entropy(start, mesh, model)
     solver = _LinearSolver(mesh.dimension)
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
@@ -540,16 +543,11 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
                     raise SolverFailure(f"time step fell below its floor: {exc}",
                                         time=state.time) from exc
 
+        # the entropy and the dissipation assume an admissible state, so
+        # nonnegativity and the biomass bound are checked first
         accepted = result.evaluation
-        entropy = diagnostics.discrete_entropy(new_state, mesh, model, bdata)
-        dissipation = diagnostics.dissipation(accepted, mesh)
-        defect = float(
-            np.sum(mesh.cell_measures * (new_state.u - state.u))
-            + dt * dirichlet_fluxes(accepted, mesh).sum()
-        )
         max_M = float(accepted.biomass.max())
         min_u = float(new_state.u.min())
-
         if enforce_max_principle and max_M > m_star + MAX_PRINCIPLE_TOL:
             raise InvariantViolation(
                 f"biomass bound violated at t = {new_state.time:.6e}: "
@@ -557,6 +555,13 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             )
         if min_u < 0.0:
             raise InvariantViolation(f"negative proportion at t = {new_state.time:.6e}")
+
+        entropy = diagnostics.discrete_entropy(accepted, mesh, model)
+        dissipation = diagnostics.dissipation(accepted, mesh)
+        defect = float(
+            np.sum(mesh.cell_measures * (new_state.u - state.u))
+            + dt * dirichlet_fluxes(accepted, mesh).sum()
+        )
         produced = dt * diagnostics.entropy_production(dissipation, alphas)
         if entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
             raise InvariantViolation(

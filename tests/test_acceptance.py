@@ -72,7 +72,7 @@ def entropy_runs():
 
         from biofilm_fv.diagnostics import discrete_entropy
 
-        h0 = discrete_entropy(state, mesh, model, bdata)
+        h0 = discrete_entropy(evaluate(state.u, mesh, model, bdata), mesh, model)
         advance(state, 1e-3, mesh, model, bdata,
                 NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5), observer=observer)
         out[model.name] = dict(mesh=mesh, model=model, bdata=bdata, h0=h0,
@@ -285,14 +285,13 @@ def test_criterion_8_beta_bound(entropy_runs):
     worst = np.inf
     for _ in range(100):
         state = make_state(random_admissible(rng, 2, 16))
-        lhs, rhs = entropy_production_beta_bound(state, mesh, model, bdata)
+        lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, model, bdata), mesh)
         worst = min(worst, lhs - rhs)
     for name in ("case1", "case2"):
         run = entropy_runs[name]
         for state in run["states"]:
-            lhs, rhs = entropy_production_beta_bound(
-                state, run["mesh"], run["model"], run["bdata"]
-            )
+            record = evaluate(state.u, run["mesh"], run["model"], run["bdata"])
+            lhs, rhs = entropy_production_beta_bound(record, run["mesh"])
             worst = min(worst, lhs - rhs)
     ok = worst >= -1e-12
     verdict(8, "entropy-production lower bound", ok, f"worst margin {worst:.3e}")

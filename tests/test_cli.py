@@ -3,7 +3,7 @@ import configparser
 import numpy as np
 import pytest
 
-from biofilm_fv import harness
+from biofilm_fv import harness, scheme
 from biofilm_fv.cli import _CONFIG_KEYS, load_config, main
 from biofilm_fv.harness import ConfigurationError
 from biofilm_fv.mesh import write_triangle_mesh_file
@@ -186,6 +186,22 @@ BAD_CONFIGS = {
     "name-absolute": ("run", RUN_1D.replace("name = smoke-1d", "name = TMP/escaped")),
     "name-dot": ("run", RUN_1D.replace("name = smoke-1d", "name = .")),
     "name-empty": ("run", RUN_1D.replace("name = smoke-1d", "name =")),
+    "model-unknown": ("run", RUN_1D.replace("model = case1", "model = nope")),
+    "generic-without-p": ("run", RUN_1D.replace("model = case1", "model = generic")),
+    "generic-without-exponents": ("run", RUN_1D.replace("model = case1",
+                                                         "model = generic\np = linear")),
+    "species-count-mismatch": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = 1, 1, 1")),
+    "policy-unknown": ("run", RUN_1D.replace("policy = fixed", "policy = sometimes")),
+    "convergence-2d": ("convergence", RUN_2D + "\n[convergence]\nresolutions = 8, 16, 32, 64\n"
+                                              "reference = 128\n"),
+    "no-experiment-section": ("run", "[mesh]" + RUN_1D.split("[mesh]", 1)[1]),
+    # None: the config path does not exist
+    "missing-config": ("run", None),
+    # a [mesh] key that the dimension never reads
+    "cells-in-2d": ("run", RUN_2D.replace("nx = 4", "cells = 4\nnx = 4")),
+    "nx-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nnx = 7")),
+    "ny-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nny = 7")),
+    "file-in-1d": ("run", RUN_1D.replace("cells = 20", f"cells = 20\nfile = {ACUTE_FIXTURE}")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -201,20 +217,34 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "name-parent": "name: '../escaped' is not a plain file name",
                   "name-absolute": "escaped' is not a plain file name",
                   "name-dot": "name: '.' is not a plain file name",
-                  "name-empty": "name: '' is not a plain file name"}
+                  "name-empty": "name: '' is not a plain file name",
+                  "model-unknown": "unknown model selector 'nope'",
+                  "generic-without-p": "unknown p function None",
+                  "generic-without-exponents": "requires exponents a and b",
+                  "species-count-mismatch": "alphas and u_d must have the same length",
+                  "policy-unknown": "unknown dt policy 'sometimes'",
+                  "convergence-2d": "runs on 1D meshes",
+                  "no-experiment-section": "missing [experiment] section",
+                  "missing-config": "cannot read config file",
+                  "cells-in-2d": "[mesh] cells is not read in 2D",
+                  "nx-in-1d": "[mesh] nx is not read in 1D",
+                  "ny-in-1d": "[mesh] ny is not read in 1D",
+                  "file-in-1d": "[mesh] file is not read in 1D"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_config_values_are_configuration_errors(tmp_path, capsys, name):
     command, text = BAD_CONFIGS[name]
-    cfg = write_config(tmp_path / "bad.cfg", text.replace("TMP", str(tmp_path)))
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        write_config(cfg, text.replace("TMP", str(tmp_path)))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert NAMED_IN_ERROR.get(name, "") in err
-    # no output directory, and nothing written beside it
-    assert [path.name for path in tmp_path.iterdir()] == ["bad.cfg"]
+    # no output directory, and nothing written beside the config
+    assert [path.name for path in tmp_path.iterdir()] == ([] if text is None else ["bad.cfg"])
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
@@ -234,14 +264,20 @@ def test_load_config_rejects_custom_indicator(tmp_path):
 
 
 def test_readme_config_grammar_loads_and_names_every_key(tmp_path):
+    # one block per dimension; together they name every key
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("### Configuration files", 1)[1].split("```\n", 2)[1]
-    path = write_config(tmp_path / "grammar.cfg", block)
-    load_config(path)
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    assert {s: set(parser[s]) for s in parser.sections()} == {
-        s: set(keys) for s, keys in _CONFIG_KEYS.items()}
+    section = readme.split("### Configuration files", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```\n")[1::2]
+    named = {s: set() for s in _CONFIG_KEYS}
+    for dimension, block in enumerate(blocks, start=1):
+        path = write_config(tmp_path / f"grammar-{dimension}d.cfg", block)
+        assert load_config(path).dimension == dimension
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        for s in parser.sections():
+            named[s] |= set(parser[s])
+    assert len(blocks) == 2
+    assert named == {s: set(keys) for s, keys in _CONFIG_KEYS.items()}
 
 
 SATURATED = "u_d = 0.45, 0.45"  # the bump doubles species 1 to 0.9 beside species 2 at 0.45
@@ -343,14 +379,10 @@ def test_run_missing_mesh_file(tmp_path, capsys):
 
 
 def test_paper_scale_2d_requires_mesh_file(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "p.cfg",
-        RUN_1D.replace("dimension = 1", "dimension = 2").replace(
-            "dirichlet = left", "dirichlet = y=1"
-        ),
-    )
+    cfg = write_config(tmp_path / "p.cfg", RUN_2D)
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--paper-scale"])
     assert code == 2
+    assert "requires an unstructured mesh file" in capsys.readouterr().err
 
 
 def test_run_beyond_model_domain_is_a_solver_failure(tmp_path, capsys):
@@ -365,3 +397,16 @@ def test_run_beyond_model_domain_is_a_solver_failure(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and "beyond quadrature range" in err
+
+
+def test_invariant_violation_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    def saturating_step(state_prev, start, dt, mesh, model, bdata, cfg, *, solver=None):
+        u = np.full_like(state_prev.u, 0.45)  # admissible, far above the biomass bound
+        return (scheme.State(time=state_prev.time + dt, u=u, dt_last=dt),
+                scheme.NewtonResult(scheme.evaluate(u, mesh, model, bdata), 1, 0.0))
+
+    monkeypatch.setattr(scheme, "newton_step", saturating_step)
+    cfg = write_config(tmp_path / "run.cfg", RUN_1D)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: biomass bound violated") and "Traceback" not in err

@@ -30,7 +30,8 @@ TOP = lambda x, y: abs(y - 1.0) < 1e-12
 def test_entropy_zero_at_contact_state(case1, bdata_01):
     mesh = build_interval_mesh(12, "left")
     state = make_state(np.full((2, 12), 0.1))
-    assert discrete_entropy(state, mesh, case1, bdata_01) == pytest.approx(0.0, abs=1e-14)
+    record = evaluate(state.u, mesh, case1, bdata_01)
+    assert discrete_entropy(record, mesh, case1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropy_single_cell_matches_density_oracle():
@@ -40,7 +41,8 @@ def test_entropy_single_cell_matches_density_oracle():
     bdata = BoundaryData((0.1,))
     state = make_state(np.full((1, 2), 0.2))
     expected = 1.0 * entropy_density([0.2], model, [0.1])
-    assert discrete_entropy(state, mesh, model, bdata) == pytest.approx(expected, abs=1e-11)
+    record = evaluate(state.u, mesh, model, bdata)
+    assert discrete_entropy(record, mesh, model) == pytest.approx(expected, abs=1e-11)
 
 
 def test_entropy_nonincreasing_along_trajectory(case2, bdata_01):
@@ -59,8 +61,9 @@ def test_entropy_and_dissipation_positive(case2, bdata_01):
     mesh = build_interval_mesh(8, "left")
     rng = np.random.default_rng(2)
     state = make_state(random_admissible(rng, 2, 8))
-    assert discrete_entropy(state, mesh, case2, bdata_01) > 0.0
-    assert (dissipation(evaluate(state.u, mesh, case2, bdata_01), mesh) >= 0.0).all()
+    record = evaluate(state.u, mesh, case2, bdata_01)
+    assert discrete_entropy(record, mesh, case2) > 0.0
+    assert (dissipation(record, mesh) >= 0.0).all()
 
 
 # -- dissipation ----------------------------------------------------------------------
@@ -119,7 +122,7 @@ def test_dissipation_rejects_a_negative_proportion(case1, bdata_01):
 def test_beta_bound_constant_state(case2, bdata_01):
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    lhs, rhs = entropy_production_beta_bound(state, mesh, case2, bdata_01)
+    lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, case2, bdata_01), mesh)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -130,7 +133,7 @@ def test_beta_bound_equal_biomass_reduction(case2):
     model = model_case2(alphas=(1.0, 1.0))
     bdata = BoundaryData((0.15, 0.15))
     state = make_state(np.array([[0.1, 0.2], [0.2, 0.1]]))  # biomass 0.3 everywhere
-    lhs, rhs = entropy_production_beta_bound(state, mesh, model, bdata)
+    lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, model, bdata), mesh)
     assert lhs == pytest.approx(2.0 * rhs, rel=1e-13)
     assert lhs >= rhs
 
@@ -140,7 +143,7 @@ def test_beta_bound_random_states(case2, bdata_01):
     mesh = build_interval_mesh(16, "left")
     for _ in range(100):
         state = make_state(random_admissible(rng, 2, 16))
-        lhs, rhs = entropy_production_beta_bound(state, mesh, case2, bdata_01)
+        lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, case2, bdata_01), mesh)
         assert lhs >= rhs - 1e-12
 
 
@@ -149,7 +152,7 @@ def test_beta_bound_random_states_2d(case1, bdata_01):
     mesh = build_rectangle_mesh(4, 4, TOP)
     for _ in range(50):
         state = make_state(random_admissible(rng, 2, mesh.n_cells))
-        lhs, rhs = entropy_production_beta_bound(state, mesh, case1, bdata_01)
+        lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, case1, bdata_01), mesh)
         assert lhs >= rhs - 1e-12
 
 
@@ -231,7 +234,8 @@ def test_singular_weight_zero_at_constant_state(case1, bdata_01):
 
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    assert singular_gradient_weight(state, mesh, case1, bdata_01) == 0.0
+    record = evaluate(state.u, mesh, case1, bdata_01)
+    assert singular_gradient_weight(record, mesh, case1) == 0.0
 
 
 def test_singular_weight_two_cell_hand_value(bdata_01):
@@ -244,7 +248,7 @@ def test_singular_weight_two_cell_hand_value(bdata_01):
     a, b, kappa = 2.0, 2.0, 1.0
     expected = 2.0 * 0.225 ** (a - 1) * (1 - 0.225) ** (-1 - b - kappa) * 0.05**2
     expected += 4.0 * 0.225 ** (a - 1) * (1 - 0.225) ** (-1 - b - kappa) * 0.05**2
-    value = singular_gradient_weight(state, mesh, model, bdata_01)
+    value = singular_gradient_weight(evaluate(state.u, mesh, model, bdata_01), mesh, model)
     assert value == pytest.approx(expected, rel=1e-13)
 
 
@@ -255,9 +259,9 @@ def test_diagnostics_bitwise_deterministic(case1, bdata_01):
     rng = np.random.default_rng(31)
     mesh = build_interval_mesh(16, "left")
     state = make_state(random_admissible(rng, 2, 16))
-    h1 = discrete_entropy(state, mesh, case1, bdata_01)
-    d1 = dissipation(evaluate(state.u, mesh, case1, bdata_01), mesh)
-    h2 = discrete_entropy(state, mesh, case1, bdata_01)
-    d2 = dissipation(evaluate(state.u, mesh, case1, bdata_01), mesh)
+    first = evaluate(state.u, mesh, case1, bdata_01)
+    second = evaluate(state.u, mesh, case1, bdata_01)
+    h1, d1 = discrete_entropy(first, mesh, case1), dissipation(first, mesh)
+    h2, d2 = discrete_entropy(second, mesh, case1), dissipation(second, mesh)
     assert h1 == h2
     assert np.array_equal(d1, d2)

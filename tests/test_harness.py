@@ -16,6 +16,7 @@ from biofilm_fv import (
     discrete_entropy,
     build_named_initial_datum,
     build_rectangle_mesh,
+    evaluate,
     project_initial,
     run_convergence_study,
     run_evolution,
@@ -201,7 +202,8 @@ def test_entropy_margin_is_the_smallest_step_slack(tmp_path):
     result = run_evolution(spec, out_dir=tmp_path)
     mesh = spec.build_mesh()
     initial = project_initial(spec.build_datum(), mesh)
-    previous = discrete_entropy(initial, mesh, spec.build_model(), spec.build_bdata())
+    model = spec.build_model()
+    previous = discrete_entropy(evaluate(initial.u, mesh, model, spec.build_bdata()), mesh, model)
     alphas = np.array(spec.alphas)
     slacks = []
     for r in result.reports:

@@ -15,7 +15,8 @@ from biofilm_fv import (
     model_case2,
     model_generic,
 )
-from biofilm_fv.model import admissible_biomass
+from biofilm_fv import model as model_module
+from biofilm_fv.model import ModelFunctions, admissible_biomass
 
 # frozen oracle values (30-digit quadrature of the defining integrals)
 H_STAR_CASE2_02_01 = 0.0888060151737645965048222734305
@@ -151,12 +152,31 @@ def test_generic_builds_for_large_exponents(a, b):
 
 def test_generic_rejects_increasing_p():
     params = ModelParams(a=1.0, b=1.0, n_species=1, alphas=(1.0,))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="p is increasing near m = 0.0000"):
         model_generic(
             lambda x: np.asarray(x, float) * (1.0 - np.asarray(x, float)),
             lambda x: 1.0 - 2.0 * np.asarray(x, float),
             params,
         )
+
+
+def test_generic_rejects_p_not_vanishing_at_one_before_building_panels(monkeypatch):
+    def no_panels(*args, **kwargs):
+        raise AssertionError("panels built")
+
+    monkeypatch.setattr(model_module, "_PanelInterpolant", no_panels)
+    params = ModelParams(a=1.0, b=1.0, n_species=1, alphas=(1.0,))
+    with pytest.raises(ModelError, match="p[(]1[)] must vanish"):
+        model_generic(lambda x: 2.0 - np.asarray(x, float),
+                      lambda x: -np.ones_like(np.asarray(x, float)), params)
+
+
+def test_model_functions_reject_increasing_p(case2):
+    # the same rule guards a model built without model_generic
+    with pytest.raises(ModelError, match="'rising': p is increasing near m = 0.5000"):
+        ModelFunctions("rising", case2.params,
+                       lambda x: (np.asarray(x, float) - 0.5) ** 2,
+                       case2.p_prime, case2.g, case2.g_prime, case2.log_g)
 
 
 def test_generic_domain_error_near_saturation():

@@ -5,10 +5,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import dataclasses
+
 import biofilm_fv
 from biofilm_fv import diagnostics, scheme
 from biofilm_fv import (
     BoundaryData,
+    InvariantViolation,
     ModelDomainError,
     ModelFunctions,
     NewtonConfig,
@@ -29,6 +32,7 @@ from biofilm_fv import (
     residual,
 )
 from biofilm_fv.harness import IndicatorDatum, build_named_initial_datum
+from biofilm_fv.mesh import with_contact
 from biofilm_fv.oracle import fd_jacobian
 from conftest import make_state, random_admissible
 
@@ -598,7 +602,7 @@ def test_first_step_from_discontinuous_data(model_name, bdata_01):
     # entropy inequality for this step
     from biofilm_fv.diagnostics import discrete_entropy
 
-    H_prev = discrete_entropy(state, mesh, model, bdata_01)
+    H_prev = discrete_entropy(start, mesh, model)
     assert report.entropy + 1e-5 * report.dissipation.sum() <= H_prev + 1e-9 * max(1.0, H_prev)
 
 
@@ -824,3 +828,50 @@ def test_max_principle_along_equal_diffusivity_run(case2, bdata_01):
             observer=lambda r, s: reports.append(r))
     assert max(r.max_M for r in reports) <= m_star + 1e-12
     assert min(r.min_u for r in reports) >= 0.0
+
+
+# -- invariant violations -------------------------------------------------------------
+
+FIXED_STEP = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
+
+
+def _stub_newton_step(monkeypatch, u, record=None):
+    """Every Newton step returns the state u with ``record``, by default u's evaluation."""
+    def step(state_prev, start, dt, mesh, model, bdata, cfg, *, solver=None):
+        accepted = evaluate(u, mesh, model, bdata) if record is None else record
+        new = State(time=state_prev.time + dt, u=u, dt_last=dt)
+        return new, scheme.NewtonResult(accepted, newton_iters=1, residual_norm=0.0)
+
+    monkeypatch.setattr(scheme, "newton_step", step)
+
+
+def test_advance_rejects_a_biomass_above_its_bound(case2, bdata_01, monkeypatch):
+    # equal diffusivities, so M <= M* = 0.2 is enforced; M = 0.4 is admissible
+    mesh = build_interval_mesh(4, "left")
+    _stub_newton_step(monkeypatch, np.full((2, 4), 0.2))
+    with pytest.raises(InvariantViolation,
+                       match=r"biomass bound violated at t = 1\.000000e-05: 0\.4 > 0\.2"):
+        advance(make_state(np.full((2, 4), 0.1)), 1e-5, mesh, case2, bdata_01, FIXED_STEP)
+
+
+def test_advance_rejects_an_entropy_rise(case2, bdata_01, monkeypatch):
+    entropies = iter([0.0, 1.0])  # the entry state's, then the accepted state's
+    monkeypatch.setattr(diagnostics, "discrete_entropy", lambda *args: next(entropies))
+    mesh = build_interval_mesh(4, "left")
+    with pytest.raises(InvariantViolation, match=r"entropy inequality violated at t = 1\.0+e-05"):
+        advance(make_state(np.full((2, 4), 0.1)), 1e-5, mesh, case2, bdata_01, FIXED_STEP)
+
+
+def test_advance_rejects_a_negative_proportion_before_its_diagnostics(case2, bdata_01,
+                                                                      monkeypatch):
+    # the record keeps an admissible biomass, so only nonnegativity fails; the
+    # dissipation's sqrt of a negative u would raise a RuntimeWarning, an error here
+    mesh = build_interval_mesh(4, "left")
+    state = make_state(np.full((2, 4), 0.1))
+    negative = state.u.copy()
+    negative[0, 1] = -0.01
+    record = dataclasses.replace(evaluate(state.u, mesh, case2, bdata_01),
+                                 u_ext=with_contact(negative, bdata_01.values))
+    _stub_newton_step(monkeypatch, negative, record)
+    with pytest.raises(InvariantViolation, match=r"negative proportion at t = 1\.0+e-05"):
+        advance(state, 1e-5, mesh, case2, bdata_01, FIXED_STEP)
