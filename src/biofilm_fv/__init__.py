@@ -45,13 +45,9 @@ from .scheme import (  # noqa: F401
     residual,
 )
 from .diagnostics import (  # noqa: F401
-    NormReport,
     discrete_entropy,
-    discrete_norms,
     dissipation,
     entropy_production_beta_bound,
-    reconstruct_gradient,
-    singular_gradient_weight,
 )
 from .harness import (  # noqa: F401
     ConfigurationError,

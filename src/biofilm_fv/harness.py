@@ -169,8 +169,10 @@ class ExperimentSpec:
     b: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.t_end < math.inf:  # NaN fails too
-            raise ConfigurationError("t_end must be positive and finite")
+        # from t = 0, advance counts a horizon up to scheme.TIME_TOL as reached
+        if not scheme.TIME_TOL < self.t_end < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"t_end must be finite and exceed {scheme.TIME_TOL}, got {self.t_end}")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
         if len(self.alphas) != len(self.u_d):
@@ -247,12 +249,18 @@ class ExperimentSpec:
             raise ConfigurationError(str(exc)) from exc
 
     def snapshot_schedule(self) -> list:
-        """The distinct snapshot times in increasing order; each must lie in [0, t_end]."""
+        """The distinct snapshot times in increasing order; each must lie in [0, t_end].
+
+        A positive time must exceed ``scheme.TIME_TOL``, below which no step reaches it.
+        """
         times = sorted(set(float(t) for t in self.snapshot_times))
         for t in times:
             if not 0.0 <= t <= self.t_end + 1e-12:  # NaN fails too
                 raise ConfigurationError(
                     f"snapshot time {t} lies outside [0, t_end = {self.t_end}]")
+            if 0.0 < t <= scheme.TIME_TOL:
+                raise ConfigurationError(
+                    f"snapshot time {t} must be 0 or exceed {scheme.TIME_TOL}")
         return times
 
 
@@ -409,8 +417,8 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
     errors = np.empty((n_species, len(res)))
     for j, (n, run) in enumerate(zip(res, runs)):
         averaged = ref_u.reshape(n_species, n, reference // n).mean(axis=2)
-        errors[:, j] = [diagnostics.discrete_norms(diff, run.mesh).l2
-                        for diff in run.final_state.u - averaged]
+        errors[:, j] = [float(np.sqrt(run.mesh.cell_measures @ d**2))
+                        for d in run.final_state.u - averaged]
 
     log_h = np.log([1.0 / n for n in res])
     orders = np.array([

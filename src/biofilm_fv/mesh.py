@@ -13,9 +13,7 @@ Conventions:
     store the neighbor ``L`` in ``edge_L`` (-1 on the boundary), and the
     normal points from K to L (outward on the boundary),
   * 1D edges use the measure convention m(sigma) = 1, so the
-    transmissibility reduces to 1/d_sigma,
-  * dual (diamond) cells carry measure m(sigma) * d_sigma / 2, which is the
-    exact kite area in 2D and is used by the gradient reconstruction.
+    transmissibility reduces to 1/d_sigma.
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ class Mesh:
     on triangles it is the length of the center segment, and the rounded
     sum can differ from it in the last bit.
 
-    Construction derives the transmissibilities m(sigma)/d_sigma, the dual
-    measures, the per-kind edge index sets and the flux edges ``flux_K``,
+    Construction derives the transmissibilities m(sigma)/d_sigma, the
+    per-kind edge index sets and the flux edges ``flux_K``,
     ``flux_L``, ``flux_tau``: the interior edges, then the Dirichlet ones,
     whose ``flux_L`` is the ghost column ``n_cells`` holding the contact
     state (``with_contact`` appends it, ``jump`` differences across each flux
@@ -105,7 +103,6 @@ class Mesh:
         self._check_geometry()
 
         self.edge_tau = self.edge_measures / self.edge_distances
-        self.edge_dual_measures = self.edge_measures * self.edge_distances / 2
         flux_edges = np.concatenate([self.interior, self.dirichlet])
         self.flux_K = self.edge_K[flux_edges]
         self.flux_L = np.concatenate([self.edge_L[self.interior],

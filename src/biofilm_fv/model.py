@@ -65,15 +65,15 @@ class ModelParams:
     b: float
     n_species: int
     alphas: tuple[float, ...]
-    kappa: float | None = None
 
     def __post_init__(self):
-        if self.a < 1.0 or self.b < 1.0:
-            raise ModelError("exponents must satisfy a, b >= 1")
+        # written so that NaN fails every test
+        if not (1.0 <= self.a < np.inf and 1.0 <= self.b < np.inf):
+            raise ModelError("exponents must satisfy 1 <= a, b < inf")
         if self.n_species < 1 or len(self.alphas) != self.n_species:
             raise ModelError("need one positive diffusivity per species")
-        if any(alpha <= 0.0 for alpha in self.alphas):
-            raise ModelError("diffusivities must be positive")
+        if not all(0.0 < alpha < np.inf for alpha in self.alphas):
+            raise ModelError("diffusivities must be positive and finite")
 
     @property
     def alpha_array(self):
@@ -265,7 +265,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
     exact to machine precision there and takes over.
     """
     e2 = np.exp(2.0)
-    params = ModelParams(a=2.0, b=2.0, n_species=len(alphas), alphas=tuple(alphas), kappa=1.0)
+    params = ModelParams(a=2.0, b=2.0, n_species=len(alphas), alphas=tuple(alphas))
 
     def integrand(s):
         return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))

@@ -70,6 +70,9 @@ _REFINE_CONTRACTION = 0.1
 MAX_PRINCIPLE_TOL = 1e-12
 ENTROPY_STEP_TOL = 1e-9
 
+# relative to max(1, |t_end|): ``advance`` counts a horizon this close as reached
+TIME_TOL = 1e-13
+
 
 class SolverError(Exception):
     """Base class for time-stepping failures."""
@@ -116,9 +119,10 @@ class BoundaryData:
 
     def __post_init__(self):
         u = np.asarray(self.u_dirichlet, dtype=float)
-        if np.any(u <= 0.0):
+        # written so that NaN fails both tests
+        if not (u > 0.0).all():
             raise ValueError("boundary proportions must be positive")
-        if u.sum() >= 1.0:
+        if not u.sum() < 1.0:
             raise ValueError("boundary proportions must sum to less than 1")
 
     @property
@@ -520,7 +524,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)
     enforce_max_principle = equal_diffusivities(alphas)
-    time_tol = 1e-13 * max(1.0, abs(t_end))
+    time_tol = TIME_TOL * max(1.0, abs(t_end))
 
     while t_end - state.time > time_tol:
         if state.dt_last is None:

@@ -165,6 +165,10 @@ BAD_CONFIGS = {
     "not-utf8": ("run", RUN_1D.replace("name = smoke-1d", "name = smoke-1d\udce9")),
     "negative-snapshot": ("run", RUN_1D.replace("snapshots = 1e-4", "snapshots = -1, 0, 1e-5")),
     "nan-t-end": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = nan")),
+    # advance counts a horizon within 1e-13 of t = 0 as reached, and takes no step
+    "t-end-reached": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = 1e-14")
+                      .replace("snapshots = 1e-4", "snapshots = 0")),
+    "snapshot-reached": ("run", RUN_1D.replace("snapshots = 1e-4", "snapshots = 1e-14, 1e-4")),
     "nan-u-d": ("run", RUN_1D.replace("u_d = 0.1, 0.1", "u_d = nan, 0.1")),
     "nan-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = nan, 1")),
     "inf-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = inf, 1")),
@@ -210,7 +214,10 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh",
                   "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet",
                   "not-utf8": "bad.cfg: 'utf-8' codec can't decode byte 0xe9",
-                  "nan-t-end": "'nan' is not a finite number", "nan-u-d": "u_d",
+                  "nan-t-end": "'nan' is not a finite number",
+                  "t-end-reached": "t_end must be finite and exceed 1e-13, got 1e-14",
+                  "snapshot-reached": "snapshot time 1e-14 must be 0 or exceed 1e-13",
+                  "nan-u-d": "u_d",
                   "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number",
                   "convergence-saturated": "saturation",
                   "convergence-one-cell": "at least 2 cells",
@@ -410,3 +417,99 @@ def test_invariant_violation_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: biomass bound violated") and "Traceback" not in err
+
+
+# -- seeded sweep of the failure paths ----------------------------------------------------
+
+# one hostile value per entry, set on one key at a time; PATH stands for a
+# path outside --out, which no run may create
+HOSTILE_VALUES = ("0", "-1", "1e-400", "1e300", "nan", "", "2.5", "PATH", "nope")
+# the shipped sizes, capped so that no mutation builds a large mesh
+SIZE_CAPS = {"cells": "8", "nx": "3", "ny": "3", "resolutions": "4, 8, 16, 32",
+             "reference": "64"}
+
+
+def _capped(path):
+    parser = configparser.ConfigParser()
+    parser.read(path, encoding="utf-8")
+    for section in parser.sections():
+        for key in parser[section]:
+            if key in SIZE_CAPS:
+                parser[section][key] = SIZE_CAPS[key]
+    return parser
+
+
+def _commands(parser):
+    """The subcommands a config serves."""
+    if parser.has_section("convergence"):
+        return ("convergence",)
+    if parser.get("time", "policy", fallback="fixed") == "adaptive":
+        return ("run", "steady-state")
+    return ("run",)
+
+
+def _mutations(parser):
+    return [(section, key, value) for section in parser.sections()
+            for key in parser[section] for value in HOSTILE_VALUES]
+
+
+def _run_mutation(tmp_path, capsys, parser, mutation, command):
+    section, key, value = mutation
+    mutated = configparser.ConfigParser()
+    mutated.read_dict(parser)
+    mutated[section][key] = value.replace("PATH", str(tmp_path / "elsewhere" / "x"))
+    with open(tmp_path / "m.cfg", "w", encoding="utf-8") as fh:
+        mutated.write(fh)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(tmp_path / "m.cfg"), "--out", str(out)])
+    err = capsys.readouterr().err
+    where = f"{command} with [{section}] {key} = {value!r}: exit {code}, {err!r}"
+    assert {p.name for p in tmp_path.iterdir()} <= {"m.cfg", "out"}, where
+    if code == 2:
+        assert err.startswith("configuration error:"), where
+    return code, where
+
+
+def _leap(state, t_end, mesh, model, bdata, cfg, observer=None):
+    """``advance`` without a Newton iterate: one step that keeps u.
+
+    It reports the step, because ``advance`` takes at least one step to any
+    t_end that ``ExperimentSpec`` accepts, and the studies read the reports.
+    """
+    new_state = scheme.State(time=t_end, u=state.u, dt_last=t_end - state.time)
+    if observer is not None:
+        observer(scheme.StepReport(
+            time=t_end, dt_used=t_end - state.time, newton_iters=0, dt_halvings=0,
+            lu_factorizations=0, residual_norm=0.0, entropy=0.0,
+            dissipation=np.zeros(len(state.u)), max_M=float(state.biomass.max()),
+            min_u=float(state.u.min()), conservation_defect=0.0, entropy_margin=0.0),
+            new_state)
+    return new_state
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_failure_path_sweep(tmp_path, capsys, monkeypatch, path):
+    # every one-key mutation of a shipped config is accepted or a configuration
+    # error; a seeded sample of the accepted ones then steps to t_end = 1e-4
+    monkeypatch.chdir(tmp_path)
+    parser = _capped(path)
+    accepted = []
+    with monkeypatch.context() as stub:
+        stub.setattr(harness, "advance", _leap)
+        for mutation in _mutations(parser):
+            for command in _commands(parser):
+                code, where = _run_mutation(tmp_path, capsys, parser, mutation, command)
+                assert code in (0, 2), where
+                # a hostile t_end would step for a long time, and a name
+                # changes only where the outputs go
+                if code == 0 and mutation[1] not in ("t_end", "name"):
+                    accepted.append((mutation, command))
+
+    parser["experiment"]["t_end"] = "1e-4"
+    if parser.has_option("output", "snapshots"):
+        parser["output"]["snapshots"] = "5e-5, 1e-4"
+    rng = np.random.default_rng(0)
+    for k in rng.choice(len(accepted), size=min(2, len(accepted)), replace=False):
+        mutation, command = accepted[k]
+        code, where = _run_mutation(tmp_path, capsys, parser, mutation, command)
+        assert code in (0, 2, 3), where

@@ -135,7 +135,8 @@ def test_rectangle_empty_dirichlet_rejected():
 
 def test_dual_cells_partition_domain():
     mesh = build_rectangle_mesh(4, 5, TOP)
-    assert mesh.edge_dual_measures.sum() == pytest.approx(mesh.total_measure, rel=1e-12)
+    dual_measures = mesh.edge_measures * mesh.edge_distances / 2
+    assert dual_measures.sum() == pytest.approx(mesh.total_measure, rel=1e-12)
 
 
 # -- triangle meshes -------------------------------------------------------------
@@ -167,10 +168,10 @@ def test_equilateral_pair_geometry():
     assert mesh.regularity_xi == pytest.approx(0.5, rel=1e-12)
     interior = int(mesh.interior[0])
     assert mesh.edge_distances[interior] == pytest.approx(2.0 * d, rel=1e-12)
-    # kite identity for the dual cell
-    assert mesh.edge_dual_measures[interior] == pytest.approx(
-        mesh.edge_measures[interior] * mesh.edge_distances[interior] / 2.0, rel=1e-15
-    )
+    # kite identity: the dual cell m(sigma) d_sigma / 2 is the two triangles
+    # of height d over the shared unit edge
+    assert mesh.edge_measures[interior] * mesh.edge_distances[interior] / 2.0 == pytest.approx(
+        d, rel=1e-12)
 
 
 def test_triangle_mesh_kite_identity_and_partition():
@@ -178,8 +179,9 @@ def test_triangle_mesh_kite_identity_and_partition():
     K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
     dist = np.linalg.norm(mesh.cell_centers[L] - mesh.cell_centers[K], axis=1)
     md = mesh.edge_measures[mesh.interior] * dist
-    assert np.abs(md - 2.0 * mesh.edge_dual_measures[mesh.interior]).max() <= 1e-12 * md.max()
-    assert mesh.edge_dual_measures.sum() == pytest.approx(mesh.total_measure, rel=1e-12)
+    dual_measures = mesh.edge_measures * mesh.edge_distances / 2
+    assert np.abs(md - 2.0 * dual_measures[mesh.interior]).max() <= 1e-12 * md.max()
+    assert dual_measures.sum() == pytest.approx(mesh.total_measure, rel=1e-12)
 
 
 def test_triangle_mesh_orthogonality_invariant():

@@ -193,6 +193,21 @@ def test_exponent_validation():
         ModelParams(a=1.0, b=1.0, n_species=1, alphas=(-1.0,))
 
 
+@pytest.mark.parametrize("a, b, alphas", [
+    (np.nan, 1.0, (1.0,)), (1.0, np.nan, (1.0,)), (np.inf, 1.0, (1.0,)), (1.0, np.inf, (1.0,)),
+    (1.0, 1.0, (np.nan,)), (1.0, 1.0, (np.inf,)), (1.0, 1.0, (1.0, np.nan)),
+])
+def test_model_params_reject_nan_and_infinity(a, b, alphas):
+    with pytest.raises(ModelError):
+        ModelParams(a=a, b=b, n_species=len(alphas), alphas=alphas)
+
+
+def test_generic_model_rejects_a_nan_exponent():
+    # it used to build a model whose g is NaN everywhere
+    with pytest.raises(ModelError, match="exponents"):
+        get_model("generic", (1.0, 1.0), a=np.nan, b=2.0, p_name="linear")
+
+
 # -- entropy density -----------------------------------------------------------------
 
 

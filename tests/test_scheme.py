@@ -802,6 +802,13 @@ def test_advance_hard_failure_reports_time(case2, bdata_01):
         assert "no convergence within 50 iterations" in str(failure.value)
 
 
+@pytest.mark.parametrize("u_d", [(np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.1), (np.nan, np.nan)])
+def test_boundary_data_rejects_nan_and_infinity(u_d):
+    # a NaN contact state used to pass both checks and fail only in the first step
+    with pytest.raises(ValueError, match="boundary proportions must"):
+        BoundaryData(u_d)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
 def test_newton_config_rejects_a_tolerance_that_is_not_positive(tol):
     # a NaN tolerance would never be met, and each step would halve dt to its floor
