@@ -13,10 +13,9 @@ primitive of log g.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .mesh import Mesh, jump
-from .model import ModelFunctions
+from .model import ModelFunctions, xlogy
 
 
 def discrete_entropy(evaluation, mesh: Mesh, model: ModelFunctions) -> float:

@@ -30,6 +30,10 @@ class ConfigurationError(Exception):
     """Invalid or inconsistent experiment description."""
 
 
+# the most steps a config may imply; the --paper-scale 1D reference implies 26,214.4
+MAX_STEPS = 10**7
+
+
 # -- initial data ----------------------------------------------------------------------
 
 
@@ -179,6 +183,12 @@ class ExperimentSpec:
             raise ConfigurationError("alphas and u_d must have the same length")
         if self.dt_policy not in ("fixed", "adaptive"):
             raise ConfigurationError(f"unknown dt policy {self.dt_policy!r}")
+        # the fewest steps to t_end; newton_config names a step that is not positive
+        key, step = ("dt", self.dt) if self.dt_policy == "fixed" else ("dt_max", self.dt_max)
+        if 0.0 < step < math.inf and self.t_end / step > MAX_STEPS:
+            raise ConfigurationError(
+                f"t_end = {self.t_end} at {key} = {step} implies {self.t_end / step:.3g} "
+                f"steps, more than {MAX_STEPS}")
 
     @property
     def datum_name(self) -> str:
@@ -469,6 +479,10 @@ def _set_up(spec: ExperimentSpec):
     model = spec.build_model()
     bdata = spec.build_bdata()
     initial = spec.initial_state(mesh)
+    try:  # a generic model's domain ends at its cap, which may lie below 1
+        model.g(np.append(initial.u.sum(axis=0), bdata.biomass))
+    except modelmod.ModelDomainError as exc:
+        raise ConfigurationError(f"initial or contact biomass: {exc}") from exc
     m_star = scheme.max_principle_bound(initial, bdata)
     cfg = spec.newton_config()
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import integrate
-from scipy.special import xlogy
 
 
 class ModelError(Exception):
@@ -49,6 +47,17 @@ def admissible_biomass(u):
     if not (biomass < 1.0).all():
         raise ModelDomainError(f"biomass reached saturation: max = {float(biomass.max())}")
     return biomass
+
+
+def xlogy(x, y):
+    """x log y, broadcast, with exactly 0 wherever x = 0 (y = 0 included).
+
+    log is taken only where x != 0, so a zero proportion raises no warning;
+    numpy's log may differ from libm's by one ulp.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(np.broadcast_shapes(x.shape, np.shape(y)))
+    return x * np.log(y, out=out, where=x != 0.0)
 
 
 def equal_diffusivities(alphas) -> bool:
@@ -157,6 +166,8 @@ class _LogGPrimitive:
 
     def quad(self, m):
         """Adaptive-quadrature evaluation of integral_0^m log g(s) ds."""
+        from scipy import integrate  # only biomass beyond the cap and entropy_density get here
+
         m = float(m)
         if m == 0.0:
             return 0.0

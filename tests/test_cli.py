@@ -1,4 +1,7 @@
 import configparser
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +55,20 @@ def test_run_smoke(tmp_path, capsys):
     assert (out_dir / "entropy.csv").exists()
     assert (out_dir / "snapshot_0.0001.csv").exists()
     assert (out_dir / "run_metadata.json").exists()
+
+
+def test_run_imports_neither_scipy_integrate_nor_scipy_special(tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    cfg = write_config(tmp_path / "run.cfg", RUN_1D)
+    script = ("import sys\n"
+              "from biofilm_fv.cli import main\n"
+              f"assert main(['run', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+              "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(biofilm_fv.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_rejects_saturated_boundary(tmp_path, capsys):
@@ -206,6 +223,18 @@ BAD_CONFIGS = {
     "nx-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nnx = 7")),
     "ny-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nny = 7")),
     "file-in-1d": ("run", RUN_1D.replace("cells = 20", f"cells = 20\nfile = {ACUTE_FIXTURE}")),
+    # more than harness.MAX_STEPS steps to t_end: dt under the fixed policy, dt_max otherwise
+    "dt-too-small": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-300")),
+    "t-end-too-far": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = 1e300")
+                      .replace("policy = fixed", "policy = adaptive")),
+    # generic exp with a = b = 2 is tabulated up to m = 0.99705; the bumps-1d
+    # datum puts 2 * 0.4985 + 0.0005 = 0.9975 into the species-1 box
+    "generic-beyond-cap-initial": ("run", RUN_1D.replace(
+        "model = case1", "model = generic\np = exp\na = 2\nb = 2")
+        .replace("u_d = 0.1, 0.1", "u_d = 0.4985, 0.0005")),
+    # linear p with b = 2000 caps the biomass at 0.2915, below the bumps' 0.3
+    "generic-beyond-cap-convergence": ("convergence", CONVERGENCE_1D.replace(
+        "model = case1", "model = generic\np = linear\na = 1\nb = 2000")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -236,7 +265,11 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "cells-in-2d": "[mesh] cells is not read in 2D",
                   "nx-in-1d": "[mesh] nx is not read in 1D",
                   "ny-in-1d": "[mesh] ny is not read in 1D",
-                  "file-in-1d": "[mesh] file is not read in 1D"}
+                  "file-in-1d": "[mesh] file is not read in 1D",
+                  "dt-too-small": "t_end = 0.0001 at dt = 1e-300 implies 1e+296 steps",
+                  "t-end-too-far": "t_end = 1e+300 at dt_max = 0.01 implies 1e+302 steps",
+                  "generic-beyond-cap-initial": "biomass 0.99750000 beyond quadrature range",
+                  "generic-beyond-cap-convergence": "biomass 0.30000000 beyond quadrature range"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -390,20 +423,6 @@ def test_paper_scale_2d_requires_mesh_file(tmp_path, capsys):
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--paper-scale"])
     assert code == 2
     assert "requires an unstructured mesh file" in capsys.readouterr().err
-
-
-def test_run_beyond_model_domain_is_a_solver_failure(tmp_path, capsys):
-    # generic exp with a = b = 2 is tabulated up to m = 0.99705; the bumps-1d
-    # datum puts 2 * 0.4985 + 0.0005 = 0.9975 into the species-1 box
-    cfg = write_config(
-        tmp_path / "cap.cfg",
-        RUN_1D.replace("model = case1", "model = generic\np = exp\na = 2\nb = 2")
-        .replace("u_d = 0.1, 0.1", "u_d = 0.4985, 0.0005"),
-    )
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver failure:") and "beyond quadrature range" in err
 
 
 def test_invariant_violation_is_a_solver_failure(tmp_path, capsys, monkeypatch):

@@ -127,6 +127,32 @@ def test_spec_rejects_a_t_end_that_is_not_positive_and_finite(t_end):
         quick_spec(t_end=t_end)
 
 
+@pytest.mark.parametrize("policy, key", [("fixed", "dt"), ("adaptive", "dt_max")])
+def test_spec_bounds_the_steps_that_t_end_implies(policy, key):
+    step = 1.0 / harness.MAX_STEPS
+    quick_spec(t_end=1.0, dt_policy=policy, dt=step, dt_min=step, dt_max=step)
+    with pytest.raises(ConfigurationError, match=f"at {key} = .* implies 1e\\+07 steps"):
+        quick_spec(t_end=1.0 + 1e-9, dt_policy=policy, dt=step, dt_min=step, dt_max=step)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-5, np.nan])
+def test_spec_leaves_a_step_that_is_not_positive_to_newton_config(dt):
+    spec = quick_spec(dt=dt)
+    with pytest.raises(ConfigurationError, match="need 0 < dt_min <= dt_init <= dt_max"):
+        spec.newton_config()
+
+
+def test_set_up_rejects_a_contact_biomass_beyond_the_generic_cap():
+    # linear p with b = 2000 caps the biomass at 0.2915: the initial 0.1 lies
+    # below it, the contact biomass 0.3 beyond
+    spec = quick_spec(model="generic", generic_p="linear", a=1.0, b=2000.0,
+                      u_d=(0.15, 0.15), initial="custom-indicator",
+                      initial_params={"base": (0.05, 0.05), "bump": (0.0, 0.0),
+                                      "boxes": (None, None)})
+    with pytest.raises(ConfigurationError, match="biomass 0.30000000 beyond quadrature range"):
+        run_evolution(spec)
+
+
 def test_convergence_guards():
     with pytest.raises(ConfigurationError):
         run_convergence_study(quick_spec(resolutions=(40, 80)))
@@ -237,7 +263,8 @@ def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
 def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
     # two advance calls, one per snapshot: each evaluates its entry state and
     # that state's entropy, so the state at t = 5e-4, which ends the first
-    # call and starts the second, is the one evaluated twice
+    # call and starts the second, is the one evaluated twice; one more g call
+    # is the set-up's domain check of the initial and contact biomass
     spec = biofilm_fv.cli.load_config(str(Path(__file__).parents[1] / "configs" / "case1-1d.cfg"))
     calls = {"g": 0, "entropy": 0}
 
@@ -255,7 +282,7 @@ def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
     monkeypatch.setattr(diagnostics, "discrete_entropy", counted_entropy)
     result = run_evolution(spec)
     assert len(result.reports) == 100
-    assert calls == {"g": 202, "entropy": 102}
+    assert calls == {"g": 203, "entropy": 102}
 
 
 def test_generic_exp_model_reproduces_the_case1_run():

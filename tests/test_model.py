@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import xlogy as scipy_xlogy
 
 from biofilm_fv import (
     BoundaryData,
@@ -16,7 +19,7 @@ from biofilm_fv import (
     model_generic,
 )
 from biofilm_fv import model as model_module
-from biofilm_fv.model import ModelFunctions, admissible_biomass
+from biofilm_fv.model import ModelFunctions, admissible_biomass, xlogy
 
 # frozen oracle values (30-digit quadrature of the defining integrals)
 H_STAR_CASE2_02_01 = 0.0888060151737645965048222734305
@@ -209,6 +212,39 @@ def test_generic_model_rejects_a_nan_exponent():
 
 
 # -- entropy density -----------------------------------------------------------------
+
+
+def test_xlogy_matches_scipy_on_random_data_with_zeros():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 1.0, size=(2, 4096))
+    y = rng.uniform(0.0, 3.0, size=(2, 4096))
+    x[:, ::7] = 0.0
+    y[:, ::11] = 1.0
+    ours, ref = xlogy(x, y), scipy_xlogy(x, y)
+    assert ours.shape == ref.shape
+    assert np.all(np.abs(ours - ref) <= 4.5e-16 * np.abs(ref))
+
+
+def test_xlogy_is_exactly_zero_where_x_is_zero_without_warnings():
+    x = np.array([0.0, 0.0, 0.0, 0.5])
+    y = np.array([0.0, 0.3, 1.0, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = xlogy(x, y)
+    assert np.all(out[:3] == 0.0) and not np.signbit(out[:3]).any()
+    assert out[3] == pytest.approx(0.5 * np.log(0.25), rel=1e-15)
+
+
+def test_xlogy_broadcasts_a_species_column():
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.0, 0.4, size=(2, 9))
+    u[1, 4] = 0.0
+    u_d = np.array([[0.1], [0.2]])
+    out = xlogy(u, u / u_d)
+    assert out.shape == (2, 9)
+    rows = np.vstack([xlogy(u[i], u[i] / u_d[i]) for i in range(2)])
+    np.testing.assert_allclose(out, rows, rtol=4.5e-16, atol=0.0)
+    assert out[1, 4] == 0.0
 
 
 def test_entropy_zero_at_reference(case1):
