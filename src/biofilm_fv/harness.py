@@ -479,7 +479,7 @@ def _set_up(spec: ExperimentSpec):
     model = spec.build_model()
     bdata = spec.build_bdata()
     initial = spec.initial_state(mesh)
-    try:  # a generic model's domain ends at its cap, which may lie below 1
+    try:  # every model's domain ends at its m_max, below 1
         model.g(np.append(initial.u.sum(axis=0), bdata.biomass))
     except modelmod.ModelDomainError as exc:
         raise ConfigurationError(f"initial or contact biomass: {exc}") from exc

@@ -148,25 +148,25 @@ class _PanelInterpolant:
 
 
 class _LogGPrimitive:
-    """Antiderivative of log g, cached for vectorized per-step diagnostics.
+    """Antiderivative of log g on the model's domain, cached for vectorized diagnostics.
 
     Splits log g(s) = a log s + phi(s) with phi smooth up to the saturation
     singularity; the a log s part integrates in closed form.  phi is
-    interpolated on the halving panels of ``_PanelInterpolant`` up to the cap
-    and integrated exactly.  Beyond the cap the (slow) adaptive quadrature
-    path is used.
+    interpolated on the halving panels of ``_PanelInterpolant`` up to the
+    model's m_max and integrated exactly, so every biomass of the domain is
+    evaluated on the panels.
     """
 
-    def __init__(self, log_g, a, cap=0.99):
-        self.a = float(a)
-        self.cap = float(cap)
-        self._log_g = log_g
+    def __init__(self, model):
+        self.a = float(model.params.a)
+        self._log_g = model.log_g
+        self._in_domain = model.in_domain
         self._phi = _PanelInterpolant(
-            lambda s: log_g(s) - self.a * np.log(s), self.cap).antiderivative()
+            lambda s: self._log_g(s) - self.a * np.log(s), model.m_max).antiderivative()
 
     def quad(self, m):
         """Adaptive-quadrature evaluation of integral_0^m log g(s) ds."""
-        from scipy import integrate  # only biomass beyond the cap and entropy_density get here
+        from scipy import integrate  # only entropy_density, the reference, gets here
 
         m = float(m)
         if m == 0.0:
@@ -181,37 +181,45 @@ class _LogGPrimitive:
         return float(head + tail)
 
     def __call__(self, m):
-        m = _as_biomass(m)
-        scalar = m.ndim == 0
-        m = np.atleast_1d(m)
-        out = self.a * (xlogy(m, m) - m)
-        inside = m <= self.cap
-        out[inside] += self._phi(m[inside])
-        for idx in np.flatnonzero(~inside):
-            out[idx] = self.quad(m[idx])
-        return float(out[0]) if scalar else out
+        m = self._in_domain(m)
+        return self.a * (xlogy(m, m) - m) + self._phi(m)
 
 
 class ModelFunctions:
     """Vectorized model functions, immutable after construction.
 
-    All callables accept scalars or arrays of biomass values; g, g_prime,
-    log_g and log_g_primitive raise ModelDomainError, naming the range of the
-    argument, outside [0, 1) (NaN included).  ``g = G / m`` is the ratio q/p,
-    with G the cumulative mobility integral, and ``log_g`` an overflow-safe
-    evaluation of log(g) used by the entropy.
+    The model's domain is 0 <= m <= m_max, with m_max < 1 the largest biomass
+    at which g stays representable (``_domain_bound``).  g, g_prime, log_g and
+    log_g_primitive accept scalars or arrays; outside the domain (NaN
+    included) they raise ModelDomainError naming the model, the argument's
+    range and m_max, and inside it they pass the model's closures a float
+    array.  ``g = G / m`` is the ratio q/p, with G the cumulative mobility
+    integral, and ``log_g`` an overflow-safe evaluation of log(g) used by the
+    entropy.
     """
 
-    def __init__(self, name, params, p, p_prime, g, g_prime, log_g, primitive_cap=0.99):
+    def __init__(self, name, params, p, p_prime, g, g_prime, log_g, m_max):
         self.name = name
         self.params = params
+        self.m_max = float(m_max)
         self.p = p
         self.p_prime = p_prime
-        self.g = g
-        self.g_prime = g_prime
-        self.log_g = log_g
+        self.g = self._on_domain(g)
+        self.g_prime = self._on_domain(g_prime)
+        self.log_g = self._on_domain(log_g)
         _check_p_shape(p, name)
-        self.log_g_primitive = _LogGPrimitive(log_g, params.a, cap=primitive_cap)
+        self.log_g_primitive = _LogGPrimitive(self)
+
+    def in_domain(self, m):
+        """m as a float array; ModelDomainError unless 0 <= m <= m_max."""
+        m = np.asarray(m, dtype=float)
+        if not ((m >= 0.0) & (m <= self.m_max)).all():  # written so that NaN fails
+            raise ModelDomainError(f"model {self.name!r}: biomass out of range: min={m.min()}, "
+                                   f"max={m.max()}, m_max={self.m_max}")
+        return m
+
+    def _on_domain(self, f):
+        return lambda m: f(self.in_domain(m))
 
     def __repr__(self):
         return f"ModelFunctions({self.name!r}, a={self.params.a}, b={self.params.b})"
@@ -226,13 +234,6 @@ def _check_p_shape(p, name):
                          f"{grid[int(np.argmax(rising))]:.4f}")
     if abs(float(p(1.0))) > 1e-12 * max(float(p(0.0)), 1.0):
         raise ModelError(f"model {name!r}: p(1) must vanish")
-
-
-def _as_biomass(m):
-    m = np.asarray(m, dtype=float)
-    if not ((m >= 0.0) & (m < 1.0)).all():  # written so that NaN fails
-        raise ModelDomainError(f"biomass out of range: min={m.min()}, max={m.max()}")
-    return m
 
 
 def _small_m_integral(m, integrand):
@@ -265,6 +266,39 @@ def _p_linear_prime(x):
     return -np.ones_like(np.asarray(x, dtype=float))
 
 
+def _domain_bound(p, b):
+    """m_max: the largest m <= 1 - 1e-6 with log w(m) = -b log(1-m) - 2 log p(m) <= 690.
+
+    Up to it w = 1 / ((1-m)^b p(m)^2), and with it g and g', is representable.
+    The bracket starts at 0 because for a large b, log w passes the threshold
+    below m = 1/2.  Raises ModelError for an empty domain, m_max = 0.
+    """
+    def log_weight(s):
+        # +inf where p underflows or b log(1 - s) overflows; only compared against 690
+        with np.errstate(divide="ignore", over="ignore"):
+            return -b * np.log1p(-s) - 2.0 * np.log(p(s))
+
+    m_max = 1.0 - 1e-6
+    if log_weight(np.array([m_max]))[0] > 690.0:
+        lo, hi = 0.0, m_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if log_weight(np.array([mid]))[0] > 690.0:
+                hi = mid
+            else:
+                lo = mid
+        m_max = lo
+    if m_max == 0.0:
+        raise ModelError(f"empty domain: 1 / ((1 - m)^b p(m)^2) overflows for every m > 0 "
+                         f"at b = {b}")
+    return m_max
+
+
+# the built-in models' bounds, by the rule every generic model's bound follows
+_CASE1_M_MAX = _domain_bound(_p_exp, 2.0)
+_CASE2_M_MAX = _domain_bound(_p_linear, 1.0)
+
+
 # -- built-in model: exponentially singular p ---------------------------------------
 
 
@@ -282,9 +316,6 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
         return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
 
     def G(m):
-        m = _as_biomass(m)
-        scalar = m.ndim == 0
-        m = np.atleast_1d(m)
         out = np.empty_like(m)
         small = m < 1e-2
         if np.any(~small):
@@ -293,28 +324,22 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
             out[~small] = e2 * (ms * (1.0 + expm1_term) - 0.5 * expm1_term)
         if np.any(small):
             out[small] = _small_m_integral(m[small], integrand)
-        return float(out[0]) if scalar else out
+        return out
 
     def G_prime(m):
-        m = np.asarray(m, dtype=float)
         return m**2 / (1.0 - m) ** 2 * np.exp(2.0 / (1.0 - m))
 
     def g(m):
-        m = np.asarray(m, dtype=float)
         with np.errstate(invalid="ignore"):
             val = G(m) / m
         return np.where(m == 0.0, 0.0, val)
 
     def g_prime(m):
-        m = _as_biomass(m)
         with np.errstate(invalid="ignore"):
             val = (G_prime(m) * m - G(m)) / m**2
         return np.where(m == 0.0, 0.0, val)
 
     def log_g(m):
-        m = _as_biomass(np.asarray(m, dtype=float))
-        scalar = m.ndim == 0
-        m = np.atleast_1d(m)
         out = np.empty_like(m)
         low = m <= 0.55
         if np.any(low):
@@ -327,9 +352,10 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
                 + np.log(mh - 0.5 + 0.5 * e2 * np.exp(-2.0 / (1.0 - mh)))
                 - np.log(mh)
             )
-        return float(out[0]) if scalar else out
+        return out
 
-    return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, g_prime, log_g)
+    return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, g_prime, log_g,
+                          _CASE1_M_MAX)
 
 
 # -- built-in model: linear p ---------------------------------------------------------
@@ -340,18 +366,16 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
     params = ModelParams(a=1.0, b=1.0, n_species=len(alphas), alphas=tuple(alphas))
 
     def g(m):
-        m = _as_biomass(m)
         return m / (2.0 * (1.0 - m) ** 2)
 
     def g_prime(m):
-        m = _as_biomass(m)
         return (1.0 + m) / (2.0 * (1.0 - m) ** 3)
 
     def log_g(m):
-        m = _as_biomass(np.asarray(m, dtype=float))
         return np.log(m) - np.log(2.0) - 2.0 * np.log1p(-m)
 
-    return ModelFunctions("case2", params, _p_linear, _p_linear_prime, g, g_prime, log_g)
+    return ModelFunctions("case2", params, _p_linear, _p_linear_prime, g, g_prime, log_g,
+                          _CASE2_M_MAX)
 
 
 # -- generic models -------------------------------------------------------------------
@@ -369,8 +393,8 @@ def _sigma_rule():
     """Composite 10-point Gauss-Legendre rule on [0, 1], panels halving towards both ends.
 
     Towards 0 the panels resolve sigma^a for any real a >= 1; towards 1 they
-    reach 2^-20 < 1 - cap, which resolves the saturation layer of w(s sigma)
-    for every s up to a generic model's cap.
+    reach 2^-20 < 1 - m_max, which resolves the saturation layer of w(s sigma)
+    for every s up to a generic model's m_max.
     """
     levels = 0.5 ** np.arange(20, 0, -1)  # 2^-20, ..., 1/4, 1/2
     breaks = np.concatenate([[0.0], levels, 1.0 - levels[-2::-1], [1.0]])
@@ -390,9 +414,7 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
     Gauss-Legendre rule in sigma at the Chebyshev points of the halving
     panels of ``_PanelInterpolant``, and log c is interpolated on them; the
     s^a factor stays in closed form.  The panels, and the entropy primitive
-    built on the same layout, stop at the cap where log g would overflow;
-    evaluations beyond it raise ModelDomainError naming the offending
-    biomass value.
+    built on the same layout, stop at the model's m_max (``_domain_bound``).
     """
     a, b = params.a, params.b
 
@@ -407,52 +429,24 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
     def weight(s):
         return 1.0 / ((1.0 - s) ** b * p(s) ** 2)
 
-    def log_weight(s):
-        # +inf where p underflows; only compared against the overflow threshold
-        with np.errstate(divide="ignore"):
-            return -b * np.log1p(-s) - 2.0 * np.log(p(s))
-
-    # cap the panels where log g stays representable; the bracket starts at 0
-    # because for a large b, log w passes the threshold below s = 1/2
-    cap = 1.0 - 1e-6
-    if log_weight(np.array([cap]))[0] > 690.0:
-        lo, hi = 0.0, cap
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if log_weight(np.array([mid]))[0] > 690.0:
-                hi = mid
-            else:
-                lo = mid
-        cap = lo
-
+    m_max = _domain_bound(p, b)
     sigma_weights = _SIGMA_W * _SIGMA_X**a
-    log_c_panels = _PanelInterpolant(
-        lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), cap)
-
-    def log_c(m):
-        m = _as_biomass(m)
-        if m.size and m.max() > cap:
-            raise ModelDomainError(
-                f"model {name!r}: biomass {float(m.max()):.8f} beyond quadrature range "
-                f"(saturation singularity, cap={cap:.8f})"
-            )
-        return log_c_panels(m)
+    log_c = _PanelInterpolant(
+        lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), m_max)
 
     def g(m):
-        return np.exp(log_c(m)) * np.asarray(m, dtype=float) ** a
+        return np.exp(log_c(m)) * m**a
 
     def g_prime(m):
-        m2 = _as_biomass(m)
-        cval = np.exp(log_c(m2))
+        cval = np.exp(log_c(m))
         with np.errstate(divide="ignore", invalid="ignore"):
-            gp = m2 ** (a - 1.0) * (weight(m2) - cval)
-        return np.where(m2 == 0.0, 0.0 if a > 1.0 else cval, gp)
+            gp = m ** (a - 1.0) * (weight(m) - cval)
+        return np.where(m == 0.0, 0.0 if a > 1.0 else cval, gp)
 
     def log_g(m):
-        m2 = np.asarray(m, dtype=float)
-        return log_c(m2) + a * np.log(m2)
+        return log_c(m) + a * np.log(m)
 
-    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g, primitive_cap=cap)
+    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g, m_max)
 
 
 def get_model(selector: str, alphas, a=None, b=None, p_name=None) -> ModelFunctions:

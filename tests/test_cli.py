@@ -235,6 +235,11 @@ BAD_CONFIGS = {
     # linear p with b = 2000 caps the biomass at 0.2915, below the bumps' 0.3
     "generic-beyond-cap-convergence": ("convergence", CONVERGENCE_1D.replace(
         "model = case1", "model = generic\np = linear\na = 1\nb = 2000")),
+    # log w overflows on all of (0, 1), so the model has no domain to build panels on
+    "generic-empty-domain": ("run", RUN_1D.replace(
+        "model = case1", "model = generic\np = exp\na = 1\nb = 1e300")),
+    # case1's domain ends at m = 0.99705 too; the species-1 box holds 2 * 0.4 + 0.199
+    "case1-beyond-domain": ("run", RUN_1D.replace("u_d = 0.1, 0.1", "u_d = 0.4, 0.199")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -268,8 +273,11 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "file-in-1d": "[mesh] file is not read in 1D",
                   "dt-too-small": "t_end = 0.0001 at dt = 1e-300 implies 1e+296 steps",
                   "t-end-too-far": "t_end = 1e+300 at dt_max = 0.01 implies 1e+302 steps",
-                  "generic-beyond-cap-initial": "biomass 0.99750000 beyond quadrature range",
-                  "generic-beyond-cap-convergence": "biomass 0.30000000 beyond quadrature range"}
+                  "generic-beyond-cap-initial": "model 'generic:exp': biomass out of range: min=0.499, "
+                                                "max=0.9975, m_max=0.99705",
+                  "generic-beyond-cap-convergence": "model 'generic:linear': biomass out of range",
+                  "generic-empty-domain": "empty domain",
+                  "case1-beyond-domain": "initial or contact biomass: model 'case1'"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

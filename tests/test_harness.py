@@ -143,13 +143,14 @@ def test_spec_leaves_a_step_that_is_not_positive_to_newton_config(dt):
 
 
 def test_set_up_rejects_a_contact_biomass_beyond_the_generic_cap():
-    # linear p with b = 2000 caps the biomass at 0.2915: the initial 0.1 lies
-    # below it, the contact biomass 0.3 beyond
+    # linear p with b = 2000 bounds the domain at m_max = 0.2915: the initial 0.1
+    # lies inside it, the contact biomass 0.3 beyond
     spec = quick_spec(model="generic", generic_p="linear", a=1.0, b=2000.0,
                       u_d=(0.15, 0.15), initial="custom-indicator",
                       initial_params={"base": (0.05, 0.05), "bump": (0.0, 0.0),
                                       "boxes": (None, None)})
-    with pytest.raises(ConfigurationError, match="biomass 0.30000000 beyond quadrature range"):
+    with pytest.raises(ConfigurationError, match="initial or contact biomass: model "
+                       "'generic:linear': biomass out of range: min=0.1, max=0.3, m_max=0.2915"):
         run_evolution(spec)
 
 

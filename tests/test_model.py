@@ -147,7 +147,7 @@ def test_generic_builds_for_large_exponents(a, b):
     # s^a stays in closed form, so 2^(a+1) overflowing is harmless; for a large
     # b, log w passes the overflow threshold below s = 1/2, and so does the cap
     model = get_model("generic", (1.0,), a=a, b=b, p_name="linear")
-    ms = np.linspace(0.0, model.log_g_primitive.cap, 101)
+    ms = np.linspace(0.0, model.m_max, 101)
     for function in ("g", "g_prime", "log_g_primitive"):
         assert np.isfinite(getattr(model, function)(ms)).all(), function
     assert np.isfinite(model.log_g(ms[1:])).all()
@@ -179,7 +179,7 @@ def test_model_functions_reject_increasing_p(case2):
     with pytest.raises(ModelError, match="'rising': p is increasing near m = 0.5000"):
         ModelFunctions("rising", case2.params,
                        lambda x: (np.asarray(x, float) - 0.5) ** 2,
-                       case2.p_prime, case2.g, case2.g_prime, case2.log_g)
+                       case2.p_prime, case2.g, case2.g_prime, case2.log_g, case2.m_max)
 
 
 def test_generic_domain_error_near_saturation():
@@ -303,11 +303,16 @@ def test_model_functions_reject_nan_biomass(selector, function):
         model = get_model("generic", (1.0, 1.0), a=1.0, b=1.0, p_name="quadratic")
     else:
         model = get_model(selector, (1.0, 1.0))
-    with pytest.raises(ModelDomainError, match="biomass out of range"):
-        getattr(model, function)(np.array([np.nan, 0.2]))
+    evaluate = getattr(model, function)
+    with pytest.raises(ModelDomainError, match=f"model '{selector}': biomass out of range"):
+        evaluate(np.array([np.nan, 0.2]))
     # past saturation the message names the argument, not a point inside the function
-    with pytest.raises(ModelDomainError, match="biomass out of range: min=0.2, max=1.5"):
-        getattr(model, function)(np.array([0.2, 1.5]))
+    with pytest.raises(ModelDomainError, match=f"min=0.2, max=1.5, m_max={model.m_max}$"):
+        evaluate(np.array([0.2, 1.5]))
+    # the domain ends at m_max itself, where every function is still finite
+    assert np.isfinite(evaluate(model.m_max))
+    with pytest.raises(ModelDomainError, match="biomass out of range"):
+        evaluate(model.m_max * (1.0 + 1e-9))
 
 
 def test_cached_primitive_matches_quadrature(case1, case2):
@@ -353,14 +358,19 @@ def test_generic_primitive_matches_quadrature():
         )
 
 
-def test_generic_primitive_panels_reach_the_cap():
-    # a generic model's panels stop at its own cap, not at 0.99, so no biomass
-    # in its domain falls back to the adaptive quadrature
-    primitive = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="exp").log_g_primitive
-    ms = np.array([0.995, primitive.cap])
+@pytest.mark.parametrize("selector", ["case1", "case2", "generic:exp"])
+def test_primitive_panels_reach_the_domain_bound(selector):
+    # every model's panels run up to its m_max, so no biomass of its domain
+    # falls back to the adaptive quadrature
+    if selector == "generic:exp":
+        model = get_model("generic", (1.0, 1.0), a=2.0, b=2.0, p_name="exp")
+    else:
+        model = get_model(selector, (1.0, 1.0))
+    primitive = model.log_g_primitive
+    ms = np.linspace(0.99, model.m_max, 7)
     expected = [primitive.quad(m) for m in ms]
     primitive.quad = None
-    assert primitive(ms) == pytest.approx(expected, abs=1e-9)
+    assert primitive(ms) == pytest.approx(expected, abs=1e-11)
 
 
 # -- edge coefficient -----------------------------------------------------------------

@@ -619,7 +619,7 @@ def test_newton_damps_trials_beyond_the_model_domain(bdata_01):
         return inner
 
     model = ModelFunctions("capped", base.params, base.p, base.p_prime, capped(base.g),
-                           capped(base.g_prime), base.log_g)
+                           capped(base.g_prime), base.log_g, base.m_max)
     mesh = build_interval_mesh(4, "left")
     bdata = BoundaryData((0.25, 0.25))
     state = make_state(np.full((2, 4), 0.05))
