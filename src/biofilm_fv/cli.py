@@ -45,10 +45,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MESH = 4
 
-PAPER_SCALE_RESOLUTIONS = (40, 80, 160, 320, 640, 1280, 2560)
-PAPER_SCALE_REFERENCE = 5120
-PAPER_SCALE_CELLS_1D = 5120
-
 
 def _finite(text):
     value = float(text)
@@ -83,12 +79,25 @@ _CONFIG_KEYS = {
 # the keys whose ExperimentSpec field has another name
 _FIELD_NAMES = {"p": "generic_p", "cells": "n_cells", "file": "mesh_file",
                "policy": "dt_policy", "snapshots": "snapshot_times"}
-# the [mesh] keys that a dimension never reads
-_UNREAD_MESH_KEYS = {1: ("nx", "ny", "file"), 2: ("cells",)}
 
 
-def _config_fields(path):
-    """The ExperimentSpec fields that a config file sets; unknown names are errors."""
+def _unread_keys(keys, command):
+    """(key, why) of each key in ``keys`` that ``command`` never reads; None skips its clauses."""
+    dimension = keys.get("dimension", ExperimentSpec.dimension)
+    clauses = (  # (keys, whether the run never reads them, why)
+        ("cells", dimension == 2, "in 2D"),
+        ("nx ny file", dimension == 1, "in 1D"),
+        ("nx ny", "file" in keys, "beside [mesh] file"),
+        ("p a b", keys.get("model") != "generic", "without model = generic"),
+        ("cells policy dt dt_min dt_max snapshots", command == "convergence", "by convergence"),
+        ("dt_min dt_max", keys.get("policy") != "adaptive", "without policy = adaptive"),
+        ("resolutions reference", command in ("run", "steady-state"), f"by {command}"),
+    )
+    return [(k, why) for names, never, why in clauses if never for k in names.split() if k in keys]
+
+
+def _config_keys(path):
+    """The parsed value of each key that a config file sets; unknown names are errors."""
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
@@ -97,7 +106,7 @@ def _config_fields(path):
             raise ConfigurationError(f"{path}: missing [experiment] section")
         if parser.defaults():  # [DEFAULT] would hand its keys to every section
             raise ConfigurationError(f"{path}: unknown section [{parser.default_section}]")
-        fields = {}
+        values = {}
         for section in parser.sections():
             keys = _CONFIG_KEYS.get(section)
             if keys is None:
@@ -106,39 +115,29 @@ def _config_fields(path):
                 if key not in keys:
                     raise ConfigurationError(f"{path}: unknown key {key!r} in [{section}]")
                 try:
-                    fields[_FIELD_NAMES.get(key, key)] = keys[key](text)
+                    values[key] = keys[key](text)
                 except ValueError as exc:
                     raise ConfigurationError(f"{path}: [{section}] {key}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    return fields
+    return values
 
 
-def load_config(path, paper_scale=False) -> ExperimentSpec:
-    """The experiment a config file describes; ``paper_scale`` swaps in the full sizes."""
-    fields = _config_fields(path)
-    name = fields.setdefault("name", Path(path).stem)
+def load_config(path, command=None) -> ExperimentSpec:
+    """The experiment a config file describes; a key ``command`` never reads is an error."""
+    keys = _config_keys(path)
+    name = keys.setdefault("name", Path(path).stem)
     # the outputs go to <out>/<name>, so the name may not lead out of --out
     if name in ("", ".", "..") or Path(name).name != name:
         raise ConfigurationError(f"{path}: [experiment] name: {name!r} is not a plain file name")
-    dimension = fields.get("dimension", ExperimentSpec.dimension)
-    for key in _UNREAD_MESH_KEYS.get(dimension, ()):
-        if _FIELD_NAMES.get(key, key) in fields:
-            raise ConfigurationError(f"{path}: [mesh] {key} is not read in {dimension}D")
-    two_d = dimension == 2
-    if fields.get("initial") == "custom-indicator":
+    unread = [f"[{section}] {key} is not read {why}" for key, why in _unread_keys(keys, command)
+              for section in _CONFIG_KEYS if key in _CONFIG_KEYS[section]]
+    if unread:
+        raise ConfigurationError(f"{path}: " + "; ".join(unread))
+    if keys.get("initial") == "custom-indicator":
         raise ConfigurationError(f"{path}: initial = custom-indicator needs base, bump and "
                                  "boxes, which only ExperimentSpec.initial_params can give")
-    if paper_scale:
-        if two_d and "mesh_file" not in fields:
-            raise ConfigurationError(
-                "--paper-scale in 2D requires an unstructured mesh file "
-                "(set file = ... in the [mesh] section)"
-            )
-        fields.update(resolutions=PAPER_SCALE_RESOLUTIONS, reference=PAPER_SCALE_REFERENCE)
-        if not two_d:
-            fields["n_cells"] = PAPER_SCALE_CELLS_1D
-    spec = ExperimentSpec(**fields)
+    spec = ExperimentSpec(**{_FIELD_NAMES.get(key, key): value for key, value in keys.items()})
     # fail configuration problems early (H3-type data checks included)
     spec.build_bdata()
     return spec
@@ -146,7 +145,7 @@ def load_config(path, paper_scale=False) -> ExperimentSpec:
 
 def _prepare(args):
     """The experiment and its output directory."""
-    spec = load_config(args.config, paper_scale=args.paper_scale)
+    spec = load_config(args.config, args.command)
     if args.strict_theory and not equal_diffusivities(spec.alphas):
         raise ConfigurationError("strict-theory mode requires equal diffusivities")
     return spec, Path(args.out) / spec.name
@@ -311,8 +310,6 @@ def build_parser():
                        help="ignored; runs are serial")
         p.add_argument("--strict-theory", action="store_true",
                        help="require equal diffusivities")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="use the full-size 5120-cell / unstructured-mesh setup")
 
     p_run = sub.add_parser("run", help="time evolution with snapshots")
     add_run_flags(p_run)

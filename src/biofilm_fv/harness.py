@@ -30,7 +30,8 @@ class ConfigurationError(Exception):
     """Invalid or inconsistent experiment description."""
 
 
-# the most steps a config may imply; the --paper-scale 1D reference implies 26,214.4
+# the most steps a config may imply; the reference of
+# configs/convergence-case1-paper.cfg implies 26,214.4
 MAX_STEPS = 10**7
 
 
@@ -261,7 +262,8 @@ class ExperimentSpec:
     def snapshot_schedule(self) -> list:
         """The distinct snapshot times in increasing order; each must lie in [0, t_end].
 
-        A positive time must exceed ``scheme.TIME_TOL``, below which no step reaches it.
+        A positive time must exceed ``scheme.TIME_TOL``, below which no step
+        reaches it, and no two times may share a file tag (``_snapshot_tag``).
         """
         times = sorted(set(float(t) for t in self.snapshot_times))
         for t in times:
@@ -271,10 +273,20 @@ class ExperimentSpec:
             if 0.0 < t <= scheme.TIME_TOL:
                 raise ConfigurationError(
                     f"snapshot time {t} must be 0 or exceed {scheme.TIME_TOL}")
+        # %g rounds monotonically, so times that share a tag are adjacent
+        for earlier, later in zip(times, times[1:]):
+            if _snapshot_tag(earlier) == _snapshot_tag(later):
+                raise ConfigurationError(f"snapshot times {earlier} and {later} share the "
+                                         f"file tag {_snapshot_tag(later)}")
         return times
 
 
 # -- shared run machinery ------------------------------------------------------------------
+
+
+def _snapshot_tag(time):
+    """The tag of a snapshot file name: snapshot_<tag>.csv or .vtk."""
+    return f"{time:g}"
 
 
 def _fmt(value):
@@ -503,7 +515,7 @@ def _set_up(spec: ExperimentSpec):
             snapshots.append((state.time, state.u.copy()))
             if out is None:
                 continue
-            tag = f"{state.time:g}"
+            tag = _snapshot_tag(t)
             if mesh.dimension == 1:
                 write_snapshot_csv(out / f"snapshot_{tag}.csv", mesh, state.u)
             else:

@@ -69,6 +69,11 @@ _REFINE_CONTRACTION = 0.1
 # invariant tolerances checked after every accepted step
 MAX_PRINCIPLE_TOL = 1e-12
 ENTROPY_STEP_TOL = 1e-9
+# the round-off allowed beside Newton's conservation bound, in units of eps
+# times the magnitudes summed (see ``advance``): a few roundings per residual
+# entry plus numpy's pairwise summation over up to ~10^7 terms stay below it
+CONSERVATION_ROUNDOFF = 64
+_EPS = np.finfo(float).eps
 
 # relative to max(1, |t_end|): ``advance`` counts a horizon this close as reached
 TIME_TOL = 1e-13
@@ -559,13 +564,20 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             )
         if min_u < 0.0:
             raise InvariantViolation(f"negative proportion at t = {new_state.time:.6e}")
+        # the interior fluxes cancel in sum_K R_K, so defect = dt sum_K R_K, which
+        # Newton's stop at max |R dt / m(K)| <= tol bounds by n tol |Omega|;
+        # round-off in R and in the two sums adds eps per magnitude summed,
+        # each mass change once and each flux once per side of its edge
+        change = mesh.cell_measures * (new_state.u - state.u)
+        defect = float(np.sum(change) + dt * dirichlet_fluxes(accepted, mesh).sum())
+        bound = len(alphas) * cfg.tol * mesh.total_measure + CONSERVATION_ROUNDOFF * _EPS * (
+            np.abs(change).sum() + 2.0 * dt * np.abs(accepted.flux).sum())
+        if not abs(defect) <= bound:  # NaN fails too
+            raise InvariantViolation(f"conservation violated at t = {new_state.time:.6e}: "
+                                     f"defect {defect:.3e}, bound {bound:.3e}")
 
         entropy = diagnostics.discrete_entropy(accepted, mesh, model)
         dissipation = diagnostics.dissipation(accepted, mesh)
-        defect = float(
-            np.sum(mesh.cell_measures * (new_state.u - state.u))
-            + dt * dirichlet_fluxes(accepted, mesh).sum()
-        )
         produced = dt * diagnostics.entropy_production(dissipation, alphas)
         if entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
             raise InvariantViolation(

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from biofilm_fv import harness, scheme
 from biofilm_fv.cli import _CONFIG_KEYS, load_config, main
-from biofilm_fv.harness import ConfigurationError
+from biofilm_fv.harness import MAX_STEPS, ConfigurationError
 from biofilm_fv.mesh import write_triangle_mesh_file
 
 from pathlib import Path
@@ -44,6 +45,11 @@ dt = 1e-5
 
 [output]
 snapshots = 1e-4
+"""
+# the keys convergence reads: no cells, [time] step or [output]
+CONVERGENCE_1D = RUN_1D.split("[time]")[0].replace("cells = 20\n", "") + """[convergence]
+resolutions = 8, 16, 32, 64
+reference = 128
 """
 
 
@@ -92,19 +98,15 @@ def test_strict_theory_accepts_equal_non_unit_diffusivities(tmp_path):
 
 
 def test_convergence_guard_too_few_resolutions(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "conv.cfg",
-        RUN_1D + "\n[convergence]\nresolutions = 10, 20\nreference = 40\n",
-    )
+    cfg = write_config(tmp_path / "conv.cfg", CONVERGENCE_1D.replace(
+        "8, 16, 32, 64", "10, 20").replace("reference = 128", "reference = 40"))
     code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
+    assert "need at least 4 resolutions" in capsys.readouterr().err
 
 
 def test_convergence_small(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "conv.cfg",
-        RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n",
-    )
+    cfg = write_config(tmp_path / "conv.cfg", CONVERGENCE_1D)
     code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "fitted spatial order" in capsys.readouterr().out
@@ -160,7 +162,7 @@ def test_check_mesh_rejects_malformed_file(tmp_path, capsys, name):
 RUN_2D = RUN_1D.replace("initial = bumps-1d", "initial = bumps-2d").replace(
     "dimension = 1\ncells = 20\ndirichlet = left", "dimension = 2\nnx = 4\nny = 4\ndirichlet = y=1"
 )
-CONVERGENCE_1D = RUN_1D + "\n[convergence]\nresolutions = 8, 16, 32, 64\nreference = 128\n"
+RUN_TRIANGLES = RUN_2D.replace("nx = 4\nny = 4", f"file = {ACUTE_FIXTURE}")
 CONVERGENCE_CASE2 = (Path(__file__).parents[1] / "configs" / "convergence-case2.cfg").read_text(
     encoding="ascii")
 BAD_CONFIGS = {
@@ -190,13 +192,12 @@ BAD_CONFIGS = {
     "nan-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = nan, 1")),
     "inf-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = inf, 1")),
     "bumps-1d-on-rectangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")),
-    "bumps-1d-on-triangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")
-                              .replace("nx = 4", f"file = {ACUTE_FIXTURE}")
+    "bumps-1d-on-triangles": ("run", RUN_TRIANGLES.replace("bumps-2d", "bumps-1d")
                               .replace("dirichlet = y=1", "dirichlet = all")),
     # the acute patch has no edge on y = 1, so its mesh has no contact boundary
-    "contact-missing-run": ("run", RUN_2D.replace("nx = 4", f"file = {ACUTE_FIXTURE}")),
-    "contact-missing-steady-state": ("steady-state", RUN_2D.replace(
-        "nx = 4", f"file = {ACUTE_FIXTURE}").replace("policy = fixed", "policy = adaptive")),
+    "contact-missing-run": ("run", RUN_TRIANGLES),
+    "contact-missing-steady-state": ("steady-state", RUN_TRIANGLES.replace(
+        "policy = fixed", "policy = adaptive")),
     # every run of a study is set up before its output directory is made
     "convergence-saturated": ("convergence", CONVERGENCE_CASE2.replace(
         "u_d = 0.1, 0.1", "u_d = 0.45, 0.45")),
@@ -213,16 +214,27 @@ BAD_CONFIGS = {
                                                          "model = generic\np = linear")),
     "species-count-mismatch": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = 1, 1, 1")),
     "policy-unknown": ("run", RUN_1D.replace("policy = fixed", "policy = sometimes")),
-    "convergence-2d": ("convergence", RUN_2D + "\n[convergence]\nresolutions = 8, 16, 32, 64\n"
-                                              "reference = 128\n"),
+    "convergence-2d": ("convergence", CONVERGENCE_1D.replace("dimension = 1", "dimension = 2")),
     "no-experiment-section": ("run", "[mesh]" + RUN_1D.split("[mesh]", 1)[1]),
     # None: the config path does not exist
     "missing-config": ("run", None),
-    # a [mesh] key that the dimension never reads
+    # a key that the run never reads, one case per clause of cli._unread_keys
     "cells-in-2d": ("run", RUN_2D.replace("nx = 4", "cells = 4\nnx = 4")),
     "nx-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nnx = 7")),
     "ny-in-1d": ("run", RUN_1D.replace("cells = 20", "cells = 20\nny = 7")),
     "file-in-1d": ("run", RUN_1D.replace("cells = 20", f"cells = 20\nfile = {ACUTE_FIXTURE}")),
+    "nx-beside-file": ("run", RUN_TRIANGLES.replace("dirichlet = y=1", "nx = 4\ndirichlet = all")),
+    "p-without-generic": ("run", RUN_1D.replace("model = case1", "model = case1\np = exp")),
+    "cells-in-convergence": ("convergence", CONVERGENCE_1D.replace(
+        "dimension = 1", "dimension = 1\ncells = 20")),
+    "dt-in-convergence": ("convergence", CONVERGENCE_1D + "[time]\ndt = 1e-5\n"),
+    "snapshots-in-convergence": ("convergence", CONVERGENCE_1D + "[output]\nsnapshots = 1e-4\n"),
+    "dt-min-under-fixed": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\ndt_min = 1e-8")),
+    "resolutions-in-run": ("run", RUN_1D + "[convergence]" + CONVERGENCE_1D.split(
+        "[convergence]")[1]),
+    # 5e-05 and 5.0000001e-05 would both write snapshot_5e-05.csv
+    "snapshot-tags-collide": ("run", RUN_1D.replace("snapshots = 1e-4",
+                                                    "snapshots = 5e-5, 5.0000001e-5")),
     # more than harness.MAX_STEPS steps to t_end: dt under the fixed policy, dt_max otherwise
     "dt-too-small": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-300")),
     "t-end-too-far": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = 1e300")
@@ -271,6 +283,15 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "nx-in-1d": "[mesh] nx is not read in 1D",
                   "ny-in-1d": "[mesh] ny is not read in 1D",
                   "file-in-1d": "[mesh] file is not read in 1D",
+                  "nx-beside-file": "[mesh] nx is not read beside [mesh] file",
+                  "p-without-generic": "[experiment] p is not read without model = generic",
+                  "cells-in-convergence": "[mesh] cells is not read by convergence",
+                  "dt-in-convergence": "[time] dt is not read by convergence",
+                  "snapshots-in-convergence": "[output] snapshots is not read by convergence",
+                  "dt-min-under-fixed": "[time] dt_min is not read without policy = adaptive",
+                  "resolutions-in-run": "[convergence] resolutions is not read by run",
+                  "snapshot-tags-collide": "snapshot times 5e-05 and 5.0000001e-05 share the "
+                                           "file tag 5e-05",
                   "dt-too-small": "t_end = 0.0001 at dt = 1e-300 implies 1e+296 steps",
                   "t-end-too-far": "t_end = 1e+300 at dt_max = 0.01 implies 1e+302 steps",
                   "generic-beyond-cap-initial": "model 'generic:exp': biomass out of range: min=0.499, "
@@ -300,8 +321,22 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_configs_load(path):
-    spec = load_config(str(path))
-    assert spec.name == path.stem
+    assert load_config(str(path)).name == path.stem
+    for command in _commands(_capped(path)):
+        assert load_config(str(path), command).name == path.stem
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_paper_configs_are_their_desk_scale_twins_at_the_paper_sizes(case):
+    configs = Path(__file__).parents[1] / "configs"
+    desk = load_config(str(configs / f"convergence-{case}.cfg"), "convergence")
+    paper = load_config(str(configs / f"convergence-{case}-paper.cfg"), "convergence")
+    assert (paper.resolutions, paper.reference) == ((40, 80, 160, 320, 640, 1280, 2560), 5120)
+    assert dataclasses.replace(paper, name=desk.name, resolutions=desk.resolutions,
+                               reference=desk.reference) == desk
+    # the reference run takes t_end / dt steps at dt = 1/reference^2
+    assert paper.t_end * paper.reference**2 == pytest.approx(26214.4)
+    assert paper.t_end * paper.reference**2 < MAX_STEPS
 
 
 def test_load_config_rejects_custom_indicator(tmp_path):
@@ -312,19 +347,22 @@ def test_load_config_rejects_custom_indicator(tmp_path):
 
 
 def test_readme_config_grammar_loads_and_names_every_key(tmp_path):
-    # one block per dimension; together they name every key
+    # each block loads for the subcommand its first line names, "# run: ...";
+    # together they name every key
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration files", 1)[1].split("\n## ", 1)[0]
     blocks = section.split("```\n")[1::2]
     named = {s: set() for s in _CONFIG_KEYS}
-    for dimension, block in enumerate(blocks, start=1):
-        path = write_config(tmp_path / f"grammar-{dimension}d.cfg", block)
-        assert load_config(path).dimension == dimension
+    for k, block in enumerate(blocks):
+        command = block.split(":", 1)[0].removeprefix("# ")
+        assert command in ("run", "steady-state", "convergence")
+        path = write_config(tmp_path / f"grammar-{k}.cfg", block)
+        load_config(path, command)
         parser = configparser.ConfigParser()
         parser.read(path)
         for s in parser.sections():
             named[s] |= set(parser[s])
-    assert len(blocks) == 2
+    assert len(blocks) == 4
     assert named == {s: set(keys) for s, keys in _CONFIG_KEYS.items()}
 
 
@@ -424,13 +462,6 @@ def test_run_missing_mesh_file(tmp_path, capsys):
         .replace("cells = 20", "file = /does/not/exist.mesh"),
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-
-
-def test_paper_scale_2d_requires_mesh_file(tmp_path, capsys):
-    cfg = write_config(tmp_path / "p.cfg", RUN_2D)
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--paper-scale"])
-    assert code == 2
-    assert "requires an unstructured mesh file" in capsys.readouterr().err
 
 
 def test_invariant_violation_is_a_solver_failure(tmp_path, capsys, monkeypatch):

@@ -882,3 +882,12 @@ def test_advance_rejects_a_negative_proportion_before_its_diagnostics(case2, bda
     _stub_newton_step(monkeypatch, negative, record)
     with pytest.raises(InvariantViolation, match=r"negative proportion at t = 1\.0+e-05"):
         advance(state, 1e-5, mesh, case2, bdata_01, FIXED_STEP)
+
+
+def test_advance_rejects_a_conservation_defect(case2, bdata_01, monkeypatch):
+    # u = 0.095 is admissible and below M* = 0.2, but it loses mass 0.01 that
+    # no contact flux carries out, far beyond Newton's bound n tol |Omega| = 2e-10
+    mesh = build_interval_mesh(4, "left")
+    _stub_newton_step(monkeypatch, np.full((2, 4), 0.095))
+    with pytest.raises(InvariantViolation, match=r"conservation violated at t = 1\.0+e-05"):
+        advance(make_state(np.full((2, 4), 0.1)), 1e-5, mesh, case2, bdata_01, FIXED_STEP)
