@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .mesh import (  # noqa: F401
     AdmissibilityError,
-    EdgeKind,
     Mesh,
     MeshError,
     TopologyError,

@@ -71,8 +71,7 @@ _CONFIG_KEYS = {
                    "initial": str, "t_end": _finite, "p": str, "a": _finite, "b": _finite},
     "mesh": {"dimension": int, "cells": int, "nx": int, "ny": int, "file": str,
              "dirichlet": _normalize_dirichlet},
-    "time": {"policy": str, "dt": _finite, "dt_min": _finite, "dt_max": _finite,
-             "newton_tol": _finite, "newton_max_iters": int},
+    "time": {"policy": str, "dt": _finite, "dt_min": _finite, "dt_max": _finite},
     "convergence": {"resolutions": _ints, "reference": int},
     "output": {"snapshots": _floats},
 }

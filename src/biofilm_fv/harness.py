@@ -162,8 +162,6 @@ class ExperimentSpec:
     dirichlet: str | None = None
     dt_policy: str = "fixed"
     dt: float = 1e-5
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 50
     dt_min: float = 1e-8
     dt_max: float = 1e-2
     resolutions: tuple[int, ...] = ()
@@ -184,12 +182,6 @@ class ExperimentSpec:
             raise ConfigurationError("alphas and u_d must have the same length")
         if self.dt_policy not in ("fixed", "adaptive"):
             raise ConfigurationError(f"unknown dt policy {self.dt_policy!r}")
-        # the fewest steps to t_end; newton_config names a step that is not positive
-        key, step = ("dt", self.dt) if self.dt_policy == "fixed" else ("dt_max", self.dt_max)
-        if 0.0 < step < math.inf and self.t_end / step > MAX_STEPS:
-            raise ConfigurationError(
-                f"t_end = {self.t_end} at {key} = {step} implies {self.t_end / step:.3g} "
-                f"steps, more than {MAX_STEPS}")
 
     @property
     def datum_name(self) -> str:
@@ -246,18 +238,24 @@ class ExperimentSpec:
             raise ConfigurationError(f"initial datum: {exc}") from exc
 
     def newton_config(self) -> NewtonConfig:
-        """Newton tolerances and the step range for ``advance``.
+        """The step range for ``advance``, with the default Newton tolerances.
 
         The fixed policy pins the range to ``dt``; the adaptive policy starts
-        at ``dt`` within [dt_min, dt_max].
+        at ``dt`` within [dt_min, dt_max].  A range whose largest step takes
+        more than ``MAX_STEPS`` steps to t_end is a configuration error.
         """
         fixed = self.dt_policy == "fixed"
+        key, step = ("dt", self.dt) if fixed else ("dt_max", self.dt_max)
         try:
-            return NewtonConfig(tol=self.newton_tol, max_iters=self.newton_max_iters,
-                                dt_min=self.dt if fixed else self.dt_min, dt_init=self.dt,
-                                dt_max=self.dt if fixed else self.dt_max)
+            cfg = NewtonConfig(dt_min=self.dt if fixed else self.dt_min, dt_init=self.dt,
+                               dt_max=step)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+        if self.t_end / step > MAX_STEPS:
+            raise ConfigurationError(
+                f"t_end = {self.t_end} at {key} = {step} implies {self.t_end / step:.3g} "
+                f"steps, more than {MAX_STEPS}")
+        return cfg
 
     def snapshot_schedule(self) -> list:
         """The distinct snapshot times in increasing order; each must lie in [0, t_end].

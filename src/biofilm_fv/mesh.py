@@ -9,16 +9,16 @@ consistent.  For triangulations this restricts the triangles to acute ones.
 Conventions:
   * a mesh is a struct of flat arrays, one entry per cell or per edge; the
     generators build them directly with index arithmetic,
-  * every edge stores one canonical cell ``K`` in ``edge_K``; interior edges
-    store the neighbor ``L`` in ``edge_L`` (-1 on the boundary), and the
-    normal points from K to L (outward on the boundary),
+  * every edge stores one canonical cell ``K`` in ``edge_K`` and its far
+    side in ``edge_L``, which is also the edge's kind: the neighbor cell of
+    an interior edge, the ghost cell ``n_cells`` of a contact (Dirichlet)
+    edge, -1 of a no-flux (Neumann) edge; the normal points from K to L
+    (outward on the boundary),
   * 1D edges use the measure convention m(sigma) = 1, so the
     transmissibility reduces to 1/d_sigma.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
@@ -39,17 +39,11 @@ class TopologyError(MeshError):
     """Inconsistent mesh connectivity."""
 
 
-class EdgeKind(enum.IntEnum):
-    INTERIOR = 0
-    DIRICHLET = 1
-    NEUMANN = 2
-
-
 class Mesh:
     """Immutable admissible mesh, stored as flat arrays.
 
     Per cell: ``cell_centers`` (N, dim) and ``cell_measures``.  Per edge:
-    ``edge_K``, ``edge_L``, ``edge_kinds``, ``edge_measures`` m(sigma),
+    ``edge_K``, ``edge_L``, ``edge_measures`` m(sigma),
     ``edge_distances`` d_sigma (d(x_K, x_L) inside, d(x_K, sigma) on the
     boundary), ``edge_center_distances`` (E, 2) holding d(x_K, sigma) and
     d(x_L, sigma) (0 on the boundary) and ``edge_normals`` (E, dim).
@@ -57,19 +51,18 @@ class Mesh:
     on triangles it is the length of the center segment, and the rounded
     sum can differ from it in the last bit.
 
-    Construction derives the transmissibilities m(sigma)/d_sigma, the
-    per-kind edge index sets and the flux edges ``flux_K``,
-    ``flux_L``, ``flux_tau``: the interior edges, then the Dirichlet ones,
-    whose ``flux_L`` is the ghost column ``n_cells`` holding the contact
-    state (``with_contact`` appends it, ``jump`` differences across each flux
-    edge).  It validates topology and admissibility and makes every array
-    read-only.  Instances are never mutated afterwards; they are safe to
-    share between threads.
+    Construction derives the ``interior`` and ``dirichlet`` edge index sets
+    and the flux edges ``flux_K``, ``flux_L``, ``flux_tau`` = m(sigma)/d_sigma:
+    the interior edges, then the Dirichlet ones, whose ``flux_L`` is the
+    ghost column ``n_cells`` holding the contact state (``with_contact``
+    appends it, ``jump`` differences across each flux edge).  It validates
+    topology and admissibility and makes every array read-only.  Instances
+    are never mutated afterwards; they are safe to share between threads.
     """
 
-    def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_kinds,
-                 edge_measures, edge_distances, edge_center_distances, edge_normals,
-                 points=None, cell_nodes=None):
+    def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_measures,
+                 edge_distances, edge_center_distances, edge_normals, points=None,
+                 cell_nodes=None):
         self.dimension = int(dimension)
         self.points = None if points is None else np.array(points, dtype=float)
         self.cell_nodes = None if cell_nodes is None else np.array(cell_nodes, dtype=np.intp)
@@ -83,7 +76,6 @@ class Mesh:
 
         self.edge_K = np.array(edge_K, dtype=np.intp)
         self.edge_L = np.array(edge_L, dtype=np.intp)
-        self.edge_kinds = kinds = np.array(edge_kinds, dtype=np.int8)
         self.n_edges = len(self.edge_K)
         self.edge_measures = np.array(edge_measures, dtype=float)
         self.edge_distances = np.array(edge_distances, dtype=float)
@@ -94,20 +86,18 @@ class Mesh:
             self.n_edges, self.dimension
         )
 
-        self.interior = np.flatnonzero(kinds == EdgeKind.INTERIOR)
-        self.dirichlet = np.flatnonzero(kinds == EdgeKind.DIRICHLET)
-        self.neumann = np.flatnonzero(kinds == EdgeKind.NEUMANN)
         self._check_topology()
+        L = self.edge_L
+        self.interior = np.flatnonzero((L >= 0) & (L < self.n_cells))
+        self.dirichlet = np.flatnonzero(L == self.n_cells)
         if self.dirichlet.size == 0:
             raise MeshError("mesh has no Dirichlet boundary edge (contact boundary required)")
         self._check_geometry()
 
-        self.edge_tau = self.edge_measures / self.edge_distances
         flux_edges = np.concatenate([self.interior, self.dirichlet])
         self.flux_K = self.edge_K[flux_edges]
-        self.flux_L = np.concatenate([self.edge_L[self.interior],
-                                      np.full(self.dirichlet.size, self.n_cells)])
-        self.flux_tau = self.edge_tau[flux_edges]
+        self.flux_L = self.edge_L[flux_edges]
+        self.flux_tau = self.edge_measures[flux_edges] / self.edge_distances[flux_edges]
         self.regularity_xi = validate_regularity(self)
 
         for value in vars(self).values():
@@ -123,16 +113,10 @@ class Mesh:
             bad = int(np.argmin(self.cell_measures))
             raise TopologyError(f"cell {bad} has nonpositive measure")
         K, L, n = self.edge_K, self.edge_L, self.n_cells
-        unknown = (K < 0) | (K >= n) | (L < -1) | (L >= n)
+        # L = n is the ghost cell of a contact edge, L = -1 a no-flux edge
+        unknown = (K < 0) | (K >= n) | (L < -1) | (L > n)
         if np.any(unknown):
             raise TopologyError(f"edge {int(np.argmax(unknown))} references an unknown cell")
-        inner = self.edge_kinds == EdgeKind.INTERIOR
-        bad = np.flatnonzero(inner != (L >= 0))
-        if bad.size:
-            eid = int(bad[0])
-            if inner[eid]:
-                raise TopologyError(f"interior edge {eid} must join two cells")
-            raise TopologyError(f"boundary edge {eid} must belong to one cell")
 
     def _check_geometry(self):
         flat = self.edge_distances <= 0.0
@@ -211,23 +195,17 @@ def build_interval_mesh(n_cells: int, dirichlet_side: str = "left") -> Mesh:
         raise ValueError(f"unknown dirichlet_side {dirichlet_side!r}")
     h = 1.0 / n_cells
     cells = np.arange(n_cells)
-
-    def boundary_kind(side):
-        if dirichlet_side in ("both", side):
-            return EdgeKind.DIRICHLET
-        return EdgeKind.NEUMANN
-
+    left, right = (n_cells if dirichlet_side in ("both", side) else -1
+                   for side in ("left", "right"))
     edge_K = np.concatenate([[0], cells])
-    edge_L = np.concatenate([[-1], cells[1:], [-1]])
-    kinds = np.full(n_cells + 1, EdgeKind.INTERIOR)
-    kinds[[0, -1]] = boundary_kind("left"), boundary_kind("right")
+    edge_L = np.concatenate([[left], cells[1:], [right]])
     distances = np.full(n_cells + 1, h)
     distances[[0, -1]] = h / 2
     center_distances = np.full((n_cells + 1, 2), h / 2)
     center_distances[[0, -1], 1] = 0.0
     normals = np.ones((n_cells + 1, 1))
     normals[0] = -1.0
-    return Mesh(1, ((cells + 0.5) * h)[:, None], np.full(n_cells, h), edge_K, edge_L, kinds,
+    return Mesh(1, ((cells + 0.5) * h)[:, None], np.full(n_cells, h), edge_K, edge_L,
                 np.ones(n_cells + 1), distances, center_distances, normals)
 
 
@@ -268,11 +246,9 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
                             _pairs(cols, (ny - 1) * nx + cols)])
     mid_x = np.concatenate([_pairs(np.zeros(ny), np.ones(ny)), _pairs(x_mid, x_mid)])
     mid_y = np.concatenate([_pairs(y_mid, y_mid), _pairs(np.zeros(nx), np.ones(nx))])
-    bnd_kinds = [
-        EdgeKind.DIRICHLET if dirichlet_predicate(x, y) else EdgeKind.NEUMANN
-        for x, y in zip(mid_x.tolist(), mid_y.tolist())
-    ]
-    if EdgeKind.DIRICHLET not in bnd_kinds:
+    bnd_L = [nx * ny if dirichlet_predicate(x, y) else -1
+             for x, y in zip(mid_x.tolist(), mid_y.tolist())]
+    if nx * ny not in bnd_L:
         raise MeshError("dirichlet predicate selected no boundary edge")
     bnd_measures = np.concatenate([np.full(2 * ny, hy), np.full(2 * nx, hx)])
     bnd_distances = np.concatenate([np.full(2 * ny, hx / 2), np.full(2 * nx, hy / 2)])
@@ -293,8 +269,7 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
         np.column_stack([(ix + 0.5) * hx, (iy + 0.5) * hy]),
         np.full(nx * ny, hx * hy),
         np.concatenate([inner_K, bnd_K]),
-        np.concatenate([inner_L, np.full(len(bnd_K), -1)]),
-        np.concatenate([np.full(n_inner, EdgeKind.INTERIOR), bnd_kinds]),
+        np.concatenate([inner_L, bnd_L]),
         np.concatenate([inner_measures, bnd_measures]),
         distances,
         center_distances,
@@ -409,13 +384,10 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
     normals = np.where((~inner & (sK > 0))[:, None], -normals, normals)
     center_distances = np.column_stack([np.abs(sK), np.where(inner, np.abs(sL), 0.0)])
     distances = np.where(inner, _norm(centers[L] - centers[K]), np.abs(sK))
-    kinds = np.full(len(u), EdgeKind.INTERIOR)
-    kinds[~inner] = [
-        EdgeKind.DIRICHLET if dirichlet_predicate(x, y) else EdgeKind.NEUMANN
-        for x, y in mid[~inner].tolist()
-    ]
-    return Mesh(2, centers, areas, K, np.where(inner, L, -1), kinds, measures, distances,
-                center_distances, normals, points=nodes, cell_nodes=triangles)
+    L[~inner] = [len(triangles) if dirichlet_predicate(x, y) else -1
+                 for x, y in mid[~inner].tolist()]
+    return Mesh(2, centers, areas, K, L, measures, distances, center_distances, normals,
+                points=nodes, cell_nodes=triangles)
 
 
 # -- triangle mesh file format -------------------------------------------------------

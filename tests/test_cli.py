@@ -146,7 +146,18 @@ MALFORMED_MESHES = {
     "triangle-index": RHOMBUS.replace("0 1 2", "0 1 2.5"),
     "nan-coordinate": RHOMBUS.replace("0.5 0.8660254037844386", "0.5 nan"),
     "not-ascii": RHOMBUS.replace("1.0 0.0", "1.0 0.0\u00e9"),
+    "no-cells": "nodes 0 triangles 0\n",
+    "node-index": RHOMBUS.replace("0 3 1", "0 4 1"),
+    "collinear": "nodes 3 triangles 1\n0.0 0.0\n1.0 0.0\n2.0 0.0\n0 1 2\n",
+    # both acute triangles lie above the edge (0, 1) that they share
+    "same-side": ("nodes 4 triangles 2\n0.0 0.0\n1.0 0.0\n0.5 0.8\n0.5 0.6\n"
+                  "0 1 2\n0 1 3\n"),
 }
+# the reason each check-mesh error must give
+MALFORMED_MESH_ERRORS = {"no-cells": "mesh needs at least one cell",
+                         "node-index": "triangle references a node that does not exist",
+                         "collinear": "degenerate",
+                         "same-side": "circumcenters on the same side"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_MESHES))
@@ -157,6 +168,7 @@ def test_check_mesh_rejects_malformed_file(tmp_path, capsys, name):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("inadmissible mesh:") and "Traceback" not in err
+    assert MALFORMED_MESH_ERRORS.get(name, "") in err
 
 
 RUN_2D = RUN_1D.replace("initial = bumps-1d", "initial = bumps-2d").replace(
@@ -172,6 +184,7 @@ BAD_CONFIGS = {
     "zero-cells": ("run", RUN_1D.replace("cells = 20", "cells = 0")),
     "zero-nx": ("run", RUN_2D.replace("nx = 4", "nx = 0")),
     "negative-dt": ("run", RUN_1D.replace("dt = 1e-5", "dt = -1e-5")),
+    # the Newton tolerances are NewtonConfig's defaults, not config keys
     "zero-newton-tol": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_tol = 0")),
     "zero-newton-iters": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_max_iters = 0")),
     "dirichlet-1d-side": ("run", RUN_1D.replace("dirichlet = left", "dirichlet = top")),
@@ -192,6 +205,8 @@ BAD_CONFIGS = {
     "nan-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = nan, 1")),
     "inf-alpha": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = inf, 1")),
     "bumps-1d-on-rectangles": ("run", RUN_2D.replace("bumps-2d", "bumps-1d")),
+    "bumps-1d-three-species": ("run", RUN_1D.replace("alphas = 1, 1", "alphas = 1, 1, 1")
+                               .replace("u_d = 0.1, 0.1", "u_d = 0.1, 0.1, 0.1")),
     "bumps-1d-on-triangles": ("run", RUN_TRIANGLES.replace("bumps-2d", "bumps-1d")
                               .replace("dirichlet = y=1", "dirichlet = all")),
     # the acute patch has no edge on y = 1, so its mesh has no contact boundary
@@ -257,7 +272,10 @@ BAD_CONFIGS = {
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "duplicate-key": "'cells'", "default-section": "[DEFAULT]",
                   "custom-indicator": "custom-indicator", "negative-snapshot": "-1.0",
+                  "zero-newton-tol": "unknown key 'newton_tol' in [time]",
+                  "zero-newton-iters": "unknown key 'newton_max_iters' in [time]",
                   "bumps-1d-on-rectangles": "2D mesh", "bumps-1d-on-triangles": "2D mesh",
+                  "bumps-1d-three-species": "bumps-1d is a two-species datum",
                   "contact-missing-run": "Dirichlet", "contact-missing-steady-state": "Dirichlet",
                   "not-utf8": "bad.cfg: 'utf-8' codec can't decode byte 0xe9",
                   "nan-t-end": "'nan' is not a finite number",
@@ -324,6 +342,18 @@ def test_shipped_configs_load(path):
     assert load_config(str(path)).name == path.stem
     for command in _commands(_capped(path)):
         assert load_config(str(path), command).name == path.stem
+
+
+def test_convergence_steps_are_bounded_per_run_not_by_the_unread_dt(tmp_path):
+    # t_end / dt at the default dt = 1e-5 would be 2e7 steps; the finest run
+    # takes t_end * 64^2 = 819,200 at dt = 1/64^2
+    text = (CONVERGENCE_1D.replace("t_end = 1e-4", "t_end = 200")
+            .replace("8, 16, 32, 64", "4, 8, 16, 32").replace("reference = 128", "reference = 64"))
+    spec = load_config(write_config(tmp_path / "long.cfg", text), "convergence")
+    assert spec.t_end / spec.dt > MAX_STEPS
+    for n in spec.resolutions + (spec.reference,):
+        cfg = dataclasses.replace(spec, n_cells=n, dt=1.0 / n**2).newton_config()
+        assert cfg.dt_max == 1.0 / n**2
 
 
 @pytest.mark.parametrize("case", ["case1", "case2"])

@@ -130,9 +130,10 @@ def test_spec_rejects_a_t_end_that_is_not_positive_and_finite(t_end):
 @pytest.mark.parametrize("policy, key", [("fixed", "dt"), ("adaptive", "dt_max")])
 def test_spec_bounds_the_steps_that_t_end_implies(policy, key):
     step = 1.0 / harness.MAX_STEPS
-    quick_spec(t_end=1.0, dt_policy=policy, dt=step, dt_min=step, dt_max=step)
+    quick_spec(t_end=1.0, dt_policy=policy, dt=step, dt_min=step, dt_max=step).newton_config()
+    spec = quick_spec(t_end=1.0 + 1e-9, dt_policy=policy, dt=step, dt_min=step, dt_max=step)
     with pytest.raises(ConfigurationError, match=f"at {key} = .* implies 1e\\+07 steps"):
-        quick_spec(t_end=1.0 + 1e-9, dt_policy=policy, dt=step, dt_min=step, dt_max=step)
+        spec.newton_config()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5, np.nan])

@@ -7,7 +7,6 @@ import pytest
 
 from biofilm_fv import (
     AdmissibilityError,
-    EdgeKind,
     MeshError,
     TopologyError,
     build_interval_mesh,
@@ -30,22 +29,20 @@ TOP = lambda x, y: abs(y - 1.0) < 1e-12
 def test_interval_mesh_transmissibilities():
     mesh = build_interval_mesh(10, "left")
     assert mesh.n_cells == 10
-    interior = mesh.edge_kinds == EdgeKind.INTERIOR
-    assert np.count_nonzero(interior) == 9
+    assert mesh.interior.size == 9
     # m(sigma) = 1 convention gives tau = 1/h on interior edges
-    assert np.all(np.abs(mesh.edge_tau[interior] - 10.0) < 1e-12)
+    assert np.all(np.abs(mesh.flux_tau[: mesh.interior.size] - 10.0) < 1e-12)
     assert abs(mesh.total_measure - 1.0) < 1e-15
 
 
 def test_interval_mesh_two_cells_left():
     mesh = build_interval_mesh(2, "left")
-    kinds = mesh.edge_kinds.tolist()
-    assert kinds.count(EdgeKind.INTERIOR) == 1
-    assert kinds.count(EdgeKind.DIRICHLET) == 1
-    assert kinds.count(EdgeKind.NEUMANN) == 1
-    # Dirichlet sits at x = 0
-    dirichlet = int(mesh.dirichlet[0])
-    assert (mesh.edge_K[dirichlet], mesh.edge_L[dirichlet]) == (0, -1)
+    # one interior edge, the Dirichlet edge at x = 0 (ghost cell 2), and the
+    # no-flux edge at x = 1
+    assert mesh.edge_L.tolist() == [2, 1, -1]
+    assert mesh.interior.tolist() == [1]
+    assert mesh.dirichlet.tolist() == [0]
+    assert (mesh.edge_K[0], mesh.edge_L[0]) == (0, mesh.n_cells)
 
 
 def test_interval_mesh_reference_size():
@@ -74,7 +71,7 @@ def test_rectangle_2x2_geometry():
     assert np.allclose(mesh.flux_tau[:4], 1.0)  # tau = 0.5 / 0.5
     assert mesh.dirichlet.size == 2
     assert np.allclose(mesh.flux_tau[4:], 2.0)  # tau = 0.5 / 0.25
-    assert mesh.neumann.size == 6
+    assert np.count_nonzero(mesh.edge_L == -1) == 6
 
 
 def test_rectangle_unit_partition_and_xi():
@@ -97,10 +94,11 @@ def test_rectangle_3x2_edge_order_and_orientation():
     # neighbor, then upper neighbor), then the left/right edges of each row
     # and the bottom/top edges of each column
     mesh = build_rectangle_mesh(3, 2, TOP)
-    I, D, N = EdgeKind.INTERIOR, EdgeKind.DIRICHLET, EdgeKind.NEUMANN
     assert mesh.edge_K.tolist() == [0, 0, 1, 1, 2, 3, 4, 0, 2, 3, 5, 0, 3, 1, 4, 2, 5]
-    assert mesh.edge_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [-1] * 10
-    assert mesh.edge_kinds.tolist() == [I] * 7 + [N] * 4 + [N, D] * 3
+    # the top edges are Dirichlet (ghost cell 6), the other boundary edges no-flux (-1)
+    assert mesh.edge_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [-1] * 4 + [-1, 6] * 3
+    assert mesh.interior.tolist() == list(range(7))
+    assert mesh.dirichlet.tolist() == [12, 14, 16]
     # flux edges: the interior ones, then the top edges with the ghost cell 6
     assert mesh.flux_K.tolist() == [0, 0, 1, 1, 2, 3, 4] + [3, 4, 5]
     assert mesh.flux_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [6] * 3
@@ -118,14 +116,18 @@ def test_rectangle_3x2_edge_order_and_orientation():
 def test_flux_edges_are_interior_then_dirichlet(build):
     # the contact state is the ghost column n_cells; Neumann edges carry no flux
     mesh = build()
-    assert mesh.neumann.size > 0
+    L = mesh.edge_L
+    assert np.count_nonzero(L == -1) > 0
+    assert mesh.interior.tolist() == np.flatnonzero((L >= 0) & (L < mesh.n_cells)).tolist()
+    assert mesh.dirichlet.tolist() == np.flatnonzero(L == mesh.n_cells).tolist()
     edges = np.concatenate([mesh.interior, mesh.dirichlet])
     assert mesh.flux_K.tolist() == mesh.edge_K[edges].tolist()
     assert mesh.flux_L.tolist() == (
         mesh.edge_L[mesh.interior].tolist() + [mesh.n_cells] * mesh.dirichlet.size
     )
-    assert mesh.flux_tau.tolist() == mesh.edge_tau[edges].tolist()
-    assert (mesh.edge_kinds[edges] != EdgeKind.NEUMANN).all()
+    assert mesh.flux_tau.tolist() == (
+        mesh.edge_measures[edges] / mesh.edge_distances[edges]).tolist()
+    assert (L[edges] != -1).all()
 
 
 def test_rectangle_empty_dirichlet_rejected():
@@ -215,11 +217,11 @@ def test_acute_fixture_accepted():
 def test_mesh_arrays_are_read_only(build):
     mesh = build()
     arrays = {name: v for name, v in vars(mesh).items() if isinstance(v, np.ndarray)}
-    assert {"cell_centers", "edge_K", "edge_tau", "flux_K", "flux_L", "flux_tau"} <= set(arrays)
+    assert {"cell_centers", "edge_K", "edge_L", "flux_K", "flux_L", "flux_tau"} <= set(arrays)
     for name, array in arrays.items():
         assert not array.flags.writeable, name
     with pytest.raises(ValueError):
-        mesh.edge_tau[0] = 1.0
+        mesh.flux_tau[0] = 1.0
 
 
 def test_triangle_mesh_leaves_input_arrays_writeable():
@@ -239,9 +241,10 @@ def test_mesh_file_round_trip(tmp_path):
 
 def test_boundary_edges_partition():
     mesh = build_rectangle_mesh(4, 4, TOP)
-    boundary = mesh.dirichlet.size + mesh.neumann.size
+    boundary = mesh.dirichlet.size + np.count_nonzero(mesh.edge_L == -1)
     assert boundary == 16
     assert mesh.dirichlet.size == 4
+    assert mesh.interior.size + boundary == mesh.n_edges
 
 
 def test_edge_moment_bound_2d():

@@ -259,7 +259,7 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
 
 
 @pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
-def test_cached_column_order_solve_is_bitwise_splu(name, bdata_01):
+def test_linear_solver_is_bitwise_splu_in_its_own_order(name, bdata_01):
     mesh = _assembly_meshes()[name]
     model = model_case1(alphas=(1.0, 5.0))
     rng = np.random.default_rng(12)
