@@ -198,7 +198,7 @@ def cmd_check_mesh(args):
 
 
 def _selftest_jacobian(rng, mesh, model, bdata, label):
-    n = model.params.n_species
+    n = len(model.params.alphas)
     u = rng.uniform(0.02, 0.4, size=(n, mesh.n_cells))
     state = State(time=0.0, u=u)
     dt = 1e-5

@@ -1,8 +1,9 @@
 """Experiment harness: convergence studies, evolution runs, steady-state decay.
 
 All three studies go through ``_set_up``, the set-up of ``run_evolution``:
-the steady-state study watches its accepted states, and the convergence
-study sets up one run per N, at dt = 1/N^2, before it makes its output dir.
+the steady-state study reads each step's distance to the contact state from
+the run, and the convergence study sets up one run per N, at dt = 1/N^2,
+before it makes its output dir.
 
 Everything here is deterministic and serial: a given experiment
 specification produces byte-identical CSV output.  CSV files use a header
@@ -464,25 +465,25 @@ class EvolutionResult:
     mesh: Mesh
     snapshots: list
     reports: list
+    distances: np.ndarray          # (n_steps, n_species), L2 distance to the contact state
     m_star: float
     final_state: State
     entropy_margin: float
 
 
-def run_evolution(spec: ExperimentSpec, out_dir=None, observer=None) -> EvolutionResult:
+def run_evolution(spec: ExperimentSpec, out_dir=None) -> EvolutionResult:
     """Run ``spec`` to t_end through its snapshot times, each in [0, t_end].
 
-    ``observer(state, mesh, bdata)``, when given, sees every accepted state.
     With an ``out_dir`` the snapshots, entropy.csv and run_metadata.json are
     written there.
     """
-    return _set_up(spec)(out_dir, observer)
+    return _set_up(spec)(out_dir)
 
 
 def _set_up(spec: ExperimentSpec):
     """Build what ``run_evolution(spec)`` needs before its first step; return the run.
 
-    The run, a function of ``out_dir`` and ``observer``, makes the output directory.
+    The run, a function of ``out_dir``, makes the output directory.
     """
     times = spec.snapshot_schedule()
     mesh = spec.build_mesh()
@@ -490,22 +491,23 @@ def _set_up(spec: ExperimentSpec):
     bdata = spec.build_bdata()
     initial = spec.initial_state(mesh)
     try:  # every model's domain ends at its m_max, below 1
-        model.g(np.append(initial.u.sum(axis=0), bdata.biomass))
+        model.in_domain(np.append(initial.u.sum(axis=0), bdata.biomass))
     except modelmod.ModelDomainError as exc:
         raise ConfigurationError(f"initial or contact biomass: {exc}") from exc
     m_star = scheme.max_principle_bound(initial, bdata)
     cfg = spec.newton_config()
 
-    def run(out_dir=None, observer=None) -> EvolutionResult:
+    def run(out_dir=None) -> EvolutionResult:
         state = initial
         out = _output_dir(out_dir)
         reports = []
+        distances = []
         snapshots = []
 
         def record(report, st):
             reports.append(report)
-            if observer is not None:
-                observer(st, mesh, bdata)
+            diff = st.u - bdata.values[:, None]
+            distances.append(np.sqrt((diff**2 * mesh.cell_measures).sum(axis=1)))
 
         for t in times:
             if t > 0.0:
@@ -529,6 +531,7 @@ def _set_up(spec: ExperimentSpec):
             mesh=mesh,
             snapshots=snapshots,
             reports=reports,
+            distances=np.asarray(distances),
             m_star=m_star,
             final_state=state,
             entropy_margin=_entropy_margin(reports),
@@ -556,15 +559,9 @@ def run_steady_state_study(spec: ExperimentSpec, out_dir=None) -> SteadyStateRes
     """
     if spec.dt_policy != "adaptive":
         raise ConfigurationError("the steady-state study requires adaptive stepping")
-    distances = []
-
-    def observer(state, mesh, bdata):
-        diff = state.u - bdata.values[:, None]
-        distances.append(np.sqrt((diff**2 * mesh.cell_measures).sum(axis=1)))
-
-    run = run_evolution(spec, out_dir, observer)
+    run = run_evolution(spec, out_dir)
     times = np.array([r.time for r in run.reports])
-    dist_arr = np.asarray(distances)
+    dist_arr = run.distances
     window = times >= spec.t_end / 2
     slopes = np.full(dist_arr.shape[1], np.nan)
     for i in range(dist_arr.shape[1]):

@@ -56,8 +56,8 @@ class Mesh:
     the interior edges, then the Dirichlet ones, whose ``flux_L`` is the
     ghost column ``n_cells`` holding the contact state (``with_contact``
     appends it, ``jump`` differences across each flux edge).  It validates
-    topology and admissibility and makes every array read-only.  Instances
-    are never mutated afterwards; they are safe to share between threads.
+    topology and admissibility and makes every array read-only; instances
+    are never mutated afterwards.
     """
 
     def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_measures,
@@ -219,7 +219,6 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
 
     ``dirichlet_predicate`` receives the midpoint (x, y) of each boundary edge
     and selects the contact boundary; everything else is a no-flux boundary.
-    Raises MeshError when the predicate selects no edge.
 
     Cell ``iy * nx + ix`` is the one in column ix and row iy.  Interior edges
     come first, cell by cell: the edge to its right (normal +x), then the
@@ -248,8 +247,6 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
     mid_y = np.concatenate([_pairs(y_mid, y_mid), _pairs(np.zeros(nx), np.ones(nx))])
     bnd_L = [nx * ny if dirichlet_predicate(x, y) else -1
              for x, y in zip(mid_x.tolist(), mid_y.tolist())]
-    if nx * ny not in bnd_L:
-        raise MeshError("dirichlet predicate selected no boundary edge")
     bnd_measures = np.concatenate([np.full(2 * ny, hy), np.full(2 * nx, hx)])
     bnd_distances = np.concatenate([np.full(2 * ny, hx / 2), np.full(2 * nx, hy / 2)])
     bnd_normals = np.concatenate([np.tile([[-1.0, 0.0], [1.0, 0.0]], (ny, 1)),

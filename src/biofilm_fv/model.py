@@ -68,18 +68,17 @@ def equal_diffusivities(alphas) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Exponents, species count and diffusivities of one model instance."""
+    """Exponents and diffusivities of one model instance; len(alphas) species."""
 
     a: float
     b: float
-    n_species: int
     alphas: tuple[float, ...]
 
     def __post_init__(self):
         # written so that NaN fails every test
         if not (1.0 <= self.a < np.inf and 1.0 <= self.b < np.inf):
             raise ModelError("exponents must satisfy 1 <= a, b < inf")
-        if self.n_species < 1 or len(self.alphas) != self.n_species:
+        if not self.alphas:
             raise ModelError("need one positive diffusivity per species")
         if not all(0.0 < alpha < np.inf for alpha in self.alphas):
             raise ModelError("diffusivities must be positive and finite")
@@ -102,19 +101,22 @@ _PANEL_DEGREE = 24
 
 
 class _PanelInterpolant:
-    """Piecewise Chebyshev interpolant of f on [0, cap].
+    """Piecewise Chebyshev interpolant of f on [0, cap] for a model with exponent b.
 
     The panel breaks halve the distance to s = 1 (0, 1/2, 3/4, ..., cap), so
     every panel is the same number of its own widths away from the
     saturation singularity and one low degree ``_PANEL_DEGREE`` resolves all
     of them (Trefethen, Approximation Theory and Approximation Practice,
-    2013).  f is sampled once, on a flat array of the first-kind Chebyshev
-    points of every panel.
+    2013).  Below 1/2 the breaks 2^-j, 2 <= j <= ceil(log2 b), resolve the
+    turn of log c(s) on the scale 1/b near s = 0; for b <= 2 there are none.
+    f is sampled once, on a flat array of the first-kind Chebyshev points of
+    every panel.
     """
 
-    def __init__(self, f, cap):
+    def __init__(self, f, cap, b):
+        lows = 0.5 ** np.arange(np.ceil(np.log2(b)), 1.0, -1.0)
         halvings = 1.0 - 0.5 ** np.arange(1, 64)
-        self.breaks = np.concatenate([[0.0], halvings[halvings < cap], [cap]])
+        self.breaks = np.concatenate([[0.0], lows[lows < cap], halvings[halvings < cap], [cap]])
         left, right = self.breaks[:-1], self.breaks[1:]
         self._half = 0.5 * (right - left)
         self._mid = 0.5 * (left + right)
@@ -161,8 +163,8 @@ class _LogGPrimitive:
         self.a = float(model.params.a)
         self._log_g = model.log_g
         self._in_domain = model.in_domain
-        self._phi = _PanelInterpolant(
-            lambda s: self._log_g(s) - self.a * np.log(s), model.m_max).antiderivative()
+        self._phi = _PanelInterpolant(lambda s: self._log_g(s) - self.a * np.log(s),
+                                      model.m_max, model.params.b).antiderivative()
 
     def quad(self, m):
         """Adaptive-quadrature evaluation of integral_0^m log g(s) ds."""
@@ -194,8 +196,7 @@ class ModelFunctions:
     included) they raise ModelDomainError naming the model, the argument's
     range and m_max, and inside it they pass the model's closures a float
     array.  ``g = G / m`` is the ratio q/p, with G the cumulative mobility
-    integral, and ``log_g`` an overflow-safe evaluation of log(g) used by the
-    entropy.
+    integral, and ``log_g`` is the log(g) used by the entropy.
     """
 
     def __init__(self, name, params, p, p_prime, g, g_prime, log_g, m_max):
@@ -310,7 +311,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
     exact to machine precision there and takes over.
     """
     e2 = np.exp(2.0)
-    params = ModelParams(a=2.0, b=2.0, n_species=len(alphas), alphas=tuple(alphas))
+    params = ModelParams(a=2.0, b=2.0, alphas=tuple(alphas))
 
     def integrand(s):
         return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
@@ -340,19 +341,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
         return np.where(m == 0.0, 0.0, val)
 
     def log_g(m):
-        out = np.empty_like(m)
-        low = m <= 0.55
-        if np.any(low):
-            out[low] = np.log(G(m[low])) - np.log(m[low])
-        if np.any(~low):
-            mh = m[~low]
-            # log G = 2/(1-m) + log(m - 1/2 + (e^2/2) e^{-2/(1-m)}), overflow free
-            out[~low] = (
-                2.0 / (1.0 - mh)
-                + np.log(mh - 0.5 + 0.5 * e2 * np.exp(-2.0 / (1.0 - mh)))
-                - np.log(mh)
-            )
-        return out
+        return np.log(G(m)) - np.log(m)
 
     return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, g_prime, log_g,
                           _CASE1_M_MAX)
@@ -363,7 +352,7 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
 
 def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
     """p(x) = 1 - x with a = b = 1; everything is in closed form."""
-    params = ModelParams(a=1.0, b=1.0, n_species=len(alphas), alphas=tuple(alphas))
+    params = ModelParams(a=1.0, b=1.0, alphas=tuple(alphas))
 
     def g(m):
         return m / (2.0 * (1.0 - m) ** 2)
@@ -432,7 +421,7 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
     m_max = _domain_bound(p, b)
     sigma_weights = _SIGMA_W * _SIGMA_X**a
     log_c = _PanelInterpolant(
-        lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), m_max)
+        lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), m_max, b)
 
     def g(m):
         return np.exp(log_c(m)) * m**a
@@ -461,7 +450,7 @@ def get_model(selector: str, alphas, a=None, b=None, p_name=None) -> ModelFuncti
         if a is None or b is None:
             raise ModelError("generic model requires exponents a and b")
         p, p_prime = P_REGISTRY[p_name]
-        params = ModelParams(a=float(a), b=float(b), n_species=len(alphas), alphas=tuple(alphas))
+        params = ModelParams(a=float(a), b=float(b), alphas=tuple(alphas))
         return model_generic(p, p_prime, params, name=f"generic:{p_name}")
     raise ModelError(f"unknown model selector {selector!r}")
 

@@ -579,7 +579,8 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         entropy = diagnostics.discrete_entropy(accepted, mesh, model)
         dissipation = diagnostics.dissipation(accepted, mesh)
         produced = dt * diagnostics.entropy_production(dissipation, alphas)
-        if entropy + produced > entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
+        # written so that NaN fails too
+        if not entropy + produced <= entropy_prev + ENTROPY_STEP_TOL * max(1.0, entropy_prev):
             raise InvariantViolation(
                 f"entropy inequality violated at t = {new_state.time:.6e}"
             )

@@ -152,9 +152,15 @@ MALFORMED_MESHES = {
     # both acute triangles lie above the edge (0, 1) that they share
     "same-side": ("nodes 4 triangles 2\n0.0 0.0\n1.0 0.0\n0.5 0.8\n0.5 0.6\n"
                   "0 1 2\n0 1 3\n"),
+    "header-word": RHOMBUS.replace("nodes 4", "vertices 4"),
+    "negative-count": RHOMBUS.replace("triangles 2", "triangles -2"),
+    "truncated": RHOMBUS.replace("0 3 1\n", ""),
 }
 # the reason each check-mesh error must give
-MALFORMED_MESH_ERRORS = {"no-cells": "mesh needs at least one cell",
+MALFORMED_MESH_ERRORS = {"header-word": "expected header 'nodes <N> triangles <M>'",
+                         "negative-count": "expected header 'nodes <N> triangles <M>'",
+                         "truncated": "truncated mesh file",
+                         "no-cells": "mesh needs at least one cell",
                          "node-index": "triangle references a node that does not exist",
                          "collinear": "degenerate",
                          "same-side": "circumcenters on the same side"}

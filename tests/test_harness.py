@@ -88,6 +88,26 @@ def test_unknown_datum_rejected():
         build_named_initial_datum("nope", {})
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("constant", {}, "constant datum requires u_d"),
+    ("bumps-2d", {"u_d": (0.1, 0.1, 0.1)}, "bumps-2d is a two-species datum"),
+    ("custom-indicator", {"base": (0.1,), "bump": (0.1,)}, "custom-indicator requires 'boxes'"),
+    ("custom-indicator", {"base": (0.1, 0.1), "bump": (0.1,), "boxes": (None, None)},
+     "custom-indicator fields must have equal length"),
+], ids=["constant-no-u_d", "bumps-2d-three", "custom-no-boxes", "custom-unequal"])
+def test_incomplete_datum_rejected(name, params, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build_named_initial_datum(name, params)
+
+
+def test_spec_rejects_a_datum_of_another_species_count():
+    spec = ExperimentSpec(name="x", initial="custom-indicator",
+                          initial_params={"base": (0.1,), "bump": (0.0,), "boxes": (None,)})
+    assert len(spec.u_d) == 2
+    with pytest.raises(ConfigurationError, match="initial datum species count mismatch"):
+        spec.build_datum()
+
+
 def test_custom_indicator_datum():
     datum = build_named_initial_datum(
         "custom-indicator",
@@ -265,8 +285,8 @@ def test_run_metadata_counts_dt_halvings_and_names_scipy(tmp_path):
 def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
     # two advance calls, one per snapshot: each evaluates its entry state and
     # that state's entropy, so the state at t = 5e-4, which ends the first
-    # call and starts the second, is the one evaluated twice; one more g call
-    # is the set-up's domain check of the initial and contact biomass
+    # call and starts the second, is the one evaluated twice; the set-up's
+    # domain check of the initial and contact biomass calls no g
     spec = biofilm_fv.cli.load_config(str(Path(__file__).parents[1] / "configs" / "case1-1d.cfg"))
     calls = {"g": 0, "entropy": 0}
 
@@ -284,7 +304,7 @@ def test_evolution_evaluates_each_snapshot_state_once(monkeypatch):
     monkeypatch.setattr(diagnostics, "discrete_entropy", counted_entropy)
     result = run_evolution(spec)
     assert len(result.reports) == 100
-    assert calls == {"g": 203, "entropy": 102}
+    assert calls == {"g": 202, "entropy": 102}
 
 
 def test_generic_exp_model_reproduces_the_case1_run():

@@ -7,6 +7,7 @@ import pytest
 
 from biofilm_fv import (
     AdmissibilityError,
+    Mesh,
     MeshError,
     TopologyError,
     build_interval_mesh,
@@ -135,6 +136,44 @@ def test_rectangle_empty_dirichlet_rejected():
         build_rectangle_mesh(3, 3, lambda x, y: False)
 
 
+def _rectangle_arrays():
+    """The constructor arguments of the 3x2 rectangle mesh, as writeable copies."""
+    mesh = build_rectangle_mesh(3, 2, TOP)
+    names = ("dimension", "cell_centers", "cell_measures", "edge_K", "edge_L", "edge_measures",
+             "edge_distances", "edge_center_distances", "edge_normals", "points", "cell_nodes")
+    return mesh, {name: np.array(getattr(mesh, name)) for name in names}
+
+
+# one value of the 3x2 rectangle's arrays changed, and the error Mesh must raise
+MESH_DEFECTS = {
+    "zero-measure": (lambda mesh, a: np.put(a["cell_measures"], 0, 0.0),
+                     TopologyError, "cell 0 has nonpositive measure"),
+    "unknown-cell": (lambda mesh, a: np.put(a["edge_L"], 0, mesh.n_cells + 1),
+                     TopologyError, "edge 0 references an unknown cell"),
+    "zero-distance": (lambda mesh, a: np.put(a["edge_distances"], 0, 0.0),
+                      AdmissibilityError, "edge 0 has nonpositive center distance"),
+    "shifted-center": (lambda mesh, a: np.add.at(a["cell_centers"], (0, 1), 0.01),
+                       AdmissibilityError, "not orthogonal"),
+    "kite": (lambda mesh, a: np.multiply.at(a["edge_distances"], mesh.interior, 1.1),
+             MeshError, "kite identity"),
+    "degenerate": (lambda mesh, a: np.put(a["edge_center_distances"], 0, 0.0),
+                   AdmissibilityError, "degenerate"),
+    "edge-moment": (lambda mesh, a: np.multiply(a["edge_center_distances"], 1.5,
+                                                out=a["edge_center_distances"]),
+                    AdmissibilityError, "edge-moment bound"),
+}
+
+
+@pytest.mark.parametrize("defect", list(MESH_DEFECTS))
+def test_mesh_rejects_inconsistent_arrays(defect):
+    change, error, message = MESH_DEFECTS[defect]
+    mesh, arrays = _rectangle_arrays()
+    Mesh(**arrays)  # the unchanged arrays build
+    change(mesh, arrays)
+    with pytest.raises(error, match=message):
+        Mesh(**arrays)
+
+
 def test_dual_cells_partition_domain():
     mesh = build_rectangle_mesh(4, 5, TOP)
     dual_measures = mesh.edge_measures * mesh.edge_distances / 2
@@ -195,6 +234,15 @@ def test_triangle_mesh_orthogonality_invariant():
     tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
     skew = np.abs(np.einsum("ij,ij->i", dx, tangents))
     assert (skew <= 1e-10 * dist).all()
+
+
+@pytest.mark.parametrize("nodes, triangles, message", [
+    (np.zeros((4, 3)), [(0, 1, 2)], r"nodes must be an \(N, 2\) array"),
+    (np.zeros((4, 2)), [(0, 1, 2, 3)], r"triangles must be an \(M, 3\) array"),
+], ids=["nodes-3-columns", "triangles-4-columns"])
+def test_triangle_arrays_of_the_wrong_shape_rejected(nodes, triangles, message):
+    with pytest.raises(TopologyError, match=message):
+        load_triangle_mesh(nodes, triangles, ALL)
 
 
 def test_nonconforming_triangulation_rejected():

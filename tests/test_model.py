@@ -97,7 +97,7 @@ def test_g_prime_matches_finite_differences(model_name, case1, case2):
 
 
 def test_p_shape_asserted_on_construction():
-    params = ModelParams(a=1.0, b=1.0, n_species=1, alphas=(1.0,))
+    params = ModelParams(a=1.0, b=1.0, alphas=(1.0,))
     with pytest.raises(ModelError):
         model_generic(lambda x: np.asarray(x, float), lambda x: np.ones_like(np.asarray(x, float)), params)
 
@@ -121,7 +121,7 @@ def assert_generic_matches(generic, model):
 
 
 def test_generic_reproduces_case2(case2):
-    params = ModelParams(a=1.0, b=1.0, n_species=2, alphas=(1.0, 1.0))
+    params = ModelParams(a=1.0, b=1.0, alphas=(1.0, 1.0))
     generic = model_generic(
         lambda x: 1.0 - np.asarray(x, float),
         lambda x: -np.ones_like(np.asarray(x, float)),
@@ -153,8 +153,20 @@ def test_generic_builds_for_large_exponents(a, b):
     assert np.isfinite(model.log_g(ms[1:])).all()
 
 
+@pytest.mark.parametrize("b", [50.0, 100.0, 300.0, 1000.0])
+def test_generic_large_b_matches_closed_form(b):
+    # p = 1 - s, a = 1: G(m) = integral_0^m s (1-s)^-(b+2) ds
+    #                       = (1 + x^b (b m / (1-m) - 1)) / (b (b+1)),  x = 1 / (1-m);
+    # log c turns over on the scale 1/b near s = 0, which the panels below 1/2 resolve
+    model = get_model("generic", (1.0,), a=1.0, b=b, p_name="linear")
+    m = np.linspace(0.02, min(model.m_max, 0.985), 15)
+    x = 1.0 / (1.0 - m)
+    exact = (1.0 + x**b * (b * m / (1.0 - m) - 1.0)) / (b * (b + 1.0))
+    assert model.g(m) * m == pytest.approx(exact, rel=1e-11)
+
+
 def test_generic_rejects_increasing_p():
-    params = ModelParams(a=1.0, b=1.0, n_species=1, alphas=(1.0,))
+    params = ModelParams(a=1.0, b=1.0, alphas=(1.0,))
     with pytest.raises(ModelError, match="p is increasing near m = 0.0000"):
         model_generic(
             lambda x: np.asarray(x, float) * (1.0 - np.asarray(x, float)),
@@ -168,7 +180,7 @@ def test_generic_rejects_p_not_vanishing_at_one_before_building_panels(monkeypat
         raise AssertionError("panels built")
 
     monkeypatch.setattr(model_module, "_PanelInterpolant", no_panels)
-    params = ModelParams(a=1.0, b=1.0, n_species=1, alphas=(1.0,))
+    params = ModelParams(a=1.0, b=1.0, alphas=(1.0,))
     with pytest.raises(ModelError, match="p[(]1[)] must vanish"):
         model_generic(lambda x: 2.0 - np.asarray(x, float),
                       lambda x: -np.ones_like(np.asarray(x, float)), params)
@@ -191,9 +203,18 @@ def test_generic_domain_error_near_saturation():
 
 def test_exponent_validation():
     with pytest.raises(ModelError):
-        ModelParams(a=0.5, b=1.0, n_species=1, alphas=(1.0,))
+        ModelParams(a=0.5, b=1.0, alphas=(1.0,))
     with pytest.raises(ModelError):
-        ModelParams(a=1.0, b=1.0, n_species=1, alphas=(-1.0,))
+        ModelParams(a=1.0, b=1.0, alphas=(-1.0,))
+    with pytest.raises(ModelError, match="need one positive diffusivity per species"):
+        ModelParams(a=1.0, b=1.0, alphas=())
+
+
+def test_generic_rejects_an_inconsistent_p_prime():
+    params = ModelParams(a=1.0, b=1.0, alphas=(1.0,))
+    with pytest.raises(ModelError, match="p_prime inconsistent with p"):
+        model_generic(lambda x: 1.0 - np.asarray(x, float),
+                      lambda x: -2.0 * np.ones_like(np.asarray(x, float)), params)
 
 
 @pytest.mark.parametrize("a, b, alphas", [
@@ -202,7 +223,7 @@ def test_exponent_validation():
 ])
 def test_model_params_reject_nan_and_infinity(a, b, alphas):
     with pytest.raises(ModelError):
-        ModelParams(a=a, b=b, n_species=len(alphas), alphas=alphas)
+        ModelParams(a=a, b=b, alphas=alphas)
 
 
 def test_generic_model_rejects_a_nan_exponent():
@@ -286,6 +307,8 @@ def test_entropy_domain_errors(case2):
         entropy_density([0.6, 0.5], case2, [0.1, 0.1])
     with pytest.raises(ModelDomainError):
         entropy_density([-0.01, 0.1], case2, [0.1, 0.1])
+    with pytest.raises(ModelDomainError, match="reference state must lie strictly inside"):
+        entropy_density([0.1, 0.1], case2, [0.0, 0.1])
 
 
 @pytest.mark.parametrize("u", [[np.nan, 0.1], [[0.1, 0.2], [0.1, np.nan]]],

@@ -816,6 +816,17 @@ def test_newton_config_rejects_a_tolerance_that_is_not_positive(tol):
         NewtonConfig(tol=tol)
 
 
+def test_newton_config_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        NewtonConfig(max_iters=0)
+
+
+def test_advance_rejects_a_horizon_before_the_state(case2, bdata_01):
+    state = State(time=1e-3, u=np.full((2, 4), 0.1))
+    with pytest.raises(ValueError, match="t_end lies before the current state time"):
+        advance(state, 5e-4, build_interval_mesh(4, "left"), case2, bdata_01, FIXED_STEP)
+
+
 def test_uniform_steady_state_is_stationary(case2, bdata_01):
     mesh = build_interval_mesh(15, "left")
     state = make_state(np.full((2, 15), 0.1))
@@ -863,6 +874,15 @@ def test_advance_rejects_a_biomass_above_its_bound(case2, bdata_01, monkeypatch)
 
 def test_advance_rejects_an_entropy_rise(case2, bdata_01, monkeypatch):
     entropies = iter([0.0, 1.0])  # the entry state's, then the accepted state's
+    monkeypatch.setattr(diagnostics, "discrete_entropy", lambda *args: next(entropies))
+    mesh = build_interval_mesh(4, "left")
+    with pytest.raises(InvariantViolation, match=r"entropy inequality violated at t = 1\.0+e-05"):
+        advance(make_state(np.full((2, 4), 0.1)), 1e-5, mesh, case2, bdata_01, FIXED_STEP)
+
+
+def test_advance_rejects_a_nan_entropy(case2, bdata_01, monkeypatch):
+    # a NaN entropy compares false against any bound, so it must fail the check
+    entropies = iter([0.0, np.nan])  # the entry state's, then the accepted state's
     monkeypatch.setattr(diagnostics, "discrete_entropy", lambda *args: next(entropies))
     mesh = build_interval_mesh(4, "left")
     with pytest.raises(InvariantViolation, match=r"entropy inequality violated at t = 1\.0+e-05"):
