@@ -494,6 +494,11 @@ def _set_up(spec: ExperimentSpec):
         model.in_domain(np.append(initial.u.sum(axis=0), bdata.biomass))
     except modelmod.ModelDomainError as exc:
         raise ConfigurationError(f"initial or contact biomass: {exc}") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):  # G(M_D) may underflow to 0
+        log_g_contact = model.log_g(bdata.biomass)
+    if not np.isfinite(log_g_contact):
+        raise ConfigurationError(f"contact biomass {bdata.biomass!r}: log g = {log_g_contact} "
+                                 f"in model {model.name!r}, so the entropy is not finite")
     m_star = scheme.max_principle_bound(initial, bdata)
     cfg = spec.newton_config()
 

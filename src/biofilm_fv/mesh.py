@@ -12,8 +12,7 @@ Conventions:
   * every edge stores one canonical cell ``K`` in ``edge_K`` and its far
     side in ``edge_L``, which is also the edge's kind: the neighbor cell of
     an interior edge, the ghost cell ``n_cells`` of a contact (Dirichlet)
-    edge, -1 of a no-flux (Neumann) edge; the normal points from K to L
-    (outward on the boundary),
+    edge, -1 of a no-flux (Neumann) edge,
   * 1D edges use the measure convention m(sigma) = 1, so the
     transmissibility reduces to 1/d_sigma.
 """
@@ -22,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# relative tolerances for the geometric consistency checks
+# relative tolerance of the 2D orthogonality check
 ORTHOGONALITY_RTOL = 1e-10
-DUAL_MEASURE_RTOL = 1e-12
 
 
 class MeshError(Exception):
@@ -43,15 +41,12 @@ class Mesh:
     """Immutable admissible mesh, stored as flat arrays.
 
     Per cell: ``cell_centers`` (N, dim) and ``cell_measures``.  Per edge:
-    ``edge_K``, ``edge_L``, ``edge_measures`` m(sigma),
-    ``edge_distances`` d_sigma (d(x_K, x_L) inside, d(x_K, sigma) on the
-    boundary), ``edge_center_distances`` (E, 2) holding d(x_K, sigma) and
-    d(x_L, sigma) (0 on the boundary) and ``edge_normals`` (E, dim).
-    d_sigma is an input rather than the sum of the two center distances:
-    on triangles it is the length of the center segment, and the rounded
-    sum can differ from it in the last bit.
+    ``edge_K``, ``edge_L``, ``edge_measures`` m(sigma) and
+    ``edge_center_distances`` (E, 2) holding d(x_K, sigma) and d(x_L, sigma)
+    (0 on the boundary).
 
-    Construction derives the ``interior`` and ``dirichlet`` edge index sets
+    Construction derives ``edge_distances`` d_sigma = d(x_K, sigma) +
+    d(x_L, sigma), the ``interior`` and ``dirichlet`` edge index sets
     and the flux edges ``flux_K``, ``flux_L``, ``flux_tau`` = m(sigma)/d_sigma:
     the interior edges, then the Dirichlet ones, whose ``flux_L`` is the
     ghost column ``n_cells`` holding the contact state (``with_contact``
@@ -61,8 +56,7 @@ class Mesh:
     """
 
     def __init__(self, dimension, cell_centers, cell_measures, edge_K, edge_L, edge_measures,
-                 edge_distances, edge_center_distances, edge_normals, points=None,
-                 cell_nodes=None):
+                 edge_center_distances, points=None, cell_nodes=None):
         self.dimension = int(dimension)
         self.points = None if points is None else np.array(points, dtype=float)
         self.cell_nodes = None if cell_nodes is None else np.array(cell_nodes, dtype=np.intp)
@@ -78,13 +72,10 @@ class Mesh:
         self.edge_L = np.array(edge_L, dtype=np.intp)
         self.n_edges = len(self.edge_K)
         self.edge_measures = np.array(edge_measures, dtype=float)
-        self.edge_distances = np.array(edge_distances, dtype=float)
         self.edge_center_distances = np.array(edge_center_distances, dtype=float).reshape(
             self.n_edges, 2
         )
-        self.edge_normals = np.array(edge_normals, dtype=float).reshape(
-            self.n_edges, self.dimension
-        )
+        self.edge_distances = self.edge_center_distances.sum(axis=1)
 
         self._check_topology()
         L = self.edge_L
@@ -125,24 +116,17 @@ class Mesh:
                 f"edge {int(np.argmax(flat))} has nonpositive center distance"
             )
         if self.dimension == 2:
-            K = self.edge_K[self.interior]
-            L = self.edge_L[self.interior]
-            dx = self.cell_centers[L] - self.cell_centers[K]
-            dist = np.linalg.norm(dx, axis=1)
-            normals = self.edge_normals[self.interior]
-            tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-            skew = np.abs(np.einsum("ij,ij->i", dx, tangents))
-            bad = skew > ORTHOGONALITY_RTOL * dist
+            # with perpendicular distances on either side of sigma, |x_L - x_K|
+            # = d_sigma exactly when x_K x_L crosses sigma orthogonally
+            K, L = self.edge_K[self.interior], self.edge_L[self.interior]
+            dist = np.linalg.norm(self.cell_centers[L] - self.cell_centers[K], axis=1)
+            d_sigma = self.edge_distances[self.interior]
+            bad = np.abs(dist - d_sigma) > ORTHOGONALITY_RTOL * d_sigma
             if np.any(bad):
                 eid = int(self.interior[np.argmax(bad)])
                 raise AdmissibilityError(
                     f"edge {eid}: center segment not orthogonal to the edge"
                 )
-            # kite identity m(sigma) d(x_K, x_L) = 2 m(T_sigma) = m(sigma) d_sigma
-            md = self.edge_measures[self.interior] * dist
-            md_sigma = self.edge_measures[self.interior] * self.edge_distances[self.interior]
-            if np.any(np.abs(md - md_sigma) > DUAL_MEASURE_RTOL * np.maximum(md, 1e-300)):
-                raise MeshError("interior dual-cell measures violate the kite identity")
 
     def __repr__(self):
         return (
@@ -173,7 +157,7 @@ def validate_regularity(mesh: Mesh) -> float:
     xi = ratios.min()
     if not np.isfinite(xi) or xi <= 0.0:
         raise AdmissibilityError("degenerate mesh: vanishing center-to-edge distance")
-    acc = mesh.edge_measures @ (near + far)
+    acc = mesh.edge_measures @ d
     if mesh.dimension == 2 and acc > 2.0 * mesh.total_measure * (1.0 + 1e-12):
         raise AdmissibilityError("mesh violates the edge-moment bound sum m(sigma) d <= 2 m(Omega)")
     return float(xi)
@@ -199,14 +183,10 @@ def build_interval_mesh(n_cells: int, dirichlet_side: str = "left") -> Mesh:
                    for side in ("left", "right"))
     edge_K = np.concatenate([[0], cells])
     edge_L = np.concatenate([[left], cells[1:], [right]])
-    distances = np.full(n_cells + 1, h)
-    distances[[0, -1]] = h / 2
     center_distances = np.full((n_cells + 1, 2), h / 2)
     center_distances[[0, -1], 1] = 0.0
-    normals = np.ones((n_cells + 1, 1))
-    normals[0] = -1.0
     return Mesh(1, ((cells + 0.5) * h)[:, None], np.full(n_cells, h), edge_K, edge_L,
-                np.ones(n_cells + 1), distances, center_distances, normals)
+                np.ones(n_cells + 1), center_distances)
 
 
 def _pairs(a, b):
@@ -221,9 +201,9 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
     and selects the contact boundary; everything else is a no-flux boundary.
 
     Cell ``iy * nx + ix`` is the one in column ix and row iy.  Interior edges
-    come first, cell by cell: the edge to its right (normal +x), then the
-    edge above it (normal +y).  Then come the left and right edges of every
-    row, and the bottom and top edges of every column.
+    come first, cell by cell: the edge to its right, then the edge above
+    it.  Then come the left and right edges of every row, and the bottom and
+    top edges of every column.
     """
     if nx < 2 or ny < 2:
         raise ValueError("rectangle mesh needs nx, ny >= 2")
@@ -238,7 +218,6 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
     inner_L = inner_K + np.where(vertical, 1, nx)
     inner_measures = np.where(vertical, hy, hx)
     inner_distances = np.where(vertical, hx, hy)
-    inner_normals = np.where(vertical[:, None], [1.0, 0.0], [0.0, 1.0])
 
     x_mid, y_mid = (cols + 0.5) * hx, (rows + 0.5) * hy
     bnd_K = np.concatenate([_pairs(rows * nx, rows * nx + nx - 1),
@@ -249,8 +228,6 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
              for x, y in zip(mid_x.tolist(), mid_y.tolist())]
     bnd_measures = np.concatenate([np.full(2 * ny, hy), np.full(2 * nx, hx)])
     bnd_distances = np.concatenate([np.full(2 * ny, hx / 2), np.full(2 * nx, hy / 2)])
-    bnd_normals = np.concatenate([np.tile([[-1.0, 0.0], [1.0, 0.0]], (ny, 1)),
-                                  np.tile([[0.0, -1.0], [0.0, 1.0]], (nx, 1))])
 
     n_inner = len(inner_K)
     distances = np.concatenate([inner_distances, bnd_distances])
@@ -268,9 +245,7 @@ def build_rectangle_mesh(nx: int, ny: int, dirichlet_predicate) -> Mesh:
         np.concatenate([inner_K, bnd_K]),
         np.concatenate([inner_L, bnd_L]),
         np.concatenate([inner_measures, bnd_measures]),
-        distances,
         center_distances,
-        np.concatenate([inner_normals, bnd_normals]),
         points=np.column_stack([xs.ravel(), ys.ravel()]),
         cell_nodes=np.column_stack([corner, corner + 1, corner + nx + 2, corner + nx + 1]),
     )
@@ -307,7 +282,7 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
     loses consistency.  Obtuse or right triangles raise AdmissibilityError
     naming the offending triangle, broken connectivity and non-finite
     coordinates raise TopologyError.  Edges are ordered by their sorted node
-    pair.
+    pair, and K is the lower-numbered of an interior edge's two triangles.
     """
     nodes = np.asarray(nodes, dtype=float)
     triangles = np.asarray(triangles, dtype=np.intp)
@@ -374,17 +349,11 @@ def load_triangle_mesh(nodes, triangles, dirichlet_predicate) -> Mesh:
             f"triangle {K[e]}: circumcenter lies on boundary edge ({u[e]}, {v[e]})"
         )
 
-    # orient interior normals from K towards L, boundary normals outward
-    swap = inner & (sK > 0)
-    K, L = np.where(swap, L, K), np.where(swap, K, L)
-    sK, sL = np.where(swap, sL, sK), np.where(swap, sK, sL)
-    normals = np.where((~inner & (sK > 0))[:, None], -normals, normals)
     center_distances = np.column_stack([np.abs(sK), np.where(inner, np.abs(sL), 0.0)])
-    distances = np.where(inner, _norm(centers[L] - centers[K]), np.abs(sK))
     L[~inner] = [len(triangles) if dirichlet_predicate(x, y) else -1
                  for x, y in mid[~inner].tolist()]
-    return Mesh(2, centers, areas, K, L, measures, distances, center_distances, normals,
-                points=nodes, cell_nodes=triangles)
+    return Mesh(2, centers, areas, K, L, measures, center_distances, points=nodes,
+                cell_nodes=triangles)
 
 
 # -- triangle mesh file format -------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,10 @@ MALFORMED_MESHES = {
     # both acute triangles lie above the edge (0, 1) that they share
     "same-side": ("nodes 4 triangles 2\n0.0 0.0\n1.0 0.0\n0.5 0.8\n0.5 0.6\n"
                   "0 1 2\n0 1 3\n"),
+    # node 2 lies 3e-15 outside the circle on the edge (0, 1): the triangle is
+    # acute, but its circumcenter is within 1e-14 of that boundary edge
+    "boundary-circumcenter": ("nodes 3 triangles 1\n0.0 0.0\n0.001 0.0\n"
+                              "0.0007701511529356908 0.0004207354924064727\n0 1 2\n"),
     "header-word": RHOMBUS.replace("nodes 4", "vertices 4"),
     "negative-count": RHOMBUS.replace("triangles 2", "triangles -2"),
     "truncated": RHOMBUS.replace("0 3 1\n", ""),
@@ -163,7 +168,9 @@ MALFORMED_MESH_ERRORS = {"header-word": "expected header 'nodes <N> triangles <M
                          "no-cells": "mesh needs at least one cell",
                          "node-index": "triangle references a node that does not exist",
                          "collinear": "degenerate",
-                         "same-side": "circumcenters on the same side"}
+                         "same-side": "circumcenters on the same side",
+                         "boundary-circumcenter":
+                             "triangle 0: circumcenter lies on boundary edge (0, 1)"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_MESHES))
@@ -273,6 +280,9 @@ BAD_CONFIGS = {
         "model = case1", "model = generic\np = exp\na = 1\nb = 1e300")),
     # case1's domain ends at m = 0.99705 too; the species-1 box holds 2 * 0.4 + 0.199
     "case1-beyond-domain": ("run", RUN_1D.replace("u_d = 0.1, 0.1", "u_d = 0.4, 0.199")),
+    # case1's G underflows to 0 below M ~ 1e-103, so log g at the contact is -inf
+    "case1-contact-log-g-underflow": ("run", RUN_1D.replace("u_d = 0.1, 0.1",
+                                                            "u_d = 1e-120, 1e-120")),
 }
 # the name an error message must give
 NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
@@ -288,6 +298,7 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "t-end-reached": "t_end must be finite and exceed 1e-13, got 1e-14",
                   "snapshot-reached": "snapshot time 1e-14 must be 0 or exceed 1e-13",
                   "nan-u-d": "u_d",
+                  "case1-contact-log-g-underflow": "contact biomass 2e-120: log g = -inf",
                   "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number",
                   "convergence-saturated": "saturation",
                   "convergence-one-cell": "at least 2 cells",
@@ -400,6 +411,17 @@ def test_readme_config_grammar_loads_and_names_every_key(tmp_path):
             named[s] |= set(parser[s])
     assert len(blocks) == 4
     assert named == {s: set(keys) for s, keys in _CONFIG_KEYS.items()}
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(example, "README.md", "exec"), {})
+    # the bumps-1d datum peaks at M = 0.3, and equal diffusivities keep it there
+    assert float(capsys.readouterr().out) <= 0.3 + 1e-12
 
 
 SATURATED = "u_d = 0.45, 0.45"  # the bump doubles species 1 to 0.9 beside species 2 at 0.45

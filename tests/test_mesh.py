@@ -85,9 +85,11 @@ def test_rectangle_orthogonality_exact():
     mesh = build_rectangle_mesh(3, 3, TOP)
     K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
     dx = mesh.cell_centers[L] - mesh.cell_centers[K]
-    normals = mesh.edge_normals[mesh.interior]
-    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    assert np.abs(np.einsum("ij,ij->i", dx, tangents)).max() == 0.0
+    # every interior edge is axis-parallel, so one component of x_L - x_K is
+    # along the edge, and it vanishes exactly
+    assert np.abs(dx).min(axis=1).max() == 0.0
+    assert np.linalg.norm(dx, axis=1) == pytest.approx(mesh.edge_distances[mesh.interior],
+                                                       rel=1e-14)
 
 
 def test_rectangle_3x2_edge_order_and_orientation():
@@ -103,11 +105,6 @@ def test_rectangle_3x2_edge_order_and_orientation():
     # flux edges: the interior ones, then the top edges with the ghost cell 6
     assert mesh.flux_K.tolist() == [0, 0, 1, 1, 2, 3, 4] + [3, 4, 5]
     assert mesh.flux_L.tolist() == [1, 3, 2, 4, 5, 4, 5] + [6] * 3
-    assert mesh.edge_normals.tolist() == [
-        [1, 0], [0, 1], [1, 0], [0, 1], [0, 1], [1, 0], [1, 0],
-        [-1, 0], [1, 0], [-1, 0], [1, 0],
-        [0, -1], [0, 1], [0, -1], [0, 1], [0, -1], [0, 1],
-    ]
 
 
 @pytest.mark.parametrize("build", [
@@ -140,7 +137,7 @@ def _rectangle_arrays():
     """The constructor arguments of the 3x2 rectangle mesh, as writeable copies."""
     mesh = build_rectangle_mesh(3, 2, TOP)
     names = ("dimension", "cell_centers", "cell_measures", "edge_K", "edge_L", "edge_measures",
-             "edge_distances", "edge_center_distances", "edge_normals", "points", "cell_nodes")
+             "edge_center_distances", "points", "cell_nodes")
     return mesh, {name: np.array(getattr(mesh, name)) for name in names}
 
 
@@ -150,16 +147,19 @@ MESH_DEFECTS = {
                      TopologyError, "cell 0 has nonpositive measure"),
     "unknown-cell": (lambda mesh, a: np.put(a["edge_L"], 0, mesh.n_cells + 1),
                      TopologyError, "edge 0 references an unknown cell"),
-    "zero-distance": (lambda mesh, a: np.put(a["edge_distances"], 0, 0.0),
+    "zero-distance": (lambda mesh, a: np.put(a["edge_center_distances"], [0, 1], 0.0),
                       AdmissibilityError, "edge 0 has nonpositive center distance"),
     "shifted-center": (lambda mesh, a: np.add.at(a["cell_centers"], (0, 1), 0.01),
                        AdmissibilityError, "not orthogonal"),
-    "kite": (lambda mesh, a: np.multiply.at(a["edge_distances"], mesh.interior, 1.1),
-             MeshError, "kite identity"),
-    "degenerate": (lambda mesh, a: np.put(a["edge_center_distances"], 0, 0.0),
+    # both halves of every interior d_sigma longer than the center segment
+    "kite": (lambda mesh, a: np.multiply.at(a["edge_center_distances"], mesh.interior, 1.1),
+             AdmissibilityError, "not orthogonal"),
+    "degenerate": (lambda mesh, a: np.put(a["edge_center_distances"], [0, 1],
+                                          [0.0, mesh.edge_distances[0]]),
                    AdmissibilityError, "degenerate"),
-    "edge-moment": (lambda mesh, a: np.multiply(a["edge_center_distances"], 1.5,
-                                                out=a["edge_center_distances"]),
+    # the near distances of the boundary edges, which follow the interior ones
+    "edge-moment": (lambda mesh, a: np.multiply.at(
+                        a["edge_center_distances"], (slice(mesh.interior.size, None), 0), 1.5),
                     AdmissibilityError, "edge-moment bound"),
 }
 
@@ -226,14 +226,11 @@ def test_triangle_mesh_kite_identity_and_partition():
 
 
 def test_triangle_mesh_orthogonality_invariant():
+    # circumcenters: |x_L - x_K| = d(x_K, sigma) + d(x_L, sigma) up to rounding
     mesh = load_triangle_mesh_file(ACUTE_FIXTURE, ALL)
     K, L = mesh.flux_K[: mesh.interior.size], mesh.flux_L[: mesh.interior.size]
-    dx = mesh.cell_centers[L] - mesh.cell_centers[K]
-    dist = np.linalg.norm(dx, axis=1)
-    normals = mesh.edge_normals[mesh.interior]
-    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    skew = np.abs(np.einsum("ij,ij->i", dx, tangents))
-    assert (skew <= 1e-10 * dist).all()
+    dist = np.linalg.norm(mesh.cell_centers[L] - mesh.cell_centers[K], axis=1)
+    assert dist == pytest.approx(mesh.edge_distances[mesh.interior], rel=1e-14)
 
 
 @pytest.mark.parametrize("nodes, triangles, message", [
