@@ -163,8 +163,11 @@ def cmd_run(args):
 def cmd_convergence(args):
     spec, out_dir = _prepare(args)
     result = run_convergence_study(spec, out_dir=out_dir)
-    for i, order in enumerate(result.fitted_order, start=1):
+    pairs = [f"{a}->{b}" for a, b in zip(spec.resolutions, spec.resolutions[1:])]
+    for i, (order, pairwise) in enumerate(zip(result.fitted_order, result.pairwise_order),
+                                          start=1):
         print(f"species {i}: fitted spatial order {order:.3f}")
+        print("  pairwise orders " + ", ".join(f"{p} {o:.3f}" for p, o in zip(pairs, pairwise)))
     print(f"outputs in {out_dir}")
     return EXIT_OK
 

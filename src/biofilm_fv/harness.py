@@ -405,6 +405,7 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
 class ConvergenceResult:
     l2_errors: np.ndarray          # (n_species, n_resolutions)
     fitted_order: np.ndarray       # (n_species,)
+    pairwise_order: np.ndarray     # (n_species, n_resolutions - 1)
 
 
 def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResult:
@@ -414,6 +415,9 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
     time error stays below the expected second-order space error; the
     reference solution is averaged exactly onto each coarse mesh (nested
     resolutions) and the per-species L2 errors at t_end are fitted in log-log.
+    The pairwise order of two successive resolutions is the slope between
+    their two points, log(e_prev / e) / log(N / N_prev); it is NaN where an
+    error is zero.
     """
     if spec.dimension != 1:
         raise ConfigurationError("the convergence study runs on 1D meshes")
@@ -446,15 +450,17 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
         np.polyfit(log_h, np.log(errors[i]), 1)[0] if (errors[i] > 0.0).all() else np.nan
         for i in range(n_species)
     ])
+    pairwise = np.diff(np.log(np.where(errors > 0.0, errors, np.nan)), axis=1) / np.diff(log_h)
     if out is not None:
+        # the coarsest resolution has no predecessor, so its pairwise order is empty
         rows = [
-            (n, 1.0 / n, 1.0 / n**2, i + 1, errors[i, j])
+            (n, 1.0 / n, 1.0 / n**2, i + 1, errors[i, j], pairwise[i, j - 1] if j else "")
             for j, n in enumerate(res)
             for i in range(n_species)
         ]
         _write_csv(out / "convergence.csv",
-                   ["resolution", "h", "dt", "species", "l2_error"], rows)
-    return ConvergenceResult(l2_errors=errors, fitted_order=orders)
+                   ["resolution", "h", "dt", "species", "l2_error", "pairwise_order"], rows)
+    return ConvergenceResult(l2_errors=errors, fitted_order=orders, pairwise_order=pairwise)
 
 
 # -- evolution runs -----------------------------------------------------------------------------

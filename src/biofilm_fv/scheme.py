@@ -27,12 +27,13 @@ it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
 ``jacobian`` fills the mesh's cached CSC pattern with one ``bincount``, and
-the Newton systems go through one ``_LinearSolver`` per ``advance`` call,
-which lets SuperLU order each factorisation: MMD on A^T + A in 2D, COLAMD in
-1D.  On 2D meshes it keeps the LU factors of the last Jacobian it factored
-and solves against each new exact Jacobian by iterative refinement on them,
+the Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On
+1D meshes, whose cell-major Jacobian is banded, it factors every iterate with
+LAPACK's banded LU.  On 2D meshes SuperLU factors in MMD order on A^T + A,
+and the solver keeps the LU factors of the last Jacobian it factored and
+solves against each new exact Jacobian by iterative refinement on them,
 factoring anew only when the refinement stalls, so the Newton iterates stay
-those of exact-Jacobian Newton; in 1D every iterate is factored.
+those of exact-Jacobian Newton.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
@@ -299,14 +301,20 @@ class _JacobianPattern:
     """Fixed CSC structure of the Jacobian on one mesh for n species.
 
     ``scatter`` maps each per-block entry to its slot in the CSC data, so one
-    ``bincount`` assembles the matrix.  All arrays are read-only, because
-    every Jacobian on the mesh shares them.
+    ``bincount`` assembles the matrix.  On 1D meshes, the ones solved by
+    LAPACK's banded LU, ``kl`` bounds |row - column| over the pattern, and
+    ``band`` maps each CSC entry to its slot in the flattened Fortran-order
+    (3 kl + 1, size) band array, entry (r, c) at row 2 kl + r - c; the first
+    kl rows are left for the fill.  Both are None on 2D meshes.  All arrays
+    are read-only, because every Jacobian on the mesh shares them.
     """
 
     shape: tuple
     indices: np.ndarray
     indptr: np.ndarray
     scatter: np.ndarray
+    kl: int | None
+    band: np.ndarray | None
 
 
 # patterns per mesh and species count; a mesh's entry goes when the mesh does
@@ -321,12 +329,19 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     rows, cols = _coo_pattern(mesh, n)
     size = n * mesh.n_cells
     keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-    counts = np.bincount(keys // size, minlength=size)
+    rows, cols = keys % size, keys // size
+    kl = band = None
+    if mesh.dimension == 1:
+        kl = int(np.abs(rows - cols).max())
+        band = cols * (3 * kl + 1) + 2 * kl + rows - cols
+        band.flags.writeable = False
     pattern = per_mesh[n] = _JacobianPattern(
         shape=(size, size),
-        indices=(keys % size).astype(np.intc),
-        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.intc),
+        indices=rows.astype(np.intc),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))]).astype(np.intc),
         scatter=scatter,
+        kl=kl,
+        band=band,
     )
     for array in (pattern.indices, pattern.indptr, pattern.scatter):
         array.flags.writeable = False
@@ -382,42 +397,54 @@ def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 
 
 class _LinearSolver:
-    """Solves the Newton systems J x = b of one mesh dimension, always against the current J.
+    """Solves the Newton systems J x = b of one mesh, always against the current J.
 
-    Each factorisation is one ``splu(J, permc_spec=...)`` of the natural-order
-    J, so SuperLU orders it itself.  On 2D meshes the solver keeps the LU of
-    the last Jacobian it factored, and a later solve on a new J starts from
-    x = LU^-1 b and refines x += LU^-1 (b - J x) until
-    ||b - J x||_inf <= _REFINE_TOL ||b||_inf.  It gives up after
-    _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks the residual by less
-    than 1/_REFINE_CONTRACTION or leaves it non-finite, and then drops the
-    stale factors and factors J.  The held factors only precondition the
-    refinement, so every Newton iterate is the exact-Jacobian one to
-    round-off.  In 1D, where a factorisation costs only three to four
-    refinement sweeps, every solve factors J.  ``factorizations`` counts the
-    LU factorisations made; ``solve`` raises RuntimeError on a singular J.
+    On 1D meshes every solve factors J with LAPACK's banded LU (``dgbtrf``,
+    partial pivoting), filled from J's CSC data through the mesh's cached
+    band map, and solves with ``dgbtrs``.  On 2D meshes each factorisation is
+    one ``splu`` of the natural-order J, which SuperLU orders by minimum
+    degree on A^T + A; the solver keeps the LU of the last Jacobian it
+    factored, and a later solve on a new J starts from x = LU^-1 b and
+    refines x += LU^-1 (b - J x) until ||b - J x||_inf <= _REFINE_TOL ||b||_inf.
+    It gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks
+    the residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
+    and then drops the stale factors and factors J.  The held factors only
+    precondition the refinement, so every Newton iterate is the
+    exact-Jacobian one to round-off.  ``factorizations`` counts the LU
+    factorisations made; ``solve`` raises RuntimeError on a singular J.
     """
 
-    def __init__(self, dimension: int):
-        # 2D: minimum degree on A^T + A (the pattern is symmetric) cuts the
-        # 32x32 L+U fill from 146,588 (COLAMD) to 90,424.  1D: COLAMD orders
-        # the block-tridiagonal matrix by the band and keeps 1D round-off.
-        self.permc_spec = "MMD_AT_PLUS_A" if dimension == 2 else "COLAMD"
-        self.reuse_factors = dimension == 2
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
         self.factorizations = 0
         self._lu = None
 
     def solve(self, matrix, rhs):
+        if self.mesh.dimension == 1:
+            return self._banded(matrix, rhs)
         if self._lu is not None:
             x = self._refined(matrix, rhs)
             if x is not None:
                 return x
             self._lu = None  # so that at most one set of factors is alive
-        lu = splu(matrix, permc_spec=self.permc_spec)
+        # minimum degree on A^T + A (the pattern is symmetric) cuts the 32x32
+        # L+U fill from 146,588 (COLAMD) to 90,424
+        self._lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
-        if self.reuse_factors:
-            self._lu = lu
-        return lu.solve(rhs)
+        return self._lu.solve(rhs)
+
+    def _banded(self, matrix, rhs):
+        """x = J^-1 rhs by a fresh banded LU of the 1D Jacobian ``matrix``."""
+        pattern = _jacobian_pattern(self.mesh, matrix.shape[0] // self.mesh.n_cells)
+        kl, size = pattern.kl, matrix.shape[0]
+        band = np.zeros((3 * kl + 1) * size)
+        band[pattern.band] = matrix.data
+        lu, pivots, info = dgbtrf(band.reshape((3 * kl + 1, size), order="F"), kl, kl,
+                                  overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
+        self.factorizations += 1
+        return dgbtrs(lu, kl, kl, rhs, pivots)[0]
 
     def _refined(self, matrix, rhs):
         """x with ||rhs - matrix x||_inf <= _REFINE_TOL ||rhs||_inf on the held factors, or None."""
@@ -467,7 +494,7 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:
-        solver = _LinearSolver(mesh.dimension)
+        solver = _LinearSolver(mesh)
 
     for it in range(1, cfg.max_iters + 1):
         matrix = jacobian(evaluation, dt, mesh, model)
@@ -524,7 +551,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
     entropy_prev = diagnostics.discrete_entropy(start, mesh, model)
-    solver = _LinearSolver(mesh.dimension)
+    solver = _LinearSolver(mesh)
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)

@@ -110,7 +110,9 @@ def test_convergence_small(tmp_path, capsys):
     cfg = write_config(tmp_path / "conv.cfg", CONVERGENCE_1D)
     code = main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
-    assert "fitted spatial order" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fitted spatial order" in out
+    assert out.count("pairwise orders 8->16 ") == 2
     assert (tmp_path / "out" / "smoke-1d" / "convergence.csv").exists()
 
 

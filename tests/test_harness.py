@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -190,6 +191,7 @@ def test_block_average_of_constant_is_exact():
                       resolutions=(4, 8, 16, 32), reference=64)
     result = run_convergence_study(spec)
     assert np.abs(result.l2_errors).max() == 0.0
+    assert np.isnan(result.pairwise_order).all()
 
 
 def test_convergence_study_smoke_and_csv(tmp_path):
@@ -200,8 +202,24 @@ def test_convergence_study_smoke_and_csv(tmp_path):
     # errors must shrink with resolution
     assert (np.diff(result.l2_errors, axis=1) < 0.0).all()
     lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
-    assert lines[0] == "resolution,h,dt,species,l2_error"
+    assert lines[0] == "resolution,h,dt,species,l2_error,pairwise_order"
     assert len(lines) == 1 + 4 * 2
+
+
+def test_convergence_study_pairwise_orders_are_log2_error_ratios(tmp_path):
+    spec = quick_spec(resolutions=(8, 16, 32, 64), reference=128, t_end=1e-4)
+    result = run_convergence_study(spec, out_dir=tmp_path)
+    errors = result.l2_errors
+    # the resolutions double, so each pair's order is log2(e_prev / e)
+    expected = np.log2(errors[:, :-1] / errors[:, 1:])
+    assert np.allclose(result.pairwise_order, expected, rtol=1e-12, atol=0.0)
+    with open(tmp_path / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    column = {(int(r["resolution"]), int(r["species"])): r["pairwise_order"] for r in rows}
+    for i in range(2):
+        assert column[(8, i + 1)] == ""
+        assert [float(column[(n, i + 1)]) for n in (16, 32, 64)] == list(
+            result.pairwise_order[i])
 
 
 def test_convergence_study_deterministic_bytes(tmp_path):

@@ -258,7 +258,7 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
     assert np.abs(matrix.data - reference.data).max() <= 1e-15 * np.abs(reference.data).max()
 
 
-@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+@pytest.mark.parametrize("name", ["rectangle", "acute"])
 def test_linear_solver_is_bitwise_splu_in_its_own_order(name, bdata_01):
     mesh = _assembly_meshes()[name]
     model = model_case1(alphas=(1.0, 5.0))
@@ -266,10 +266,50 @@ def test_linear_solver_is_bitwise_splu_in_its_own_order(name, bdata_01):
     u = random_admissible(rng, 2, mesh.n_cells)
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
-    x = scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
-    # SuperLU's own solve in its own order: COLAMD in 1D, MMD on A^T + A in 2D
-    reference = splu(matrix) if mesh.dimension == 1 else splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    x = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    # SuperLU's own solve in its own order, MMD on A^T + A
+    reference = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(x, reference.solve(rhs))
+
+
+def test_1d_linear_solver_agrees_with_splu_to_round_off(bdata_01):
+    mesh = _assembly_meshes()["1d"]
+    model = model_case1(alphas=(1.0, 5.0))
+    rng = np.random.default_rng(12)
+    u = random_admissible(rng, 2, mesh.n_cells)
+    matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
+    rhs = rng.standard_normal(matrix.shape[0])
+    x = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    # banded LU pivots in another order than SuperLU, so the two agree to
+    # round-off: each is backward stable, and their forward errors are bounded
+    # by the condition number (5.3e4 here) times round-off
+    dense = matrix.toarray()
+    norm = np.abs(dense).sum(axis=1).max()
+    assert np.abs(rhs - matrix @ x).max() <= 1e-15 * norm * np.abs(x).max()
+    reference = splu(matrix).solve(rhs)
+    kappa = np.linalg.cond(dense, np.inf)
+    assert np.abs(x - reference).max() <= 1e-14 * kappa * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_1d_band_map_round_trips_the_jacobian(n):
+    mesh = build_interval_mesh(12, "both")
+    model = model_case1(alphas=(1.0, 5.0, 2.0)[:n])
+    bdata = BoundaryData((0.1,) * n)
+    u = random_admissible(np.random.default_rng(5), n, mesh.n_cells, high=0.9 / n)
+    matrix = jacobian(evaluate(u, mesh, model, bdata), 1e-4, mesh, model)
+    pattern = scheme._jacobian_pattern(mesh, n)
+    kl, size = pattern.kl, matrix.shape[0]
+    assert kl == 2 * n - 1
+    band = np.zeros((3 * kl + 1) * size)
+    band[pattern.band] = matrix.data
+    band = band.reshape((3 * kl + 1, size), order="F")
+    assert not band[:kl].any()  # the rows dgbtrf fills
+    rows, cols = np.indices((size, size))
+    inside = np.abs(rows - cols) <= kl
+    dense = np.zeros((size, size))
+    dense[inside] = band[2 * kl + rows[inside] - cols[inside], cols[inside]]
+    assert np.array_equal(dense, matrix.toarray())
 
 
 class _RecordedLU:
@@ -311,22 +351,21 @@ def test_2d_factors_in_mmd_order_with_less_fill_than_colamd(recorded_splu, bdata
     factored, _ = recorded_splu
     mesh = build_rectangle_mesh(16, 16, lambda x, y: abs(y - 1.0) < 1e-12)
     matrix, rhs = _one_jacobian(mesh, bdata_01)
-    scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
+    scheme._LinearSolver(mesh).solve(matrix, rhs)
     assert [lu.permc_spec for lu in factored] == ["MMD_AT_PLUS_A"]
     colamd = splu(matrix, permc_spec="COLAMD")
     assert factored[0].fill < colamd.L.nnz + colamd.U.nnz
 
 
-def test_1d_factors_every_solve_with_colamd(recorded_splu, bdata_01):
-    # the 1D path, and with it the sat1d benchmark, stays bitwise on COLAMD
+def test_1d_factors_every_solve_without_splu(recorded_splu, bdata_01):
     factored, solves = recorded_splu
     mesh = build_interval_mesh(80, "left")
     matrix, rhs = _one_jacobian(mesh, bdata_01)
-    solver = scheme._LinearSolver(mesh.dimension)
-    solver.solve(matrix, rhs)
-    solver.solve(matrix, rhs)
-    assert [lu.permc_spec for lu in factored] == ["COLAMD", "COLAMD"]
-    assert solves == factored and solver.factorizations == 2
+    solver = scheme._LinearSolver(mesh)
+    first = solver.solve(matrix, rhs)
+    second = solver.solve(matrix, rhs)
+    assert factored == [] and solves == [] and solver.factorizations == 2
+    assert np.array_equal(first, second)
 
 
 def _held_factors(mesh, bdata, dt=1e-2):
@@ -334,7 +373,7 @@ def _held_factors(mesh, bdata, dt=1e-2):
     model = model_case1(alphas=(1.0, 5.0))
     rng = np.random.default_rng(21)
     u = random_admissible(rng, 2, mesh.n_cells, low=0.05, high=0.15)
-    solver = scheme._LinearSolver(mesh.dimension)
+    solver = scheme._LinearSolver(mesh)
     matrix = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model)
     solver.solve(matrix, rng.standard_normal(matrix.shape[0]))
     assert solver.factorizations == 1
@@ -370,7 +409,7 @@ def test_factors_at_another_dt_are_abandoned(recorded_splu, bdata_01):
     del solves[:]
     solver.solve(matrix, rhs)
     assert len(factored) == 2 and solves and all(lu is new for lu in solves)
-    fresh = scheme._LinearSolver(mesh.dimension).solve(matrix, rhs)
+    fresh = scheme._LinearSolver(mesh).solve(matrix, rhs)
     assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
 
 
@@ -389,6 +428,23 @@ def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monke
     with pytest.raises(NewtonFailure, match="linear solve failed"):
         newton_step(state, start, 1e-2, mesh, model, bdata_01, NewtonConfig(), solver=solver)
     assert solver._lu is None
+
+
+def test_singular_1d_jacobian_is_a_newton_failure(case1, bdata_01, monkeypatch):
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    solver = scheme._LinearSolver(mesh)
+
+    def singular(evaluation, dt, mesh, model):
+        matrix = jacobian(evaluation, dt, mesh, model)
+        matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
+        return matrix
+
+    monkeypatch.setattr(scheme, "jacobian", singular)
+    start = evaluate(state.u, mesh, case1, bdata_01)
+    with pytest.raises(NewtonFailure, match="linear solve failed"):
+        newton_step(state, start, 1e-3, mesh, case1, bdata_01, NewtonConfig(), solver=solver)
+    assert solver.factorizations == 0
 
 
 def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01, monkeypatch):
@@ -647,7 +703,7 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     # a NaN stays NaN under halving, and evaluate rejects it on every trial
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    solver = scheme._LinearSolver(mesh.dimension)
+    solver = scheme._LinearSolver(mesh)
     solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
@@ -684,7 +740,7 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monke
     start = evaluate(state.u, mesh, case2, bdata_01)
     cfg = NewtonConfig()
     reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
-    solver = scheme._LinearSolver(mesh.dimension)
+    solver = scheme._LinearSolver(mesh)
     solve, updates = solver.solve, []
 
     def overshooting(matrix, rhs):
