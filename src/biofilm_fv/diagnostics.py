@@ -38,8 +38,8 @@ def entropy_production(dissipation, alphas) -> float:
     """Entropy production sum_i alpha_i I_i from the per-species dissipations I_i.
 
     The one weighting behind the entropy inequality
-    H_k + dt * production <= H_{k-1} that ``scheme.advance`` enforces, the
-    margin that runs report and the ``I_total`` column of ``entropy.csv``.
+    H_k + dt * production <= H_{k-1} that ``scheme.advance`` enforces and
+    the margin that runs report.
     """
     return float(np.asarray(alphas, dtype=float) @ dissipation)
 

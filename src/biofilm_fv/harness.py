@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import __version__, diagnostics, model as modelmod, scheme
+from . import __version__, model as modelmod, scheme
 from .mesh import Mesh, build_interval_mesh, build_rectangle_mesh, load_triangle_mesh_file
 from .model import ModelFunctions, get_model
 from .scheme import BoundaryData, NewtonConfig, State, advance, project_initial
@@ -300,16 +300,21 @@ def _write_csv(path, header, rows):
             fh.write("\n")
 
 
-def write_entropy_csv(path, reports, alphas):
-    """One row per accepted step; I_total is the production sum_i alpha_i I_i."""
-    rows = [
-        (k, r.time, r.dt_used, r.entropy,
-         diagnostics.entropy_production(r.dissipation, alphas), r.min_u,
-         r.max_M, r.newton_iters)
-        for k, r in enumerate(reports, start=1)
-    ]
-    _write_csv(path, ["step", "time", "dt", "H", "I_total", "min_u", "max_M",
-                      "newton_iters"], rows)
+def write_entropy_csv(path, reports, n_species):
+    """One row per accepted step: its number, then one column per ``StepReport``
+    field in declaration order, ``dissipation`` as one column per species."""
+    names = [report_field.name for report_field in fields(scheme.StepReport)]
+    header = ["step"]
+    for name in names:
+        header += [f"{name}_{i + 1}" for i in range(n_species)] if name == "dissipation" else [name]
+    rows = []
+    for k, report in enumerate(reports, start=1):
+        row = [k]
+        for name in names:
+            value = getattr(report, name)
+            row += list(value) if name == "dissipation" else [value]
+        rows.append(row)
+    _write_csv(path, header, rows)
 
 
 def write_snapshot_csv(path, mesh, u):
@@ -435,10 +440,30 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
                               snapshot_times=()))
               for n in res + (reference,)]
     out = _output_dir(out_dir)
-    runs = [run() for run in set_up]
+    result = convergence_against_reference([run() for run in set_up])
+    if out is not None:
+        errors, pairwise = result.l2_errors, result.pairwise_order
+        # the coarsest resolution has no predecessor, so its pairwise order is empty
+        rows = [
+            (n, 1.0 / n, 1.0 / n**2, i + 1, errors[i, j], pairwise[i, j - 1] if j else "")
+            for j, n in enumerate(res)
+            for i in range(errors.shape[0])
+        ]
+        _write_csv(out / "convergence.csv",
+                   ["resolution", "h", "dt", "species", "l2_error", "pairwise_order"], rows)
+    return result
 
+
+def convergence_against_reference(runs) -> ConvergenceResult:
+    """Errors and orders of 1D runs on nested interval meshes against the last, finest one.
+
+    The reference solution is averaged exactly onto each coarse mesh, and
+    the per-species errors are the cell-measure-weighted L2 norms at the
+    final state.
+    """
     ref_u = runs[-1].final_state.u
-    n_species = ref_u.shape[0]
+    n_species, reference = ref_u.shape
+    res = [run.mesh.n_cells for run in runs[:-1]]
     errors = np.empty((n_species, len(res)))
     for j, (n, run) in enumerate(zip(res, runs)):
         averaged = ref_u.reshape(n_species, n, reference // n).mean(axis=2)
@@ -451,15 +476,6 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
         for i in range(n_species)
     ])
     pairwise = np.diff(np.log(np.where(errors > 0.0, errors, np.nan)), axis=1) / np.diff(log_h)
-    if out is not None:
-        # the coarsest resolution has no predecessor, so its pairwise order is empty
-        rows = [
-            (n, 1.0 / n, 1.0 / n**2, i + 1, errors[i, j], pairwise[i, j - 1] if j else "")
-            for j, n in enumerate(res)
-            for i in range(n_species)
-        ]
-        _write_csv(out / "convergence.csv",
-                   ["resolution", "h", "dt", "species", "l2_error", "pairwise_order"], rows)
     return ConvergenceResult(l2_errors=errors, fitted_order=orders, pairwise_order=pairwise)
 
 
@@ -536,7 +552,7 @@ def _set_up(spec: ExperimentSpec):
             state = advance(state, spec.t_end, mesh, model, bdata, cfg, observer=record)
 
         if out is not None:
-            write_entropy_csv(out / "entropy.csv", reports, model.params.alpha_array)
+            write_entropy_csv(out / "entropy.csv", reports, len(spec.alphas))
             write_run_metadata(out / "run_metadata.json", spec, mesh, m_star, reports)
         return EvolutionResult(
             mesh=mesh,

@@ -142,7 +142,9 @@ def with_contact(cell_values, contact_values):
 
 def jump(values, mesh: Mesh):
     """D_sigma of ghost-extended values on every flux edge: far side minus K."""
-    return values[..., mesh.flux_L] - values[..., mesh.flux_K]
+    # np.take gathers along the last axis of an (n, N + 1) array several
+    # times faster than fancy indexing does
+    return np.take(values, mesh.flux_L, axis=-1) - np.take(values, mesh.flux_K, axis=-1)
 
 
 def validate_regularity(mesh: Mesh) -> float:

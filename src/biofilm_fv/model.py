@@ -95,54 +95,64 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 # is handled with the leading power behaviour g(s) ~ C s^a
 _LOG_SPLIT = 1e-6
 
-# degree of each Chebyshev panel of _PanelInterpolant; with panels that halve
-# the distance to saturation, degree 20 already reaches round-off
-_PANEL_DEGREE = 24
+# each halving panel of _PanelInterpolant is split into _PANEL_SPLIT equal
+# sub-panels of Chebyshev degree _PANEL_DEGREE; a sub-panel lies at least
+# _PANEL_SPLIT of its widths from the saturation singularity, where a low
+# degree already reaches round-off and costs fewer Clenshaw sweeps per call
+_PANEL_DEGREE = 8
+_PANEL_SPLIT = 8
 
 
 class _PanelInterpolant:
     """Piecewise Chebyshev interpolant of f on [0, cap] for a model with exponent b.
 
-    The panel breaks halve the distance to s = 1 (0, 1/2, 3/4, ..., cap), so
-    every panel is the same number of its own widths away from the
-    saturation singularity and one low degree ``_PANEL_DEGREE`` resolves all
-    of them (Trefethen, Approximation Theory and Approximation Practice,
-    2013).  Below 1/2 the breaks 2^-j, 2 <= j <= ceil(log2 b), resolve the
+    The coarse breaks halve the distance to s = 1 (0, 1/2, 3/4, ..., cap), so
+    every coarse panel is the same number of its own widths away from the
+    saturation singularity and one low degree resolves all of them
+    (Trefethen, Approximation Theory and Approximation Practice, 2013).
+    Below 1/2 the coarse breaks 2^-j, 2 <= j <= ceil(log2 b), resolve the
     turn of log c(s) on the scale 1/b near s = 0; for b <= 2 there are none.
-    f is sampled once, on a flat array of the first-kind Chebyshev points of
-    every panel.
+    Each coarse panel is split into ``_PANEL_SPLIT`` equal panels of degree
+    ``_PANEL_DEGREE``.  A panel [l, r] maps m to x = ((m - l) - (r - m)) / (r - l),
+    which is -1 and 1 to one ulp at its breaks, also where they are not
+    binary fractions, next to the cap.  f is sampled once, on a flat array of
+    the first-kind Chebyshev points of every panel.
     """
 
     def __init__(self, f, cap, b):
         lows = 0.5 ** np.arange(np.ceil(np.log2(b)), 1.0, -1.0)
         halvings = 1.0 - 0.5 ** np.arange(1, 64)
-        self.breaks = np.concatenate([[0.0], lows[lows < cap], halvings[halvings < cap], [cap]])
-        left, right = self.breaks[:-1], self.breaks[1:]
-        self._half = 0.5 * (right - left)
-        self._mid = 0.5 * (left + right)
-        self._inv_half = 1.0 / self._half
+        coarse = np.concatenate([[0.0], lows[lows < cap], halvings[halvings < cap], [cap]])
+        fractions = np.arange(_PANEL_SPLIT) / _PANEL_SPLIT
+        self.breaks = np.append(
+            (coarse[:-1, None] + np.diff(coarse)[:, None] * fractions).ravel(), cap)
+        self._left, self._right = self.breaks[:-1], self.breaks[1:]
+        self._width = self._right - self._left
 
         x = chebyshev.chebpts1(_PANEL_DEGREE + 1)
-        s = self._mid + self._half * x[:, None]
+        s = 0.5 * (self._left + self._right) + 0.5 * self._width * x[:, None]
         coef = chebyshev.chebvander(x, _PANEL_DEGREE).T @ f(s.ravel()).reshape(s.shape)
         coef[0] /= _PANEL_DEGREE + 1
         coef[1:] /= 0.5 * (_PANEL_DEGREE + 1)
-        self._coef = coef  # one column per panel
+        # one row per panel: a row gather is the cheapest per-point selection
+        self._coef = np.ascontiguousarray(coef.T)
 
     def antiderivative(self):
         """The antiderivative that vanishes at s = 0, on the same panels."""
         # per-panel antiderivatives in s, zero at the panel's left break
-        coef = chebyshev.chebint(self._coef, lbnd=-1.0) * self._half
+        coef = chebyshev.chebint(self._coef.T, lbnd=-1.0) * (0.5 * self._width)
         totals = coef.sum(axis=0)  # value at the right break, T_k(1) = 1
         coef[0, 1:] += np.cumsum(totals[:-1])
         out = copy.copy(self)
-        out._coef = coef
+        out._coef = np.ascontiguousarray(coef.T)
         return out
 
     def _panels(self, m, panel):
         """The interpolant at m evaluated on the given panels."""
-        x = (m - self._mid[panel]) * self._inv_half[panel]
-        return chebyshev.chebval(x, self._coef[:, panel], tensor=False)
+        left, right = self._left[panel], self._right[panel]
+        x = ((m - left) - (right - m)) / self._width[panel]
+        return chebyshev.chebval(x, np.moveaxis(self._coef.take(panel, axis=0), -1, 0),
+                                 tensor=False)
 
     def __call__(self, m):
         """The interpolant at m in [0, cap], any shape."""
@@ -316,15 +326,17 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
     def integrand(s):
         return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
 
+    def closed_form(m):
+        expm1_term = np.expm1(2.0 * m / (1.0 - m))
+        return e2 * (m * (1.0 + expm1_term) - 0.5 * expm1_term)
+
     def G(m):
-        out = np.empty_like(m)
         small = m < 1e-2
-        if np.any(~small):
-            ms = m[~small]
-            expm1_term = np.expm1(2.0 * ms / (1.0 - ms))
-            out[~small] = e2 * (ms * (1.0 + expm1_term) - 0.5 * expm1_term)
-        if np.any(small):
-            out[small] = _small_m_integral(m[small], integrand)
+        if not small.any():  # the usual case, without masked copies
+            return closed_form(m)
+        out = np.empty_like(m)
+        out[~small] = closed_form(m[~small])
+        out[small] = _small_m_integral(m[small], integrand)
         return out
 
     def G_prime(m):

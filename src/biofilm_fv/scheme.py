@@ -26,10 +26,11 @@ accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
 it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
-``jacobian`` fills the mesh's cached CSC pattern with one ``bincount``, and
-the Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On
-1D meshes, whose cell-major Jacobian is banded, it factors every iterate with
-LAPACK's banded LU.  On 2D meshes SuperLU factors in MMD order on A^T + A,
+``jacobian`` fills the mesh's cached pattern with one ``bincount``, and the
+Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On 1D
+meshes, whose cell-major Jacobian is banded, the pattern is LAPACK's band
+storage, and every iterate is factored and solved by one ``dgbsv`` call.  On
+2D meshes the pattern is CSC, SuperLU factors in MMD order on A^T + A,
 and the solver keeps the LU factors of the last Jacobian it factored and
 solves against each new exact Jacobian by iterative refinement on them,
 factoring anew only when the refinement stalls, so the Newton iterates stay
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
@@ -298,23 +299,25 @@ def _coo_pattern(mesh: Mesh, n: int):
 
 @dataclass(frozen=True, eq=False)
 class _JacobianPattern:
-    """Fixed CSC structure of the Jacobian on one mesh for n species.
+    """Fixed sparse structure of the Jacobian on one mesh for n species.
 
-    ``scatter`` maps each per-block entry to its slot in the CSC data, so one
-    ``bincount`` assembles the matrix.  On 1D meshes, the ones solved by
-    LAPACK's banded LU, ``kl`` bounds |row - column| over the pattern, and
-    ``band`` maps each CSC entry to its slot in the flattened Fortran-order
-    (3 kl + 1, size) band array, entry (r, c) at row 2 kl + r - c; the first
-    kl rows are left for the fill.  Both are None on 2D meshes.  All arrays
-    are read-only, because every Jacobian on the mesh shares them.
+    ``scatter`` maps each per-block entry to its slot in the matrix data,
+    ``slots`` long, so one ``bincount`` assembles the matrix.  On 2D meshes
+    the data is CSC with ``indices`` and ``indptr``.  On 1D meshes, whose
+    cell-major Jacobian is banded with kl = max |row - column|, the data is
+    LAPACK's (3 kl + 1, size) band storage in Fortran order, entry (r, c) at
+    row 2 kl + r - c, with the first kl rows left zero for the fill of the
+    banded LU; the DIA ``offsets`` 2 kl - arange(3 kl + 1) read the same
+    array.  The fields of the other dimension are None.  All arrays are
+    read-only, because every Jacobian on the mesh shares them.
     """
 
     shape: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
     scatter: np.ndarray
-    kl: int | None
-    band: np.ndarray | None
+    slots: int
+    indices: np.ndarray | None
+    indptr: np.ndarray | None
+    offsets: np.ndarray | None
 
 
 # patterns per mesh and species count; a mesh's entry goes when the mesh does
@@ -328,23 +331,32 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
         return per_mesh[n]
     rows, cols = _coo_pattern(mesh, n)
     size = n * mesh.n_cells
-    keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-    rows, cols = keys % size, keys // size
-    kl = band = None
     if mesh.dimension == 1:
         kl = int(np.abs(rows - cols).max())
-        band = cols * (3 * kl + 1) + 2 * kl + rows - cols
-        band.flags.writeable = False
-    pattern = per_mesh[n] = _JacobianPattern(
-        shape=(size, size),
-        indices=rows.astype(np.intc),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))]).astype(np.intc),
-        scatter=scatter,
-        kl=kl,
-        band=band,
-    )
-    for array in (pattern.indices, pattern.indptr, pattern.scatter):
-        array.flags.writeable = False
+        pattern = _JacobianPattern(
+            shape=(size, size),
+            scatter=cols * (3 * kl + 1) + 2 * kl + rows - cols,
+            slots=(3 * kl + 1) * size,
+            indices=None,
+            indptr=None,
+            offsets=(2 * kl - np.arange(3 * kl + 1)).astype(np.intc),
+        )
+    else:
+        keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+        rows, cols = keys % size, keys // size
+        pattern = _JacobianPattern(
+            shape=(size, size),
+            scatter=scatter,
+            slots=keys.size,
+            indices=rows.astype(np.intc),
+            indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))]).astype(
+                np.intc),
+            offsets=None,
+        )
+    for array in (pattern.scatter, pattern.indices, pattern.indptr, pattern.offsets):
+        if array is not None:
+            array.flags.writeable = False
+    per_mesh[n] = pattern
     return pattern
 
 
@@ -375,10 +387,10 @@ def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 
     m = mesh.interior.size
     K, L, tau = mesh.flux_K, mesh.flux_L[:m], mesh.flux_tau
-    near = _edge_blocks(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K], u[:, K],
-                        sign=1.0)
+    near = _edge_blocks(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K],
+                        np.take(u, K, axis=1), sign=1.0)
     far = _edge_blocks(tau[:m], alphas, ev.psq[:m], ev.dv[:, :m], ev.g[L], g_prime[L], pp[L],
-                       u[:, L], sign=-1.0)
+                       np.take(u, L, axis=1), sign=-1.0)
 
     diag = np.repeat(mesh.cell_measures / dt, n)
     return _in_entry_order(diag, near, far, -far, -near[..., :m], m)
@@ -387,25 +399,29 @@ def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     """Exact sparse Jacobian of ``residual`` with respect to the evaluated trial state.
 
-    CSC in the natural cell-major ordering.  Its index arrays are the mesh's
-    cached, read-only pattern, shared by every Jacobian on that mesh.
+    In the natural cell-major ordering, on the mesh's cached, read-only
+    pattern, shared by every Jacobian on that mesh: CSC on 2D meshes, and on
+    1D meshes DIA, whose ``data`` is LAPACK's band storage of the matrix.
     """
     entries = _jacobian_entries(evaluation, dt, mesh, model)
     pattern = _jacobian_pattern(mesh, evaluation.u_ext.shape[0])
-    data = np.bincount(pattern.scatter, weights=entries, minlength=pattern.indices.size)
+    data = np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots)
+    if pattern.offsets is not None:
+        band = data.reshape((pattern.offsets.size, pattern.shape[1]), order="F")
+        return sp.dia_matrix((band, pattern.offsets), shape=pattern.shape)
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 class _LinearSolver:
     """Solves the Newton systems J x = b of one mesh, always against the current J.
 
-    On 1D meshes every solve factors J with LAPACK's banded LU (``dgbtrf``,
-    partial pivoting), filled from J's CSC data through the mesh's cached
-    band map, and solves with ``dgbtrs``.  On 2D meshes each factorisation is
-    one ``splu`` of the natural-order J, which SuperLU orders by minimum
-    degree on A^T + A; the solver keeps the LU of the last Jacobian it
-    factored, and a later solve on a new J starts from x = LU^-1 b and
-    refines x += LU^-1 (b - J x) until ||b - J x||_inf <= _REFINE_TOL ||b||_inf.
+    On 1D meshes every solve is one ``dgbsv`` call on J's band storage,
+    LAPACK's banded LU with partial pivoting on a copy of it, and its solve.
+    On 2D meshes each factorisation is one ``splu`` of the natural-order J,
+    which SuperLU orders by minimum degree on A^T + A; the solver keeps the
+    LU of the last Jacobian it factored, and a later solve on a new J starts
+    from x = LU^-1 b and refines x += LU^-1 (b - J x) until
+    ||b - J x||_inf <= _REFINE_TOL ||b||_inf.
     It gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks
     the residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
     and then drops the stale factors and factors J.  The held factors only
@@ -434,17 +450,13 @@ class _LinearSolver:
         return self._lu.solve(rhs)
 
     def _banded(self, matrix, rhs):
-        """x = J^-1 rhs by a fresh banded LU of the 1D Jacobian ``matrix``."""
-        pattern = _jacobian_pattern(self.mesh, matrix.shape[0] // self.mesh.n_cells)
-        kl, size = pattern.kl, matrix.shape[0]
-        band = np.zeros((3 * kl + 1) * size)
-        band[pattern.band] = matrix.data
-        lu, pivots, info = dgbtrf(band.reshape((3 * kl + 1, size), order="F"), kl, kl,
-                                  overwrite_ab=True)
+        """x = J^-1 rhs by a fresh banded LU of the 1D Jacobian ``matrix``; J is left as it is."""
+        kl = (matrix.data.shape[0] - 1) // 3
+        x, info = dgbsv(kl, kl, matrix.data, rhs)[2:]
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
         self.factorizations += 1
-        return dgbtrs(lu, kl, kl, rhs, pivots)[0]
+        return x
 
     def _refined(self, matrix, rhs):
         """x with ||rhs - matrix x||_inf <= _REFINE_TOL ||rhs||_inf on the held factors, or None."""

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,27 @@ def test_convergence_study_pairwise_orders_are_log2_error_ratios(tmp_path):
             result.pairwise_order[i])
 
 
+def test_space_error_orders_script_steps_every_resolution_at_the_reference_dt(tmp_path,
+                                                                               capsys):
+    config = tmp_path / "study.cfg"
+    config.write_text("[experiment]\nname = study\nmodel = case2\nu_d = 0.1, 0.1\n"
+                      "t_end = 1e-4\n[convergence]\nresolutions = 8, 16, 32, 64\n"
+                      "reference = 128\n")
+    script = Path(__file__).parents[1] / "scripts" / "space_error_orders.py"
+    runpy.run_path(str(script))["main"](str(config))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("dt = 1/128^2 for N = 8, 16, 32, 64")
+    # the errors of a run at dt = 1/128^2 per N, against the study's reference
+    spec = quick_spec(resolutions=(8, 16, 32, 64), reference=128, t_end=1e-4)
+    ref_u = run_evolution(dataclasses.replace(spec, n_cells=128, dt=1.0 / 128**2)).final_state.u
+    coarse = run_evolution(dataclasses.replace(spec, n_cells=8, dt=1.0 / 128**2)).final_state.u
+    error = np.sqrt(np.mean((coarse[0] - ref_u[0].reshape(8, 16).mean(axis=1)) ** 2))
+    errors = [float(e) for e in lines[1].split("errors ")[1].split()]
+    assert errors[0] == pytest.approx(error, rel=1e-4)  # printed to 5 digits
+    orders = [float(p) for p in lines[2].split("orders ")[1].split(";")[0].split(", ")]
+    assert orders == pytest.approx(np.log2(np.divide(errors[:-1], errors[1:])), abs=2e-3)
+
+
 def test_convergence_study_deterministic_bytes(tmp_path):
     spec = quick_spec(resolutions=(8, 16, 32, 64), reference=128, t_end=1e-4)
     run_convergence_study(spec, out_dir=tmp_path / "a")
@@ -254,7 +276,30 @@ def test_evolution_snapshot_at_zero_is_projection(tmp_path):
     assert (tmp_path / "snapshot_0.0001.csv").exists()
     assert (tmp_path / "run_metadata.json").exists()
     header = (tmp_path / "entropy.csv").read_text().splitlines()[0]
-    assert header == "step,time,dt,H,I_total,min_u,max_M,newton_iters"
+    assert header == ("step,time,dt_used,newton_iters,dt_halvings,lu_factorizations,"
+                      "residual_norm,entropy,dissipation_1,dissipation_2,max_M,min_u,"
+                      "conservation_defect,entropy_margin")
+
+
+def test_entropy_csv_rows_are_the_step_reports(tmp_path):
+    spec = ExperimentSpec(
+        name="rows", model="case1", alphas=(1.0, 5.0), u_d=(0.1, 0.1),
+        initial="bumps-1d", t_end=2e-4, dimension=1, n_cells=20,
+        dt_policy="adaptive", dt=1e-5,
+    )
+    result = run_evolution(spec, out_dir=tmp_path)
+    with open(tmp_path / "entropy.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(result.reports) > 1
+    for k, (row, report) in enumerate(zip(rows, result.reports), start=1):
+        assert int(row.pop("step")) == k
+        dissipation = [float(row.pop(f"dissipation_{i}")) for i in (1, 2)]
+        assert dissipation == list(report.dissipation)
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        del fields["dissipation"]
+        assert list(row) == list(fields)
+        # shortest round-trip formatting: every value reads back exactly
+        assert {name: type(value)(row[name]) for name, value in fields.items()} == fields
 
 
 def test_entropy_margin_is_the_smallest_step_slack(tmp_path):

@@ -65,6 +65,32 @@ def test_case1_quadrature_matches_closed_form(case1):
         assert float(case1.g(m)) == pytest.approx(quadrature_g(case1, m), rel=1e-8)
 
 
+def _case1_G_masked(m):
+    """case1's G with the closed form and the Gauss rule each on its own masked copy."""
+    out = np.empty_like(m)
+    small = m < 1e-2
+    ms = m[~small]
+    expm1_term = np.expm1(2.0 * ms / (1.0 - ms))
+    out[~small] = np.exp(2.0) * (ms * (1.0 + expm1_term) - 0.5 * expm1_term)
+    out[small] = model_module._small_m_integral(
+        m[small], lambda s: s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s)))
+    return out
+
+
+@pytest.mark.parametrize("low, high", [(1e-2, 0.98), (0.0, 9.9e-3), (1e-4, 0.5)],
+                         ids=["above", "below", "crossing"])
+def test_case1_G_without_masks_when_no_biomass_is_small(case1, low, high):
+    # G skips the masks when no biomass is below the switch at m = 1e-2; the
+    # arithmetic per element is the same, so g and log g are bitwise the
+    # masked formula's on either side of the switch and across it
+    m = np.linspace(low, high, 257)
+    G = _case1_G_masked(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(case1.g(m), np.where(m == 0.0, 0.0, G / m))
+        # NaN at m = 0 on both sides
+        assert np.array_equal(case1.log_g(m), np.log(G) - np.log(m), equal_nan=True)
+
+
 def test_case2_closed_forms(case2):
     assert float(case2.g(0.5)) == 1.0
     assert float(case2.g(0.0)) == 0.0

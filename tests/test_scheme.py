@@ -252,6 +252,10 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
     rows, cols = scheme._coo_pattern(mesh, 2)
     entries = scheme._jacobian_entries(record, 1e-4, mesh, model)
     reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape).tocsc()
+    if mesh.dimension == 1:
+        # the band read as CSC: tocsc keeps the nonzeros, which on this
+        # random state are exactly the pattern's entries
+        matrix = matrix.tocsc()
     assert np.array_equal(matrix.indptr, reference.indptr)
     assert np.array_equal(matrix.indices, reference.indices)
     # equal up to the summation order of duplicate entries
@@ -279,37 +283,57 @@ def test_1d_linear_solver_agrees_with_splu_to_round_off(bdata_01):
     u = random_admissible(rng, 2, mesh.n_cells)
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
+    band = matrix.data.copy()
     x = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    # dgbsv factors a copy of the band, never the caller's matrix
+    assert np.array_equal(matrix.data, band)
     # banded LU pivots in another order than SuperLU, so the two agree to
     # round-off: each is backward stable, and their forward errors are bounded
     # by the condition number (5.3e4 here) times round-off
     dense = matrix.toarray()
     norm = np.abs(dense).sum(axis=1).max()
     assert np.abs(rhs - matrix @ x).max() <= 1e-15 * norm * np.abs(x).max()
-    reference = splu(matrix).solve(rhs)
+    reference = splu(matrix.tocsc()).solve(rhs)
     kappa = np.linalg.cond(dense, np.inf)
     assert np.abs(x - reference).max() <= 1e-14 * kappa * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_1d_band_map_round_trips_the_jacobian(n):
+def _one_1d_jacobian(n):
+    """The Jacobian on a 12-cell interval for n species, with its evaluation and model."""
     mesh = build_interval_mesh(12, "both")
     model = model_case1(alphas=(1.0, 5.0, 2.0)[:n])
     bdata = BoundaryData((0.1,) * n)
     u = random_admissible(np.random.default_rng(5), n, mesh.n_cells, high=0.9 / n)
-    matrix = jacobian(evaluate(u, mesh, model, bdata), 1e-4, mesh, model)
-    pattern = scheme._jacobian_pattern(mesh, n)
-    kl, size = pattern.kl, matrix.shape[0]
+    record = evaluate(u, mesh, model, bdata)
+    return jacobian(record, 1e-4, mesh, model), record, mesh, model
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_1d_band_map_round_trips_the_jacobian(n):
+    # the DIA data is LAPACK's band storage: entry (r, c) at row 2 kl + r - c
+    matrix, _, _, _ = _one_1d_jacobian(n)
+    band, size = matrix.data, matrix.shape[0]
+    kl = (band.shape[0] - 1) // 3
     assert kl == 2 * n - 1
-    band = np.zeros((3 * kl + 1) * size)
-    band[pattern.band] = matrix.data
-    band = band.reshape((3 * kl + 1, size), order="F")
-    assert not band[:kl].any()  # the rows dgbtrf fills
+    assert band.shape == (3 * kl + 1, size) and band.flags.f_contiguous
+    assert np.array_equal(matrix.offsets, 2 * kl - np.arange(3 * kl + 1))
+    assert not band[:kl].any()  # the rows the banded LU fills
     rows, cols = np.indices((size, size))
     inside = np.abs(rows - cols) <= kl
     dense = np.zeros((size, size))
     dense[inside] = band[2 * kl + rows[inside] - cols[inside], cols[inside]]
     assert np.array_equal(dense, matrix.toarray())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_1d_jacobian_is_the_coo_assembly(n):
+    # one bincount into the band sums each slot's entries in the order the
+    # COO assembly sums its duplicates, so the two agree bitwise
+    matrix, record, mesh, model = _one_1d_jacobian(n)
+    rows, cols = scheme._coo_pattern(mesh, n)
+    entries = scheme._jacobian_entries(record, 1e-4, mesh, model)
+    reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape)
+    assert np.array_equal(matrix.toarray(), reference.toarray())
 
 
 class _RecordedLU:
@@ -437,7 +461,7 @@ def test_singular_1d_jacobian_is_a_newton_failure(case1, bdata_01, monkeypatch):
 
     def singular(evaluation, dt, mesh, model):
         matrix = jacobian(evaluation, dt, mesh, model)
-        matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
+        matrix.data[:, 3] = 0.0  # column 3 of the band is column 3 of J
         return matrix
 
     monkeypatch.setattr(scheme, "jacobian", singular)
