@@ -17,12 +17,14 @@ import sys
 from dataclasses import replace
 
 from biofilm_fv.cli import load_config
-from biofilm_fv.harness import convergence_against_reference, run_evolution
+from biofilm_fv.harness import (convergence_against_reference, convergence_resolutions,
+                                run_evolution)
 
 
 def main(path):
     spec = load_config(path, "convergence")
-    resolutions, reference = tuple(spec.resolutions), int(spec.reference)
+    # the study's own checks, so a config it rejects fails here before any run
+    resolutions, reference = convergence_resolutions(spec)
     runs = [run_evolution(replace(spec, n_cells=n, dt_policy="fixed", dt=1.0 / reference**2,
                                   snapshot_times=()))
             for n in resolutions + (reference,)]

@@ -413,16 +413,12 @@ class ConvergenceResult:
     pairwise_order: np.ndarray     # (n_species, n_resolutions - 1)
 
 
-def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResult:
-    """Spatial-accuracy study against a block-averaged fine reference.
+def convergence_resolutions(spec: ExperimentSpec):
+    """The study's coarse resolutions and its reference, checked for a 1D order fit.
 
-    Each resolution N runs with the fixed step dt = (1/N)^2 so the first-order
-    time error stays below the expected second-order space error; the
-    reference solution is averaged exactly onto each coarse mesh (nested
-    resolutions) and the per-species L2 errors at t_end are fitted in log-log.
-    The pairwise order of two successive resolutions is the slope between
-    their two points, log(e_prev / e) / log(N / N_prev); it is NaN where an
-    error is zero.
+    Raises ConfigurationError unless the mesh is 1D, there are at least 4
+    strictly increasing resolutions and the reference is a larger common
+    multiple of all of them, so that it averages exactly onto each.
     """
     if spec.dimension != 1:
         raise ConfigurationError("the convergence study runs on 1D meshes")
@@ -435,7 +431,21 @@ def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResu
     if reference <= res[-1] or any(reference % n for n in res):
         raise ConfigurationError("reference resolution must be a common multiple "
                                  "of every coarse resolution")
+    return res, reference
 
+
+def run_convergence_study(spec: ExperimentSpec, out_dir=None) -> ConvergenceResult:
+    """Spatial-accuracy study against a block-averaged fine reference.
+
+    Each resolution N runs with the fixed step dt = (1/N)^2 so the first-order
+    time error stays below the expected second-order space error; the
+    reference solution is averaged exactly onto each coarse mesh (nested
+    resolutions) and the per-species L2 errors at t_end are fitted in log-log.
+    The pairwise order of two successive resolutions is the slope between
+    their two points, log(e_prev / e) / log(N / N_prev); it is NaN where an
+    error is zero.
+    """
+    res, reference = convergence_resolutions(spec)
     set_up = [_set_up(replace(spec, n_cells=n, dt_policy="fixed", dt=1.0 / n**2,
                               snapshot_times=()))
               for n in res + (reference,)]

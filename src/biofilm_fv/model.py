@@ -331,12 +331,13 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
         return e2 * (m * (1.0 + expm1_term) - 0.5 * expm1_term)
 
     def G(m):
+        # the closed form is exactly 0 at m = 0 and finite below the switch, so
+        # it runs on the whole array and only the small entries are redone
+        # (asarray: a 0-d m gives a scalar, which takes no assignment)
+        out = np.asarray(closed_form(m))
         small = m < 1e-2
-        if not small.any():  # the usual case, without masked copies
-            return closed_form(m)
-        out = np.empty_like(m)
-        out[~small] = closed_form(m[~small])
-        out[small] = _small_m_integral(m[small], integrand)
+        if small.any():
+            out[small] = _small_m_integral(m[small], integrand)
         return out
 
     def G_prime(m):

@@ -244,6 +244,25 @@ def test_space_error_orders_script_steps_every_resolution_at_the_reference_dt(tm
     assert orders == pytest.approx(np.log2(np.divide(errors[:-1], errors[1:])), abs=2e-3)
 
 
+def test_space_error_orders_script_rejects_what_the_study_rejects(tmp_path, monkeypatch):
+    # 96 is no multiple of 64, so the reference cannot be averaged onto N = 64
+    config = tmp_path / "study.cfg"
+    config.write_text("[experiment]\nname = study\nmodel = case2\nu_d = 0.1, 0.1\n"
+                      "t_end = 1e-4\n[convergence]\nresolutions = 8, 16, 32, 64\n"
+                      "reference = 96\n")
+    spec = quick_spec(resolutions=(8, 16, 32, 64), reference=96, t_end=1e-4)
+    with pytest.raises(ConfigurationError, match="common multiple"):
+        run_convergence_study(spec)
+
+    def no_run(spec, out_dir=None):
+        raise AssertionError("the config is checked before any run")
+
+    monkeypatch.setattr(harness, "run_evolution", no_run)
+    script = Path(__file__).parents[1] / "scripts" / "space_error_orders.py"
+    with pytest.raises(ConfigurationError, match="common multiple"):
+        runpy.run_path(str(script))["main"](str(config))
+
+
 def test_convergence_study_deterministic_bytes(tmp_path):
     spec = quick_spec(resolutions=(8, 16, 32, 64), reference=128, t_end=1e-4)
     run_convergence_study(spec, out_dir=tmp_path / "a")

@@ -79,10 +79,11 @@ def _case1_G_masked(m):
 
 @pytest.mark.parametrize("low, high", [(1e-2, 0.98), (0.0, 9.9e-3), (1e-4, 0.5)],
                          ids=["above", "below", "crossing"])
-def test_case1_G_without_masks_when_no_biomass_is_small(case1, low, high):
-    # G skips the masks when no biomass is below the switch at m = 1e-2; the
-    # arithmetic per element is the same, so g and log g are bitwise the
-    # masked formula's on either side of the switch and across it
+def test_case1_G_is_the_masked_formula_bitwise(case1, low, high):
+    # G takes the closed form on the whole array and redoes only the entries
+    # below the switch at m = 1e-2; the arithmetic per element is the same, so
+    # g and log g are bitwise the masked formula's on either side of the
+    # switch and across it
     m = np.linspace(low, high, 257)
     G = _case1_G_masked(m)
     with np.errstate(divide="ignore", invalid="ignore"):
