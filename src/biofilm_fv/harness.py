@@ -239,7 +239,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"initial datum: {exc}") from exc
 
     def newton_config(self) -> NewtonConfig:
-        """The step range for ``advance``, with the default Newton tolerances.
+        """The step range for ``advance``.
 
         The fixed policy pins the range to ``dt``; the adaptive policy starts
         at ``dt`` within [dt_min, dt_max].  A range whose largest step takes
@@ -266,7 +266,7 @@ class ExperimentSpec:
         """
         times = sorted(set(float(t) for t in self.snapshot_times))
         for t in times:
-            if not 0.0 <= t <= self.t_end + 1e-12:  # NaN fails too
+            if not 0.0 <= t <= self.t_end:  # NaN fails too
                 raise ConfigurationError(
                     f"snapshot time {t} lies outside [0, t_end = {self.t_end}]")
             if 0.0 < t <= scheme.TIME_TOL:
@@ -417,16 +417,17 @@ def convergence_resolutions(spec: ExperimentSpec):
     """The study's coarse resolutions and its reference, checked for a 1D order fit.
 
     Raises ConfigurationError unless the mesh is 1D, there are at least 4
-    strictly increasing resolutions and the reference is a larger common
-    multiple of all of them, so that it averages exactly onto each.
+    strictly increasing resolutions of 2 cells or more and the reference is
+    a larger common multiple of them all, so that it averages onto each.
     """
     if spec.dimension != 1:
         raise ConfigurationError("the convergence study runs on 1D meshes")
     res = tuple(int(n) for n in spec.resolutions)
     if len(res) < 4:
         raise ConfigurationError("need at least 4 resolutions for an order fit")
-    if any(b <= a for a, b in zip(res, res[1:])):
-        raise ConfigurationError("resolutions must be strictly increasing")
+    if res[0] < 2 or any(b <= a for a, b in zip(res, res[1:])):  # 2 cells: the mesh's floor
+        raise ConfigurationError(f"resolutions must increase strictly from at least 2 cells, "
+                                 f"got {', '.join(map(str, res))}")
     reference = int(spec.reference)
     if reference <= res[-1] or any(reference % n for n in res):
         raise ConfigurationError("reference resolution must be a common multiple "

@@ -57,7 +57,10 @@ from . import diagnostics
 from .mesh import Mesh, jump, with_contact
 from .model import ModelDomainError, ModelFunctions, admissible_biomass, equal_diffusivities
 
-# Newton iterate safeguards
+# Newton's stop, max |R dt / m(K)| <= NEWTON_TOL, its iteration budget and its
+# iterate safeguards
+NEWTON_TOL = 1e-10
+_MAX_NEWTON_ITERS = 50
 _NEGATIVE_SLACK = 1e-14
 _MAX_HALVINGS = 30
 _DAMPING = 0.5
@@ -144,14 +147,12 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton tolerances and the step range of ``advance``.
+    """The step range of ``advance``.
 
     Steps start at dt_init and stay within [dt_min, dt_max]; a fixed step is
     the range pinned to one dt, ``NewtonConfig(dt_min=dt, dt_init=dt, dt_max=dt)``.
     """
 
-    tol: float = 1e-10
-    max_iters: int = 50
     dt_min: float = 1e-8
     dt_max: float = 1e-2
     dt_init: float = 1e-5
@@ -159,10 +160,6 @@ class NewtonConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not self.tol > 0.0:  # NaN fails too
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -493,14 +490,14 @@ class NewtonResult:
 
 
 def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
-                bdata: BoundaryData, cfg: NewtonConfig, *, solver: _LinearSolver | None = None):
+                bdata: BoundaryData, *, solver: _LinearSolver | None = None):
     """One implicit Euler step via damped Newton from ``start``, the evaluation of state_prev.u.
 
     ``solver`` solves the Newton systems and may hold LU factors from earlier
     solves; ``advance`` passes the one it owns, and a direct call makes its
-    own.  Returns (state, NewtonResult); raises NewtonFailure when the
-    iteration budget or the damping budget is exhausted, or a Jacobian is
-    singular.
+    own.  Returns (state, NewtonResult) at the first iterate that meets
+    NEWTON_TOL; raises NewtonFailure after _MAX_NEWTON_ITERS iterates or
+    _MAX_HALVINGS halvings of one update, or on a singular Jacobian.
     """
     u = state_prev.u
     evaluation = start
@@ -508,7 +505,7 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     if solver is None:
         solver = _LinearSolver(mesh)
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_NEWTON_ITERS + 1):
         matrix = jacobian(evaluation, dt, mesh, model)
         try:
             delta = solver.solve(matrix, -res.ravel(order="F"))
@@ -534,11 +531,11 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
 
         u, evaluation, res = trial, attempt, res_attempt
         res_norm = _scaled_norm(res, dt, mesh)
-        if res_norm <= cfg.tol:
+        if res_norm <= NEWTON_TOL:
             state = State(time=state_prev.time + dt, u=u, dt_last=dt)
             return state, NewtonResult(evaluation, newton_iters=it, residual_norm=res_norm)
 
-    raise NewtonFailure(f"no convergence within {cfg.max_iters} iterations")
+    raise NewtonFailure(f"no convergence within {_MAX_NEWTON_ITERS} iterations")
 
 
 def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
@@ -558,7 +555,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     on 2D meshes carry across iterates and steps; they are freed on return.
     The entry state is evaluated, and its entropy taken, on every call.
     """
-    if t_end < state.time:
+    if not t_end >= state.time:  # NaN fails too
         raise ValueError("t_end lies before the current state time")
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
@@ -581,8 +578,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         factored = solver.factorizations
         while True:
             try:
-                new_state, result = newton_step(state, start, dt, mesh, model, bdata, cfg,
-                                                solver=solver)
+                new_state, result = newton_step(state, start, dt, mesh, model, bdata, solver=solver)
                 break
             except NewtonFailure as exc:
                 dt *= 0.5
@@ -604,12 +600,12 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         if min_u < 0.0:
             raise InvariantViolation(f"negative proportion at t = {new_state.time:.6e}")
         # the interior fluxes cancel in sum_K R_K, so defect = dt sum_K R_K, which
-        # Newton's stop at max |R dt / m(K)| <= tol bounds by n tol |Omega|;
+        # Newton's stop (see NEWTON_TOL) bounds by n NEWTON_TOL |Omega|;
         # round-off in R and in the two sums adds eps per magnitude summed,
         # each mass change once and each flux once per side of its edge
         change = mesh.cell_measures * (new_state.u - state.u)
         defect = float(np.sum(change) + dt * dirichlet_fluxes(accepted, mesh).sum())
-        bound = len(alphas) * cfg.tol * mesh.total_measure + CONSERVATION_ROUNDOFF * _EPS * (
+        bound = len(alphas) * NEWTON_TOL * mesh.total_measure + CONSERVATION_ROUNDOFF * _EPS * (
             np.abs(change).sum() + 2.0 * dt * np.abs(accepted.flux).sum())
         if not abs(defect) <= bound:  # NaN fails too
             raise InvariantViolation(f"conservation violated at t = {new_state.time:.6e}: "

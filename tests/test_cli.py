@@ -199,7 +199,7 @@ BAD_CONFIGS = {
     "zero-cells": ("run", RUN_1D.replace("cells = 20", "cells = 0")),
     "zero-nx": ("run", RUN_2D.replace("nx = 4", "nx = 0")),
     "negative-dt": ("run", RUN_1D.replace("dt = 1e-5", "dt = -1e-5")),
-    # the Newton tolerances are NewtonConfig's defaults, not config keys
+    # the Newton tolerance and iteration budget are constants of scheme, not config keys
     "zero-newton-tol": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_tol = 0")),
     "zero-newton-iters": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-5\nnewton_max_iters = 0")),
     "dirichlet-1d-side": ("run", RUN_1D.replace("dirichlet = left", "dirichlet = top")),
@@ -233,6 +233,9 @@ BAD_CONFIGS = {
         "u_d = 0.1, 0.1", "u_d = 0.45, 0.45")),
     "convergence-one-cell": ("convergence", CONVERGENCE_CASE2.replace(
         "40, 80, 160, 320, 640", "1, 2, 4, 8").replace("reference = 1280", "reference = 16")),
+    # a zero resolution used to reach reference % 0
+    "convergence-zero-cells": ("convergence", CONVERGENCE_CASE2.replace(
+        "40, 80, 160, 320, 640", "0, 1, 2, 3").replace("reference = 1280", "reference = 6")),
     # the outputs go to <out>/<name>; TMP stands for the test's own directory
     "name-parent": ("run", RUN_1D.replace("name = smoke-1d", "name = ../escaped")),
     "name-absolute": ("run", RUN_1D.replace("name = smoke-1d", "name = TMP/escaped")),
@@ -303,7 +306,8 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "case1-contact-log-g-underflow": "contact biomass 2e-120: log g = -inf",
                   "nan-alpha": "alphas", "inf-alpha": "'inf' is not a finite number",
                   "convergence-saturated": "saturation",
-                  "convergence-one-cell": "at least 2 cells",
+                  "convergence-one-cell": "at least 2 cells, got 1, 2, 4, 8",
+                  "convergence-zero-cells": "at least 2 cells, got 0, 1, 2, 3",
                   "name-parent": "name: '../escaped' is not a plain file name",
                   "name-absolute": "escaped' is not a plain file name",
                   "name-dot": "name: '.' is not a plain file name",
@@ -525,7 +529,7 @@ def test_run_missing_mesh_file(tmp_path, capsys):
 
 
 def test_invariant_violation_is_a_solver_failure(tmp_path, capsys, monkeypatch):
-    def saturating_step(state_prev, start, dt, mesh, model, bdata, cfg, *, solver=None):
+    def saturating_step(state_prev, start, dt, mesh, model, bdata, *, solver=None):
         u = np.full_like(state_prev.u, 0.45)  # admissible, far above the biomass bound
         return (scheme.State(time=state_prev.time + dt, u=u, dt_last=dt),
                 scheme.NewtonResult(scheme.evaluate(u, mesh, model, bdata), 1, 0.0))

@@ -412,6 +412,16 @@ def test_evolution_rejects_late_snapshot():
         run_evolution(spec)
 
 
+@pytest.mark.parametrize("t_end, dt, late", [(1e-11, 1e-12, 1.09e-11), (1.0, 1e-2, 1.0 + 5e-13)])
+def test_snapshot_times_past_t_end_are_rejected(t_end, dt, late):
+    # a run advances to each snapshot time, so one past t_end would end the run there
+    spec = ExperimentSpec(name="evo", t_end=t_end, dimension=1, n_cells=10,
+                          dt_policy="fixed", dt=dt, snapshot_times=(late,))
+    with pytest.raises(ConfigurationError, match=f"snapshot time {late} lies outside"):
+        spec.snapshot_schedule()
+    assert dataclasses.replace(spec, snapshot_times=(t_end,)).snapshot_schedule() == [t_end]
+
+
 def test_evolution_rejects_a_nan_snapshot_time():
     spec = ExperimentSpec(
         name="evo", t_end=1e-4, dimension=1, n_cells=10,

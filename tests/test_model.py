@@ -65,10 +65,21 @@ def test_case1_quadrature_matches_closed_form(case1):
         assert float(case1.g(m)) == pytest.approx(quadrature_g(case1, m), rel=1e-8)
 
 
+def test_case1_g_matches_adaptive_quadrature_across_the_switch(case1):
+    # the closed form cancels as m falls, 7e-12 relative off just above
+    # m = 1e-2; quad is within 4.4e-16 of 40-digit arithmetic on this range
+    def integrand(s):
+        return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
+
+    m = np.linspace(1e-4, 0.3, 400)
+    G = np.array([quad(integrand, 0.0, x, epsabs=0.0, epsrel=1e-13)[0] for x in m])
+    np.testing.assert_allclose(case1.g(m), G / m, rtol=1e-13, atol=0.0)
+
+
 def _case1_G_masked(m):
     """case1's G with the closed form and the Gauss rule each on its own masked copy."""
     out = np.empty_like(m)
-    small = m < 1e-2
+    small = m < model_module._CASE1_GAUSS_BELOW
     ms = m[~small]
     expm1_term = np.expm1(2.0 * ms / (1.0 - ms))
     out[~small] = np.exp(2.0) * (ms * (1.0 + expm1_term) - 0.5 * expm1_term)
@@ -77,11 +88,13 @@ def _case1_G_masked(m):
     return out
 
 
-@pytest.mark.parametrize("low, high", [(1e-2, 0.98), (0.0, 9.9e-3), (1e-4, 0.5)],
+@pytest.mark.parametrize("low, high", [(model_module._CASE1_GAUSS_BELOW, 0.98),
+                                       (0.0, 0.99 * model_module._CASE1_GAUSS_BELOW),
+                                       (1e-4, 0.5)],
                          ids=["above", "below", "crossing"])
 def test_case1_G_is_the_masked_formula_bitwise(case1, low, high):
     # G takes the closed form on the whole array and redoes only the entries
-    # below the switch at m = 1e-2; the arithmetic per element is the same, so
+    # below the switch at m = _CASE1_GAUSS_BELOW; the arithmetic per element is the same, so
     # g and log g are bitwise the masked formula's on either side of the
     # switch and across it
     m = np.linspace(low, high, 257)
@@ -219,6 +232,14 @@ def test_model_functions_reject_increasing_p(case2):
         ModelFunctions("rising", case2.params,
                        lambda x: (np.asarray(x, float) - 0.5) ** 2,
                        case2.p_prime, case2.g, case2.g_prime, case2.log_g, case2.m_max)
+
+
+def test_a_generic_model_build_checks_p_once(monkeypatch):
+    calls = []
+    check = model_module._check_p
+    monkeypatch.setattr(model_module, "_check_p", lambda *args: calls.append(1) or check(*args))
+    get_model("generic", (1.0,), a=2.0, b=2.0, p_name="exp")
+    assert len(calls) == 1
 
 
 def test_generic_domain_error_near_saturation():

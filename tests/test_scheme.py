@@ -450,7 +450,7 @@ def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monke
     state = make_state(u)
     start = evaluate(state.u, mesh, model, bdata_01)
     with pytest.raises(NewtonFailure, match="linear solve failed"):
-        newton_step(state, start, 1e-2, mesh, model, bdata_01, NewtonConfig(), solver=solver)
+        newton_step(state, start, 1e-2, mesh, model, bdata_01, solver=solver)
     assert solver._lu is None
 
 
@@ -467,7 +467,7 @@ def test_singular_1d_jacobian_is_a_newton_failure(case1, bdata_01, monkeypatch):
     monkeypatch.setattr(scheme, "jacobian", singular)
     start = evaluate(state.u, mesh, case1, bdata_01)
     with pytest.raises(NewtonFailure, match="linear solve failed"):
-        newton_step(state, start, 1e-3, mesh, case1, bdata_01, NewtonConfig(), solver=solver)
+        newton_step(state, start, 1e-3, mesh, case1, bdata_01, solver=solver)
     assert solver.factorizations == 0
 
 
@@ -495,13 +495,15 @@ def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01,
     assert np.abs(reused.u - fresh.u).max() <= 1e-12
 
 
-def test_step_report_counts_the_factorizations_of_rejected_attempts(case1, bdata_01):
+def test_step_report_counts_the_factorizations_of_rejected_attempts(case1, bdata_01,
+                                                                    monkeypatch):
     # 1D factors every iterate, and each rejected attempt here runs out of
     # its two iterates
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    monkeypatch.setattr(scheme, "_MAX_NEWTON_ITERS", 2)
     reports = []
-    advance(state, 1e-2, mesh, case1, bdata_01, NewtonConfig(max_iters=2, dt_init=1e-2),
+    advance(state, 1e-2, mesh, case1, bdata_01, NewtonConfig(dt_init=1e-2),
             observer=lambda r, s: reports.append(r))
     first = reports[0]
     assert first.dt_halvings > 0
@@ -599,7 +601,7 @@ def test_newton_step_evaluates_each_state_once(bdata_01, monkeypatch):
     monkeypatch.setattr(scheme, "evaluate",
                         lambda u, *args: evaluations.append(u) or evaluate(u, *args))
     start = scheme.evaluate(state.u, mesh, model, bdata_01)
-    _, report = newton_step(state, start, 1e-3, mesh, model, bdata_01, NewtonConfig())
+    _, report = newton_step(state, start, 1e-3, mesh, model, bdata_01)
     assert report.newton_iters >= 2
     assert len(evaluations) >= report.newton_iters + 1
     assert len(seen["g"]) == len(seen["p"]) == len(evaluations)
@@ -655,7 +657,7 @@ def test_newton_converges_immediately_at_steady_state(case1, bdata_01):
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
     start = evaluate(state.u, mesh, case1, bdata_01)
-    new, report = newton_step(state, start, 1e-5, mesh, case1, bdata_01, NewtonConfig())
+    new, report = newton_step(state, start, 1e-5, mesh, case1, bdata_01)
     assert report.newton_iters == 1
     assert report.residual_norm == 0.0
     assert np.array_equal(new.u, state.u)
@@ -668,7 +670,7 @@ def test_first_step_from_discontinuous_data(model_name, bdata_01):
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
     start = evaluate(state.u, mesh, model, bdata_01)
-    _, result = newton_step(state, start, 1e-5, mesh, model, bdata_01, NewtonConfig())
+    _, result = newton_step(state, start, 1e-5, mesh, model, bdata_01)
     assert result.newton_iters <= 50
     assert result.residual_norm <= 1e-10
     # the invariants of that step, as advance reports them
@@ -703,24 +705,24 @@ def test_newton_damps_trials_beyond_the_model_domain(bdata_01):
     mesh = build_interval_mesh(4, "left")
     bdata = BoundaryData((0.25, 0.25))
     state = make_state(np.full((2, 4), 0.05))
-    cfg = NewtonConfig(dt_init=1.0, dt_max=1.0)
     new, result = newton_step(state, evaluate(state.u, mesh, model, bdata), 1.0, mesh, model,
-                              bdata, cfg)
+                              bdata)
     reference, _ = newton_step(state, evaluate(state.u, mesh, base, bdata), 1.0, mesh, base,
-                               bdata, cfg)
+                               bdata)
     assert result.evaluation.biomass.max() < 0.5
     assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
-def test_newton_failure_signalled(case2, bdata_01):
+def test_newton_failure_signalled(case2, bdata_01, monkeypatch):
     # an absurdly tight iteration budget must surface as NewtonFailure
     mesh = build_interval_mesh(40, "left")
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
-    cfg = NewtonConfig(max_iters=1, tol=1e-14)
-    with pytest.raises(NewtonFailure):
+    monkeypatch.setattr(scheme, "_MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(scheme, "NEWTON_TOL", 1e-14)
+    with pytest.raises(NewtonFailure, match="no convergence within 1 iterations"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-2, mesh, case2,
-                    bdata_01, cfg)
+                    bdata_01)
 
 
 def test_nan_update_exhausts_the_damping(case2, bdata_01):
@@ -731,15 +733,14 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
-                    bdata_01, NewtonConfig(), solver=solver)
+                    bdata_01, solver=solver)
 
 
 def test_trial_with_non_finite_residual_is_halved(case2, bdata_01, monkeypatch):
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     start = evaluate(state.u, mesh, case2, bdata_01)
-    cfg = NewtonConfig()
-    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
     calls = []
 
     def first_trial_infinite(state_prev, evaluation, dt, mesh):
@@ -748,11 +749,11 @@ def test_trial_with_non_finite_residual_is_halved(case2, bdata_01, monkeypatch):
         return np.full_like(out, np.inf) if len(calls) == 2 else out
 
     monkeypatch.setattr(scheme, "residual", first_trial_infinite)
-    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
     # the full step of the first iterate was refused and its half step taken
     half_step = state.u + 0.5 * (calls[1].u - state.u)
     assert np.abs(calls[2].u - half_step).max() <= 1e-15
-    assert result.residual_norm <= cfg.tol
+    assert result.residual_norm <= scheme.NEWTON_TOL
     assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
@@ -762,8 +763,7 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monke
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     start = evaluate(state.u, mesh, case2, bdata_01)
-    cfg = NewtonConfig()
-    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg)
+    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
     solver = scheme._LinearSolver(mesh)
     solve, updates = solver.solve, []
 
@@ -778,10 +778,10 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monke
     calls = []
     monkeypatch.setattr(scheme, "residual",
                         lambda *args: calls.append(args[1]) or residual(*args))
-    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, cfg, solver=solver)
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, solver=solver)
     # the first residual after the start's is that of the accepted quarter step
     assert np.abs(calls[1].u - (state.u + 0.25 * updates[0])).max() <= 1e-15
-    assert result.residual_norm <= cfg.tol
+    assert result.residual_norm <= scheme.NEWTON_TOL
     assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
@@ -868,14 +868,15 @@ def test_advance_fixed_step_resumes_after_a_landing_clamp(case2, bdata_01):
     assert reports[-1].dt_used == pytest.approx(8e-6)
 
 
-def test_advance_hard_failure_reports_time(case2, bdata_01):
+def test_advance_hard_failure_reports_time(case2, bdata_01, monkeypatch):
     mesh = build_interval_mesh(20, "left")
     datum = build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)})
     state = project_initial(datum, mesh)
     # an impossible tolerance exhausts the halving budget down to dt_min,
     # at once for a fixed step
-    for cfg in (NewtonConfig(tol=1e-30, dt_init=1e-5, dt_min=1e-6),
-                NewtonConfig(tol=1e-30, dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)):
+    monkeypatch.setattr(scheme, "NEWTON_TOL", 1e-30)
+    for cfg in (NewtonConfig(dt_init=1e-5, dt_min=1e-6),
+                NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)):
         with pytest.raises(SolverFailure) as failure:
             advance(state, 1e-3, mesh, case2, bdata_01, cfg)
         assert failure.value.time == 0.0
@@ -889,22 +890,18 @@ def test_boundary_data_rejects_nan_and_infinity(u_d):
         BoundaryData(u_d)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
-def test_newton_config_rejects_a_tolerance_that_is_not_positive(tol):
-    # a NaN tolerance would never be met, and each step would halve dt to its floor
-    with pytest.raises(ValueError, match="tol must be positive"):
-        NewtonConfig(tol=tol)
-
-
-def test_newton_config_rejects_zero_iterations():
-    with pytest.raises(ValueError, match="max_iters must be at least 1"):
-        NewtonConfig(max_iters=0)
-
-
 def test_advance_rejects_a_horizon_before_the_state(case2, bdata_01):
     state = State(time=1e-3, u=np.full((2, 4), 0.1))
     with pytest.raises(ValueError, match="t_end lies before the current state time"):
         advance(state, 5e-4, build_interval_mesh(4, "left"), case2, bdata_01, FIXED_STEP)
+
+
+def test_advance_rejects_a_nan_horizon(case2, bdata_01):
+    # t_end < time and the loop test are both False for NaN, so a guard written
+    # as the first would let advance return the entry state
+    state = State(time=1e-3, u=np.full((2, 4), 0.1))
+    with pytest.raises(ValueError, match="t_end lies before the current state time"):
+        advance(state, np.nan, build_interval_mesh(4, "left"), case2, bdata_01, FIXED_STEP)
 
 
 def test_uniform_steady_state_is_stationary(case2, bdata_01):
@@ -935,7 +932,7 @@ FIXED_STEP = NewtonConfig(dt_min=1e-5, dt_init=1e-5, dt_max=1e-5)
 
 def _stub_newton_step(monkeypatch, u, record=None):
     """Every Newton step returns the state u with ``record``, by default u's evaluation."""
-    def step(state_prev, start, dt, mesh, model, bdata, cfg, *, solver=None):
+    def step(state_prev, start, dt, mesh, model, bdata, *, solver=None):
         accepted = evaluate(u, mesh, model, bdata) if record is None else record
         new = State(time=state_prev.time + dt, u=u, dt_last=dt)
         return new, scheme.NewtonResult(accepted, newton_iters=1, residual_norm=0.0)
