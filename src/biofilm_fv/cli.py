@@ -61,6 +61,12 @@ def _ints(text):
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _normalize_dirichlet(token):
     return token.replace(" ", "").replace("==", "=")
 
@@ -330,7 +336,7 @@ def build_parser():
     p_mesh.set_defaults(func=cmd_check_mesh)
 
     p_self = sub.add_parser("selftest", help="randomized structural checks")
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--seed", type=_seed, default=0)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

@@ -100,9 +100,11 @@ class Mesh:
     def _check_topology(self):
         if self.n_cells < 1:
             raise TopologyError("mesh needs at least one cell")
-        if np.any(self.cell_measures <= 0.0):
-            bad = int(np.argmin(self.cell_measures))
-            raise TopologyError(f"cell {bad} has nonpositive measure")
+        for kind, measures in (("cell", self.cell_measures), ("edge", self.edge_measures)):
+            bad = ~((0.0 < measures) & (measures < np.inf))  # NaN is bad too
+            if np.any(bad):
+                raise TopologyError(f"{kind} {int(np.argmax(bad))} has a measure that is not "
+                                    "positive and finite")
         K, L, n = self.edge_K, self.edge_L, self.n_cells
         # L = n is the ghost cell of a contact edge, L = -1 a no-flux edge
         unknown = (K < 0) | (K >= n) | (L < -1) | (L > n)
@@ -121,7 +123,7 @@ class Mesh:
             K, L = self.edge_K[self.interior], self.edge_L[self.interior]
             dist = np.linalg.norm(self.cell_centers[L] - self.cell_centers[K], axis=1)
             d_sigma = self.edge_distances[self.interior]
-            bad = np.abs(dist - d_sigma) > ORTHOGONALITY_RTOL * d_sigma
+            bad = ~(np.abs(dist - d_sigma) <= ORTHOGONALITY_RTOL * d_sigma)  # NaN is bad too
             if np.any(bad):
                 eid = int(self.interior[np.argmax(bad)])
                 raise AdmissibilityError(

@@ -330,8 +330,8 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
     e2 = np.exp(2.0)
     params = ModelParams(a=2.0, b=2.0, alphas=tuple(alphas))
 
-    def integrand(s):
-        return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
+    def G_prime(m):
+        return m**2 / (1.0 - m) ** 2 * np.exp(2.0 / (1.0 - m))
 
     def closed_form(m):
         expm1_term = np.expm1(2.0 * m / (1.0 - m))
@@ -344,11 +344,8 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
         out = np.asarray(closed_form(m))
         small = m < _CASE1_GAUSS_BELOW
         if small.any():
-            out[small] = _small_m_integral(m[small], integrand)
+            out[small] = _small_m_integral(m[small], G_prime)
         return out
-
-    def G_prime(m):
-        return m**2 / (1.0 - m) ** 2 * np.exp(2.0 / (1.0 - m))
 
     def g(m):
         with np.errstate(invalid="ignore"):

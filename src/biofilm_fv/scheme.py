@@ -26,15 +26,15 @@ accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
 it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
-``jacobian`` fills the mesh's cached pattern with one ``bincount``, and the
-Newton systems go through one ``_LinearSolver`` per ``advance`` call.  On 1D
-meshes, whose cell-major Jacobian is banded, the pattern is LAPACK's band
-storage, and every iterate is factored and solved by one ``dgbsv`` call.  On
-2D meshes the pattern is CSC, SuperLU factors in MMD order on A^T + A,
-and the solver keeps the LU factors of the last Jacobian it factored and
-solves against each new exact Jacobian by iterative refinement on them,
-factoring anew only when the refinement stalls, so the Newton iterates stay
-those of exact-Jacobian Newton.
+``jacobian`` hands one ``bincount`` to the mesh's cached pattern, the one
+place that chooses the storage, and one ``_LinearSolver`` per ``advance``
+call solves the Newton systems on whatever storage it is given.  On 1D
+meshes the banded Jacobian is DIA on LAPACK's band storage, and every
+iterate is factored and solved by one ``dgbsv`` call.  On 2D meshes it is
+CSC, SuperLU factors in MMD order on A^T + A, and the solver keeps the LU
+factors of the last Jacobian it factored and solves against each new exact
+Jacobian by iterative refinement on them, factoring anew only when the
+refinement stalls, so the Newton iterates stay those of exact-Jacobian Newton.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -46,6 +46,7 @@ model's domain) and its residual is finite; otherwise the update is halved.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +131,9 @@ class BoundaryData:
 
     def __post_init__(self):
         u = np.asarray(self.u_dirichlet, dtype=float)
-        # written so that NaN fails both tests
-        if not (u > 0.0).all():
-            raise ValueError("boundary proportions must be positive")
+        # written so that NaN fails both tests; all() of no proportions is True
+        if u.size == 0 or not (u > 0.0).all():
+            raise ValueError("boundary proportions must be one or more positive numbers")
         if not u.sum() < 1.0:
             raise ValueError("boundary proportions must sum to less than 1")
 
@@ -298,23 +299,18 @@ def _coo_pattern(mesh: Mesh, n: int):
 class _JacobianPattern:
     """Fixed sparse structure of the Jacobian on one mesh for n species.
 
-    ``scatter`` maps each per-block entry to its slot in the matrix data,
-    ``slots`` long, so one ``bincount`` assembles the matrix.  On 2D meshes
-    the data is CSC with ``indices`` and ``indptr``.  On 1D meshes, whose
-    cell-major Jacobian is banded with kl = max |row - column|, the data is
-    LAPACK's (3 kl + 1, size) band storage in Fortran order, entry (r, c) at
-    row 2 kl + r - c, with the first kl rows left zero for the fill of the
-    banded LU; the DIA ``offsets`` 2 kl - arange(3 kl + 1) read the same
-    array.  The fields of the other dimension are None.  All arrays are
-    read-only, because every Jacobian on the mesh shares them.
+    One ``bincount`` through ``scatter`` assembles the ``slots`` entries of
+    the matrix data, and ``matrix`` builds the Jacobian on them.  The pattern
+    alone chooses the storage: CSC on 2D meshes; on 1D meshes, whose
+    cell-major Jacobian is banded with kl = max |row - column|, DIA on LAPACK's
+    (3 kl + 1, size) band storage in Fortran order, entry (r, c) at row
+    2 kl + r - c, its first kl rows left zero for the fill of the banded LU.
+    Every Jacobian on the mesh shares the read-only index arrays.
     """
 
-    shape: tuple
     scatter: np.ndarray
     slots: int
-    indices: np.ndarray | None
-    indptr: np.ndarray | None
-    offsets: np.ndarray | None
+    matrix: Callable[[np.ndarray], sp.spmatrix]
 
 
 # patterns per mesh and species count; a mesh's entry goes when the mesh does
@@ -330,31 +326,26 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     size = n * mesh.n_cells
     if mesh.dimension == 1:
         kl = int(np.abs(rows - cols).max())
-        pattern = _JacobianPattern(
-            shape=(size, size),
-            scatter=cols * (3 * kl + 1) + 2 * kl + rows - cols,
-            slots=(3 * kl + 1) * size,
-            indices=None,
-            indptr=None,
-            offsets=(2 * kl - np.arange(3 * kl + 1)).astype(np.intc),
-        )
+        depth = 3 * kl + 1
+        scatter, slots = cols * depth + 2 * kl + rows - cols, depth * size
+        offsets = (2 * kl - np.arange(depth)).astype(np.intc)
+        index = (offsets,)
+
+        def matrix(data):
+            return sp.dia_matrix((data.reshape((depth, size), order="F"), offsets),
+                                 shape=(size, size))
     else:
         keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-        rows, cols = keys % size, keys // size
-        pattern = _JacobianPattern(
-            shape=(size, size),
-            scatter=scatter,
-            slots=keys.size,
-            indices=rows.astype(np.intc),
-            indptr=np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))]).astype(
-                np.intc),
-            offsets=None,
-        )
-    for array in (pattern.scatter, pattern.indices, pattern.indptr, pattern.offsets):
-        if array is not None:
-            array.flags.writeable = False
-    per_mesh[n] = pattern
-    return pattern
+        slots, indices = keys.size, (keys % size).astype(np.intc)
+        indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.intc)
+        index = (indices, indptr)
+
+        def matrix(data):
+            return sp.csc_matrix((data, indices, indptr), shape=(size, size))
+    for array in (scatter, *index):
+        array.flags.writeable = False
+    per_mesh[n] = _JacobianPattern(scatter, slots, matrix)
+    return per_mesh[n]
 
 
 def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
@@ -396,25 +387,22 @@ def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     """Exact sparse Jacobian of ``residual`` with respect to the evaluated trial state.
 
-    In the natural cell-major ordering, on the mesh's cached, read-only
-    pattern, shared by every Jacobian on that mesh: CSC on 2D meshes, and on
-    1D meshes DIA, whose ``data`` is LAPACK's band storage of the matrix.
+    In the natural cell-major ordering, built by the mesh's cached pattern,
+    which alone chooses the storage (CSC in 2D, DIA on LAPACK's band storage
+    in 1D); every Jacobian on that mesh shares its read-only index arrays.
     """
     entries = _jacobian_entries(evaluation, dt, mesh, model)
     pattern = _jacobian_pattern(mesh, evaluation.u_ext.shape[0])
-    data = np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots)
-    if pattern.offsets is not None:
-        band = data.reshape((pattern.offsets.size, pattern.shape[1]), order="F")
-        return sp.dia_matrix((band, pattern.offsets), shape=pattern.shape)
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    return pattern.matrix(np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots))
 
 
 class _LinearSolver:
     """Solves the Newton systems J x = b of one mesh, always against the current J.
 
-    On 1D meshes every solve is one ``dgbsv`` call on J's band storage,
-    LAPACK's banded LU with partial pivoting on a copy of it, and its solve.
-    On 2D meshes each factorisation is one ``splu`` of the natural-order J,
+    J's storage, chosen by the Jacobian pattern alone, picks the path.  A DIA
+    J (1D) is solved by one ``dgbsv`` call on its band storage: LAPACK's
+    banded LU with partial pivoting on a copy of it, and its solve.  For a
+    CSC J (2D) each factorisation is one ``splu`` of the natural-order J,
     which SuperLU orders by minimum degree on A^T + A; the solver keeps the
     LU of the last Jacobian it factored, and a later solve on a new J starts
     from x = LU^-1 b and refines x += LU^-1 (b - J x) until
@@ -427,13 +415,12 @@ class _LinearSolver:
     factorisations made; ``solve`` raises RuntimeError on a singular J.
     """
 
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+    def __init__(self):
         self.factorizations = 0
         self._lu = None
 
     def solve(self, matrix, rhs):
-        if self.mesh.dimension == 1:
+        if matrix.format == "dia":
             return self._banded(matrix, rhs)
         if self._lu is not None:
             x = self._refined(matrix, rhs)
@@ -447,7 +434,7 @@ class _LinearSolver:
         return self._lu.solve(rhs)
 
     def _banded(self, matrix, rhs):
-        """x = J^-1 rhs by a fresh banded LU of the 1D Jacobian ``matrix``; J is left as it is."""
+        """x = J^-1 rhs by a fresh banded LU of the DIA Jacobian ``matrix``; J is left as it is."""
         kl = (matrix.data.shape[0] - 1) // 3
         x, info = dgbsv(kl, kl, matrix.data, rhs)[2:]
         if info > 0:
@@ -503,7 +490,7 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:
-        solver = _LinearSolver(mesh)
+        solver = _LinearSolver()
 
     for it in range(1, _MAX_NEWTON_ITERS + 1):
         matrix = jacobian(evaluation, dt, mesh, model)
@@ -560,7 +547,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
     entropy_prev = diagnostics.discrete_entropy(start, mesh, model)
-    solver = _LinearSolver(mesh)
+    solver = _LinearSolver()
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)

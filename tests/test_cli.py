@@ -500,6 +500,17 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_selftest_rejects_a_seed_that_is_not_a_nonnegative_integer(seed, capsys):
+    # numpy's generators take no negative seed; it is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--seed", seed])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"seed must be a nonnegative integer, got '{seed}'" in err
+
+
 def test_run_generic_model(tmp_path):
     cfg = write_config(
         tmp_path / "gen.cfg",

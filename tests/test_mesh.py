@@ -133,24 +133,34 @@ def test_rectangle_empty_dirichlet_rejected():
         build_rectangle_mesh(3, 3, lambda x, y: False)
 
 
+def _arrays(mesh):
+    """The constructor arguments of ``mesh``, as writeable copies."""
+    names = ("dimension", "cell_centers", "cell_measures", "edge_K", "edge_L", "edge_measures",
+             "edge_center_distances", "points", "cell_nodes")
+    return {name: None if getattr(mesh, name) is None else np.array(getattr(mesh, name))
+            for name in names}
+
+
 def _rectangle_arrays():
     """The constructor arguments of the 3x2 rectangle mesh, as writeable copies."""
     mesh = build_rectangle_mesh(3, 2, TOP)
-    names = ("dimension", "cell_centers", "cell_measures", "edge_K", "edge_L", "edge_measures",
-             "edge_center_distances", "points", "cell_nodes")
-    return mesh, {name: np.array(getattr(mesh, name)) for name in names}
+    return mesh, _arrays(mesh)
 
 
 # one value of the 3x2 rectangle's arrays changed, and the error Mesh must raise
 MESH_DEFECTS = {
     "zero-measure": (lambda mesh, a: np.put(a["cell_measures"], 0, 0.0),
-                     TopologyError, "cell 0 has nonpositive measure"),
+                     TopologyError, "cell 0 has a measure that is not positive and finite"),
+    "nan-edge-measure": (lambda mesh, a: np.put(a["edge_measures"], 0, np.nan),
+                         TopologyError, "edge 0 has a measure that is not positive and finite"),
     "unknown-cell": (lambda mesh, a: np.put(a["edge_L"], 0, mesh.n_cells + 1),
                      TopologyError, "edge 0 references an unknown cell"),
     "zero-distance": (lambda mesh, a: np.put(a["edge_center_distances"], [0, 1], 0.0),
                       AdmissibilityError, "edge 0 has nonpositive center distance"),
     "shifted-center": (lambda mesh, a: np.add.at(a["cell_centers"], (0, 1), 0.01),
                        AdmissibilityError, "not orthogonal"),
+    "nan-center": (lambda mesh, a: np.put(a["cell_centers"], 0, np.nan),
+                   AdmissibilityError, "not orthogonal"),
     # both halves of every interior d_sigma longer than the center segment
     "kite": (lambda mesh, a: np.multiply.at(a["edge_center_distances"], mesh.interior, 1.1),
              AdmissibilityError, "not orthogonal"),
@@ -171,6 +181,20 @@ def test_mesh_rejects_inconsistent_arrays(defect):
     Mesh(**arrays)  # the unchanged arrays build
     change(mesh, arrays)
     with pytest.raises(error, match=message):
+        Mesh(**arrays)
+
+
+# NaN fails every comparison, so each check must be written to fail it too
+@pytest.mark.parametrize("name, index, value", [
+    ("cell_measures", 1, math.nan), ("cell_measures", 2, math.inf), ("edge_measures", 3, -1.0),
+    ("edge_measures", 3, 0.0), ("edge_measures", 3, math.nan)])
+def test_interval_rejects_measures_that_are_not_positive_and_finite(name, index, value):
+    arrays = _arrays(build_interval_mesh(4, "left"))
+    Mesh(**arrays)  # the unchanged arrays build
+    np.put(arrays[name], index, value)
+    kind = name.split("_")[0]
+    with pytest.raises(TopologyError,
+                       match=f"{kind} {index} has a measure that is not positive and finite"):
         Mesh(**arrays)
 
 

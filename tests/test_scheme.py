@@ -270,7 +270,7 @@ def test_linear_solver_is_bitwise_splu_in_its_own_order(name, bdata_01):
     u = random_admissible(rng, 2, mesh.n_cells)
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
-    x = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    x = scheme._LinearSolver().solve(matrix, rhs)
     # SuperLU's own solve in its own order, MMD on A^T + A
     reference = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     assert np.array_equal(x, reference.solve(rhs))
@@ -284,7 +284,7 @@ def test_1d_linear_solver_agrees_with_splu_to_round_off(bdata_01):
     matrix = jacobian(evaluate(u, mesh, model, bdata_01), 1e-4, mesh, model)
     rhs = rng.standard_normal(matrix.shape[0])
     band = matrix.data.copy()
-    x = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    x = scheme._LinearSolver().solve(matrix, rhs)
     # dgbsv factors a copy of the band, never the caller's matrix
     assert np.array_equal(matrix.data, band)
     # banded LU pivots in another order than SuperLU, so the two agree to
@@ -375,7 +375,7 @@ def test_2d_factors_in_mmd_order_with_less_fill_than_colamd(recorded_splu, bdata
     factored, _ = recorded_splu
     mesh = build_rectangle_mesh(16, 16, lambda x, y: abs(y - 1.0) < 1e-12)
     matrix, rhs = _one_jacobian(mesh, bdata_01)
-    scheme._LinearSolver(mesh).solve(matrix, rhs)
+    scheme._LinearSolver().solve(matrix, rhs)
     assert [lu.permc_spec for lu in factored] == ["MMD_AT_PLUS_A"]
     colamd = splu(matrix, permc_spec="COLAMD")
     assert factored[0].fill < colamd.L.nnz + colamd.U.nnz
@@ -385,7 +385,7 @@ def test_1d_factors_every_solve_without_splu(recorded_splu, bdata_01):
     factored, solves = recorded_splu
     mesh = build_interval_mesh(80, "left")
     matrix, rhs = _one_jacobian(mesh, bdata_01)
-    solver = scheme._LinearSolver(mesh)
+    solver = scheme._LinearSolver()
     first = solver.solve(matrix, rhs)
     second = solver.solve(matrix, rhs)
     assert factored == [] and solves == [] and solver.factorizations == 2
@@ -397,7 +397,7 @@ def _held_factors(mesh, bdata, dt=1e-2):
     model = model_case1(alphas=(1.0, 5.0))
     rng = np.random.default_rng(21)
     u = random_admissible(rng, 2, mesh.n_cells, low=0.05, high=0.15)
-    solver = scheme._LinearSolver(mesh)
+    solver = scheme._LinearSolver()
     matrix = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model)
     solver.solve(matrix, rng.standard_normal(matrix.shape[0]))
     assert solver.factorizations == 1
@@ -433,7 +433,7 @@ def test_factors_at_another_dt_are_abandoned(recorded_splu, bdata_01):
     del solves[:]
     solver.solve(matrix, rhs)
     assert len(factored) == 2 and solves and all(lu is new for lu in solves)
-    fresh = scheme._LinearSolver(mesh).solve(matrix, rhs)
+    fresh = scheme._LinearSolver().solve(matrix, rhs)
     assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
 
 
@@ -457,7 +457,7 @@ def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monke
 def test_singular_1d_jacobian_is_a_newton_failure(case1, bdata_01, monkeypatch):
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
-    solver = scheme._LinearSolver(mesh)
+    solver = scheme._LinearSolver()
 
     def singular(evaluation, dt, mesh, model):
         matrix = jacobian(evaluation, dt, mesh, model)
@@ -610,17 +610,31 @@ def test_newton_step_evaluates_each_state_once(bdata_01, monkeypatch):
         assert len(distinct) == len(arguments), attr
 
 
-def test_jacobian_pattern_cached_outside_the_mesh(case2, bdata_01):
-    mesh = build_rectangle_mesh(4, 4, lambda x, y: abs(y - 1.0) < 1e-12)
+def _two_jacobians(mesh, model, bdata):
+    """Jacobians at two states on ``mesh``, checking that they leave the mesh untouched."""
     attributes = dict(vars(mesh))
     u = random_admissible(np.random.default_rng(13), 2, mesh.n_cells)
-    first = jacobian(evaluate(u, mesh, case2, bdata_01), 1e-4, mesh, case2)
-    second = jacobian(evaluate(0.5 * u, mesh, case2, bdata_01), 1e-4, mesh, case2)
+    first = jacobian(evaluate(u, mesh, model, bdata), 1e-4, mesh, model)
+    second = jacobian(evaluate(0.5 * u, mesh, model, bdata), 1e-4, mesh, model)
+    assert vars(mesh).keys() == attributes.keys()
+    assert all(vars(mesh)[key] is value for key, value in attributes.items())
+    return first, second
+
+
+def test_jacobian_pattern_cached_outside_the_mesh(case2, bdata_01):
+    mesh = build_rectangle_mesh(4, 4, lambda x, y: abs(y - 1.0) < 1e-12)
+    first, second = _two_jacobians(mesh, case2, bdata_01)
     assert np.shares_memory(first.indices, second.indices)
     assert np.shares_memory(first.indptr, second.indptr)
     assert not first.indices.flags.writeable
-    assert vars(mesh).keys() == attributes.keys()
-    assert all(vars(mesh)[key] is value for key, value in attributes.items())
+
+
+def test_1d_jacobian_pattern_shares_its_band_offsets(case2, bdata_01):
+    first, second = _two_jacobians(build_interval_mesh(6, "left"), case2, bdata_01)
+    assert first.format == second.format == "dia"
+    assert np.shares_memory(first.offsets, second.offsets)
+    assert not first.offsets.flags.writeable
+    assert not np.shares_memory(first.data, second.data)
 
 
 def test_jacobian_row_sum_mass_balance(case2, bdata_01):
@@ -729,7 +743,7 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     # a NaN stays NaN under halving, and evaluate rejects it on every trial
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
-    solver = scheme._LinearSolver(mesh)
+    solver = scheme._LinearSolver()
     solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
@@ -764,7 +778,7 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monke
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     start = evaluate(state.u, mesh, case2, bdata_01)
     reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
-    solver = scheme._LinearSolver(mesh)
+    solver = scheme._LinearSolver()
     solve, updates = solver.solve, []
 
     def overshooting(matrix, rhs):
@@ -888,6 +902,12 @@ def test_boundary_data_rejects_nan_and_infinity(u_d):
     # a NaN contact state used to pass both checks and fail only in the first step
     with pytest.raises(ValueError, match="boundary proportions must"):
         BoundaryData(u_d)
+
+
+def test_boundary_data_rejects_an_empty_contact_state():
+    # all() of an empty array is True, so () passed both checks
+    with pytest.raises(ValueError, match="must be one or more positive numbers"):
+        BoundaryData(())
 
 
 def test_advance_rejects_a_horizon_before_the_state(case2, bdata_01):
