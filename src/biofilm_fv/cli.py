@@ -36,9 +36,8 @@ from .mesh import (
 )
 from .model import (ModelDomainError, equal_diffusivities, get_model, model_case1,
                     model_case2)
-from .oracle import fd_jacobian
-from .scheme import BoundaryData, SolverError, State, evaluate, jacobian
-from . import diagnostics
+from .oracle import beta_bound_margin, g_deviation, jacobian_deviation, random_admissible
+from .scheme import BoundaryData, SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -206,91 +205,45 @@ def cmd_check_mesh(args):
 # -- selftest ------------------------------------------------------------------------------
 
 
-def _selftest_jacobian(rng, mesh, model, bdata, label):
-    n = len(model.params.alphas)
-    u = rng.uniform(0.02, 0.4, size=(n, mesh.n_cells))
-    state = State(time=0.0, u=u)
-    dt = 1e-5
-    exact = jacobian(evaluate(u, mesh, model, bdata), dt, mesh, model).toarray()
-    approx = fd_jacobian(state, u, dt, mesh, model, bdata)
-    deviation = np.abs(exact - approx).max() / np.abs(approx).max()
-    ok = deviation < 1e-6
-    print(f"{'ok' if ok else 'FAIL'}: jacobian vs central differences ({label}), "
-          f"relative deviation {deviation:.2e}")
-    return ok
-
-
-def _selftest_beta_bound(rng):
-    mesh = build_interval_mesh(16, "left")
-    model = model_case2()
-    bdata = BoundaryData((0.1, 0.1))
-    worst = np.inf
-    for _ in range(100):
-        u = rng.uniform(0.01, 0.45, size=(2, mesh.n_cells))
-        lhs, rhs = diagnostics.entropy_production_beta_bound(
-            evaluate(u, mesh, model, bdata), mesh)
-        worst = min(worst, lhs - rhs)
-    ok = worst >= -1e-12
-    print(f"{'ok' if ok else 'FAIL'}: dissipation lower bound on 100 random states, "
-          f"worst margin {worst:.3e}")
-    return ok
-
-
-def _selftest_models():
-    from scipy.integrate import quad
-
-    ok = True
-    generic = get_model("generic", (1.0, 1.0), a=1.5, b=1.0, p_name="quadratic")
-    for model in (model_case1(), model_case2(), generic):
-        a, b = model.params.a, model.params.b
-
-        def integrand(s):
-            return s**a / (1.0 - s) ** b / float(model.p(s)) ** 2
-
-        worst = 0.0
-        for m in np.linspace(0.05, 0.9, 10):
-            ref = quad(integrand, 0.0, m, epsabs=1e-14, epsrel=1e-12, limit=200)[0] / m
-            worst = max(worst, abs(float(model.g(m)) - ref) / ref)
-        good = worst < 1e-8
-        ok = ok and good
-        print(f"{'ok' if good else 'FAIL'}: {model.name} mobility ratio vs quadrature, "
-              f"max rel error {worst:.2e}")
-    return ok
-
-
 def cmd_selftest(args):
     rng = np.random.default_rng(args.seed)
     checks = []
-    checks.append(_selftest_models())
+
+    def check(ok, line):
+        print(f"{'ok' if ok else 'FAIL'}: {line}")
+        checks.append(ok)
+
+    generic = get_model("generic", (1.0, 1.0), a=1.5, b=1.0, p_name="quadratic")
+    for model in (model_case1(), model_case2(), generic):
+        worst = g_deviation(model, np.linspace(0.05, 0.9, 10))
+        check(worst < 1e-8, f"{model.name} mobility ratio vs quadrature, max rel error {worst:.2e}")
 
     bdata = BoundaryData((0.1, 0.1))
-    checks.append(_selftest_jacobian(rng, build_interval_mesh(8, "left"),
-                                     model_case1(), bdata, "1D, 8 cells"))
-    checks.append(_selftest_jacobian(
-        rng,
-        build_rectangle_mesh(3, 3, DIRICHLET_PREDICATES["y=1"]),
-        model_case2((1.0, 10.0)),
-        bdata,
-        "2D, 3x3",
-    ))
-    checks.append(_selftest_beta_bound(rng))
+    for label, mesh, model in (
+            ("1D, 8 cells", build_interval_mesh(8, "left"), model_case1()),
+            ("2D, 3x3", build_rectangle_mesh(3, 3, DIRICHLET_PREDICATES["y=1"]),
+             model_case2((1.0, 10.0)))):
+        u = random_admissible(rng, 2, mesh.n_cells, 0.02, 0.4)
+        deviation = jacobian_deviation(u, 1e-5, mesh, model, bdata)
+        check(deviation < 1e-6,
+              f"jacobian vs central differences ({label}), relative deviation {deviation:.2e}")
 
-    mesh = build_rectangle_mesh(4, 4, DIRICHLET_PREDICATES["y=1"])
-    good = abs(mesh.regularity_xi - 0.5) < 1e-14
-    print(f"{'ok' if good else 'FAIL'}: rectangle mesh regularity xi = {mesh.regularity_xi}")
-    checks.append(good)
+    worst = beta_bound_margin(rng, build_interval_mesh(16, "left"), model_case2(), bdata)
+    check(worst >= -1e-12,
+          f"dissipation lower bound on 100 random states, worst margin {worst:.3e}")
 
+    xi = build_rectangle_mesh(4, 4, DIRICHLET_PREDICATES["y=1"]).regularity_xi
+    check(abs(xi - 0.5) < 1e-14, f"rectangle mesh regularity xi = {xi}")
     try:
         load_triangle_mesh(
             [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
             [(0, 1, 2), (0, 2, 3)],
             DIRICHLET_PREDICATES["all"],
         )
-        print("FAIL: right-triangle mesh was accepted")
-        checks.append(False)
     except AdmissibilityError:
-        print("ok: right-triangle mesh rejected")
-        checks.append(True)
+        check(True, "right-triangle mesh rejected")
+    else:
+        check(False, "right-triangle mesh was accepted")
 
     if all(checks):
         print("selftest passed")

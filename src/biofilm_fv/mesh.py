@@ -105,6 +105,10 @@ class Mesh:
             if np.any(bad):
                 raise TopologyError(f"{kind} {int(np.argmax(bad))} has a measure that is not "
                                     "positive and finite")
+        bad = ~np.isfinite(self.cell_centers)
+        if np.any(bad):
+            cell = int(np.argmax(bad.any(axis=1)))
+            raise TopologyError(f"cell {cell} has a center that is not finite")
         K, L, n = self.edge_K, self.edge_L, self.n_cells
         # L = n is the ghost cell of a contact edge, L = -1 a no-flux edge
         unknown = (K < 0) | (K >= n) | (L < -1) | (L > n)

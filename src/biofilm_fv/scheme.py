@@ -18,9 +18,9 @@ its ``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
 ``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and the
 per-state functions of ``diagnostics``, the entropy included, read.
 
-``newton_step(state_prev, start, dt, ...)`` only solves: it starts from
-``start``, the evaluation of ``state_prev.u``, and returns the new state with
-its accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
+``newton_step(state_prev, start, dt, ...)`` only solves: it iterates from
+``start``, any evaluated first iterate, and returns the new state with its
+accepted evaluation.  ``advance`` owns the rest of a step: it evaluates
 its entry state, and takes its entropy from that, once per call; hands each
 accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
 it); enforces the invariants, then takes the step's diagnostics from it; and
@@ -478,7 +478,7 @@ class NewtonResult:
 
 def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
                 bdata: BoundaryData, *, solver: _LinearSolver | None = None):
-    """One implicit Euler step via damped Newton from ``start``, the evaluation of state_prev.u.
+    """One implicit Euler step via damped Newton from ``start``, an evaluated first iterate.
 
     ``solver`` solves the Newton systems and may hold LU factors from earlier
     solves; ``advance`` passes the one it owns, and a direct call makes its
@@ -486,7 +486,7 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     NEWTON_TOL; raises NewtonFailure after _MAX_NEWTON_ITERS iterates or
     _MAX_HALVINGS halvings of one update, or on a singular Jacobian.
     """
-    u = state_prev.u
+    u = start.u
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:

@@ -9,6 +9,7 @@ from biofilm_fv import (
     model_case1,
     model_case2,
 )
+from biofilm_fv.oracle import random_admissible  # the tests import it from here
 
 
 @pytest.fixture(scope="session")
@@ -34,11 +35,6 @@ def interval_10():
 @pytest.fixture
 def rect_top(request):
     return build_rectangle_mesh(4, 4, lambda x, y: abs(y - 1.0) < 1e-12)
-
-
-def random_admissible(rng, n_species, n_cells, low=0.01, high=0.45):
-    """Strictly positive proportions with biomass bounded away from 1."""
-    return rng.uniform(low, high, size=(n_species, n_cells))
 
 
 def make_state(u):

@@ -15,20 +15,17 @@ from pathlib import Path
 import biofilm_fv
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from biofilm_fv import (
     AdmissibilityError,
     BoundaryData,
     ExperimentSpec,
     NewtonConfig,
-    State,
     advance,
     build_interval_mesh,
     build_rectangle_mesh,
     entropy_production_beta_bound,
     evaluate,
-    jacobian,
     load_triangle_mesh,
     load_triangle_mesh_file,
     model_case1,
@@ -39,8 +36,8 @@ from biofilm_fv import (
     run_steady_state_study,
 )
 from biofilm_fv.harness import build_named_initial_datum
-from biofilm_fv.oracle import fd_jacobian
-from conftest import make_state, random_admissible
+from biofilm_fv.oracle import beta_bound_margin, g_deviation, jacobian_deviation
+from conftest import random_admissible
 
 TOP = lambda x, y: abs(y - 1.0) < 1e-12
 ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")
@@ -222,16 +219,8 @@ def test_criterion_4_steady_state_decay(steady_run):
 
 
 def test_criterion_5_closed_form_vs_quadrature():
-    worst = 0.0
-    for model in (model_case1(), model_case2()):
-        a, b = model.params.a, model.params.b
-
-        def integrand(s):
-            return s**a / (1.0 - s) ** b / float(model.p(s)) ** 2
-
-        for m in np.linspace(0.02, 0.9, 50):
-            ref = quad(integrand, 0.0, m, epsabs=1e-300, epsrel=1e-13, limit=400)[0] / m
-            worst = max(worst, abs(float(model.g(m)) - ref) / ref)
+    worst = max(g_deviation(model, np.linspace(0.02, 0.9, 50))
+                for model in (model_case1(), model_case2()))
     ok = worst < 1e-8
     verdict(5, "closed form vs quadrature", ok, f"max relative deviation {worst:.2e}")
     assert ok
@@ -251,10 +240,7 @@ def test_criterion_6_jacobian_correctness():
     for mesh, model, repeats in cases:
         for _ in range(repeats):
             u = random_admissible(rng, 2, mesh.n_cells)
-            state = make_state(u)
-            exact = jacobian(evaluate(u, mesh, model, bdata), 1e-5, mesh, model).toarray()
-            approx = fd_jacobian(state, u, 1e-5, mesh, model, bdata)
-            worst = max(worst, np.abs(exact - approx).max() / np.abs(approx).max())
+            worst = max(worst, jacobian_deviation(u, 1e-5, mesh, model, bdata))
     ok = worst < 1e-6
     verdict(6, "jacobian correctness", ok,
             f"max relative entry deviation {worst:.2e} over 10 random states")
@@ -278,15 +264,8 @@ def test_criterion_7_conservation(entropy_runs):
 
 
 def test_criterion_8_beta_bound(entropy_runs):
-    rng = np.random.default_rng(321)
-    mesh = build_interval_mesh(16, "left")
-    model = model_case2()
-    bdata = BoundaryData((0.1, 0.1))
-    worst = np.inf
-    for _ in range(100):
-        state = make_state(random_admissible(rng, 2, 16))
-        lhs, rhs = entropy_production_beta_bound(evaluate(state.u, mesh, model, bdata), mesh)
-        worst = min(worst, lhs - rhs)
+    worst = beta_bound_margin(np.random.default_rng(321), build_interval_mesh(16, "left"),
+                              model_case2(), BoundaryData((0.1, 0.1)))
     for name in ("case1", "case2"):
         run = entropy_runs[name]
         for state in run["states"]:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from biofilm_fv.mesh import load_triangle_mesh_file
 from biofilm_fv.model import get_model
 
 ACUTE_FIXTURE = str(Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh")
+SPACE_ERROR_ORDERS = str(Path(__file__).parents[1] / "scripts" / "space_error_orders.py")
 
 
 # -- named initial data ----------------------------------------------------------------
@@ -229,19 +231,35 @@ def test_space_error_orders_script_steps_every_resolution_at_the_reference_dt(tm
     config.write_text("[experiment]\nname = study\nmodel = case2\nu_d = 0.1, 0.1\n"
                       "t_end = 1e-4\n[convergence]\nresolutions = 8, 16, 32, 64\n"
                       "reference = 128\n")
-    script = Path(__file__).parents[1] / "scripts" / "space_error_orders.py"
-    runpy.run_path(str(script))["main"](str(config))
+    runpy.run_path(SPACE_ERROR_ORDERS)["main"](str(config))
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("dt = 1/128^2 for N = 8, 16, 32, 64")
+    assert len(lines) == 5  # an errors line and an orders line per species
+    log_h = np.log([1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    species_errors = []
+    for i, (errors_line, orders_line) in enumerate(zip(lines[1::2], lines[2::2]), start=1):
+        head, errors_text = errors_line.split(": errors ")
+        assert head == f"species {i}"
+        errors = [float(e) for e in errors_text.split()]
+        orders_text, fitted = orders_line.split("; fitted ")
+        orders = [float(p) for p in orders_text.split("orders ")[1].split(", ")]
+        # the study's orders of the printed errors, to their printed digits
+        assert orders == pytest.approx(np.log2(np.divide(errors[:-1], errors[1:])), abs=2e-3)
+        assert float(fitted) == pytest.approx(np.polyfit(log_h, np.log(errors), 1)[0], abs=2e-3)
+        species_errors.append(errors)
     # the errors of a run at dt = 1/128^2 per N, against the study's reference
     spec = quick_spec(resolutions=(8, 16, 32, 64), reference=128, t_end=1e-4)
     ref_u = run_evolution(dataclasses.replace(spec, n_cells=128, dt=1.0 / 128**2)).final_state.u
     coarse = run_evolution(dataclasses.replace(spec, n_cells=8, dt=1.0 / 128**2)).final_state.u
     error = np.sqrt(np.mean((coarse[0] - ref_u[0].reshape(8, 16).mean(axis=1)) ** 2))
-    errors = [float(e) for e in lines[1].split("errors ")[1].split()]
-    assert errors[0] == pytest.approx(error, rel=1e-4)  # printed to 5 digits
-    orders = [float(p) for p in lines[2].split("orders ")[1].split(";")[0].split(", ")]
-    assert orders == pytest.approx(np.log2(np.divide(errors[:-1], errors[1:])), abs=2e-3)
+    assert species_errors[0][0] == pytest.approx(error, rel=1e-4)  # printed to 5 digits
+
+
+def test_space_error_orders_script_without_a_config_exits_with_its_usage(monkeypatch):
+    monkeypatch.setattr(sys, "argv", [SPACE_ERROR_ORDERS])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(SPACE_ERROR_ORDERS, run_name="__main__")
+    assert exit_info.value.code == "usage: space_error_orders.py CONFIG"  # exit status 1
 
 
 def test_space_error_orders_script_rejects_what_the_study_rejects(tmp_path, monkeypatch):
@@ -258,9 +276,8 @@ def test_space_error_orders_script_rejects_what_the_study_rejects(tmp_path, monk
         raise AssertionError("the config is checked before any run")
 
     monkeypatch.setattr(harness, "run_evolution", no_run)
-    script = Path(__file__).parents[1] / "scripts" / "space_error_orders.py"
     with pytest.raises(ConfigurationError, match="common multiple"):
-        runpy.run_path(str(script))["main"](str(config))
+        runpy.run_path(SPACE_ERROR_ORDERS)["main"](str(config))
 
 
 def test_convergence_study_deterministic_bytes(tmp_path):

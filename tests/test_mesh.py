@@ -160,7 +160,7 @@ MESH_DEFECTS = {
     "shifted-center": (lambda mesh, a: np.add.at(a["cell_centers"], (0, 1), 0.01),
                        AdmissibilityError, "not orthogonal"),
     "nan-center": (lambda mesh, a: np.put(a["cell_centers"], 0, np.nan),
-                   AdmissibilityError, "not orthogonal"),
+                   TopologyError, "cell 0 has a center that is not finite"),
     # both halves of every interior d_sigma longer than the center segment
     "kite": (lambda mesh, a: np.multiply.at(a["edge_center_distances"], mesh.interior, 1.1),
              AdmissibilityError, "not orthogonal"),
@@ -195,6 +195,14 @@ def test_interval_rejects_measures_that_are_not_positive_and_finite(name, index,
     kind = name.split("_")[0]
     with pytest.raises(TopologyError,
                        match=f"{kind} {index} has a measure that is not positive and finite"):
+        Mesh(**arrays)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_interval_rejects_a_center_that_is_not_finite(value):
+    arrays = _arrays(build_interval_mesh(4, "left"))
+    np.put(arrays["cell_centers"], 1, value)
+    with pytest.raises(TopologyError, match="cell 1 has a center that is not finite"):
         Mesh(**arrays)
 
 

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import xlogy as scipy_xlogy
 
 from biofilm_fv import (
@@ -20,6 +19,7 @@ from biofilm_fv import (
 )
 from biofilm_fv import model as model_module
 from biofilm_fv.model import ModelFunctions, admissible_biomass, xlogy
+from biofilm_fv.oracle import quadrature_g
 
 # frozen oracle values (30-digit quadrature of the defining integrals)
 H_STAR_CASE2_02_01 = 0.0888060151737645965048222734305
@@ -30,17 +30,6 @@ G1_ORACLE = {
     0.5: 7.38905609893065022723042746058,
     0.9: 215628979.842715734058853162035,
 }
-
-
-def quadrature_g(model, m):
-    """Independent evaluation of g from its defining integral."""
-    a, b = model.params.a, model.params.b
-
-    def integrand(s):
-        return s**a / (1.0 - s) ** b / float(model.p(s)) ** 2
-
-    value, _ = quad(integrand, 0.0, m, epsabs=1e-300, epsrel=1e-13, limit=400)
-    return value / m
 
 
 # -- built-in models --------------------------------------------------------------
@@ -67,13 +56,10 @@ def test_case1_quadrature_matches_closed_form(case1):
 
 def test_case1_g_matches_adaptive_quadrature_across_the_switch(case1):
     # the closed form cancels as m falls, 7e-12 relative off just above
-    # m = 1e-2; quad is within 4.4e-16 of 40-digit arithmetic on this range
-    def integrand(s):
-        return s**2 / (1.0 - s) ** 2 * np.exp(2.0 / (1.0 - s))
-
+    # m = 1e-2; the quadrature is within 4e-16 of 40-digit arithmetic on this range
     m = np.linspace(1e-4, 0.3, 400)
-    G = np.array([quad(integrand, 0.0, x, epsabs=0.0, epsrel=1e-13)[0] for x in m])
-    np.testing.assert_allclose(case1.g(m), G / m, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(case1.g(m), [quadrature_g(case1, x) for x in m], rtol=1e-13,
+                               atol=0.0)
 
 
 def _case1_G_masked(m):
