@@ -52,8 +52,8 @@ def entropy_production_beta_bound(evaluation, mesh: Mesh):
         rhs = 1/2 sum_i sum_sigma tau * min(pq_K, pq_Ksigma) * (D_sigma sqrt(u_i))^2,
 
     where pq = p(M)^2 g(M), from the evaluation's g and p.  The inequality
-    lhs >= rhs holds for every admissible state up to round-off; callers
-    assert lhs >= rhs - 1e-12.
+    lhs >= rhs holds for every admissible state up to round-off;
+    ``oracle.beta_bound_margin`` checks it on random states.
     """
     pq = evaluation.p**2 * evaluation.g
     beta = np.minimum(pq[mesh.flux_K], pq[mesh.flux_L])

@@ -31,12 +31,15 @@ def quadrature_g(model, m):
 
 
 def g_deviation(model, ms):
-    """Largest relative deviation of ``model.g`` from ``quadrature_g`` over the points ``ms``."""
-    worst = 0.0
+    """Largest relative deviation of ``model.g`` from ``quadrature_g`` over the points ``ms``.
+
+    NaN if any point gives NaN, so the caller's threshold check fails.
+    """
+    deviations = []
     for m in ms:
         ref = quadrature_g(model, m)
-        worst = max(worst, abs(float(model.g(m)) - ref) / ref)
-    return worst
+        deviations.append(abs(float(model.g(m)) - ref) / ref)
+    return float(np.max(deviations))
 
 
 def fd_jacobian(u, dt, mesh, model, bdata, step=1e-7):
@@ -69,10 +72,13 @@ def jacobian_deviation(u, dt, mesh, model, bdata):
 
 
 def beta_bound_margin(rng, mesh, model, bdata, repeats=100):
-    """Worst lhs - rhs of the dissipation lower bound on ``repeats`` random admissible states."""
-    worst = np.inf
+    """Worst lhs - rhs of the dissipation lower bound on ``repeats`` random admissible states.
+
+    NaN if any state gives NaN, so the caller's ``>= -1e-12`` check fails.
+    """
+    margins = []
     for _ in range(repeats):
         u = random_admissible(rng, len(model.params.alphas), mesh.n_cells)
         lhs, rhs = entropy_production_beta_bound(evaluate(u, mesh, model, bdata), mesh)
-        worst = min(worst, lhs - rhs)
-    return worst
+        margins.append(lhs - rhs)
+    return float(np.min(margins))

@@ -9,7 +9,6 @@ from biofilm_fv import (
     model_case1,
     model_case2,
 )
-from biofilm_fv.oracle import random_admissible  # the tests import it from here
 
 
 @pytest.fixture(scope="session")

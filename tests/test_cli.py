@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from biofilm_fv import harness, scheme
+from biofilm_fv import harness, oracle, scheme
 from biofilm_fv.cli import _CONFIG_KEYS, load_config, main
 from biofilm_fv.harness import MAX_STEPS, ConfigurationError
 from biofilm_fv.mesh import write_triangle_mesh_file
@@ -498,6 +498,18 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("name, nan, failing", [
+    ("quadrature_g", lambda *_: np.nan, "mobility ratio vs quadrature"),
+    ("entropy_production_beta_bound", lambda *_: (np.nan, 0.0), "dissipation lower bound"),
+], ids=["g", "beta_bound"])
+def test_selftest_fails_on_a_nan_check(name, nan, failing, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, name, nan)
+    assert main(["selftest", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert any(line.startswith("FAIL:") and failing in line for line in out.splitlines())
+    assert "selftest FAILED" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", "abc"])

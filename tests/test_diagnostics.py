@@ -17,8 +17,9 @@ from biofilm_fv import (
     project_initial,
 )
 from biofilm_fv.harness import build_named_initial_datum
-from biofilm_fv.oracle import beta_bound_margin
-from conftest import make_state, random_admissible
+from biofilm_fv import oracle
+from biofilm_fv.oracle import beta_bound_margin, random_admissible
+from conftest import make_state
 
 TOP = lambda x, y: abs(y - 1.0) < 1e-12
 
@@ -145,6 +146,15 @@ def test_beta_bound_random_states(case2, bdata_01):
 def test_beta_bound_random_states_2d(case1, bdata_01):
     mesh = build_rectangle_mesh(4, 4, TOP)
     assert beta_bound_margin(np.random.default_rng(23), mesh, case1, bdata_01, 50) >= -1e-12
+
+
+def test_beta_bound_margin_keeps_a_nan_bound(case2, bdata_01, monkeypatch):
+    # one NaN state among finite ones must fail the >= -1e-12 check, not be skipped
+    bounds = iter([(1.0, 0.5), (np.nan, 0.5), (1.0, 0.5)])
+    monkeypatch.setattr(oracle, "entropy_production_beta_bound", lambda *_: next(bounds))
+    mesh = build_interval_mesh(4, "left")
+    margin = beta_bound_margin(np.random.default_rng(0), mesh, case2, bdata_01, 3)
+    assert not margin >= -1e-12
 
 
 # -- determinism -----------------------------------------------------------------------

@@ -33,8 +33,8 @@ from biofilm_fv import (
 )
 from biofilm_fv.harness import IndicatorDatum, build_named_initial_datum
 from biofilm_fv.mesh import with_contact
-from biofilm_fv.oracle import jacobian_deviation
-from conftest import make_state, random_admissible
+from biofilm_fv.oracle import jacobian_deviation, random_admissible
+from conftest import make_state
 
 ACUTE_FIXTURE = Path(biofilm_fv.__file__).parent / "data" / "acute_patch.mesh"
 
