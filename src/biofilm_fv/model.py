@@ -137,25 +137,25 @@ class _PanelInterpolant:
         coef = chebyshev.chebvander(x, _PANEL_DEGREE).T @ f(s.ravel()).reshape(s.shape)
         coef[0] /= _PANEL_DEGREE + 1
         coef[1:] /= 0.5 * (_PANEL_DEGREE + 1)
-        # one row per panel: a row gather is the cheapest per-point selection
-        self._coef = np.ascontiguousarray(coef.T)
+        # degree-major, one column per panel: a column gather hands chebval its
+        # (degree, points) coefficients with no transpose
+        self._coef = coef
 
     def antiderivative(self):
         """The antiderivative that vanishes at s = 0, on the same panels."""
         # per-panel antiderivatives in s, zero at the panel's left break
-        coef = chebyshev.chebint(self._coef.T, lbnd=-1.0) * (0.5 * self._width)
+        coef = chebyshev.chebint(self._coef, lbnd=-1.0) * (0.5 * self._width)
         totals = coef.sum(axis=0)  # value at the right break, T_k(1) = 1
         coef[0, 1:] += np.cumsum(totals[:-1])
         out = copy.copy(self)
-        out._coef = np.ascontiguousarray(coef.T)
+        out._coef = coef
         return out
 
     def _panels(self, m, panel):
         """The interpolant at m evaluated on the given panels."""
         left, right = self._left[panel], self._right[panel]
         x = ((m - left) - (right - m)) / self._width[panel]
-        return chebyshev.chebval(x, np.moveaxis(self._coef.take(panel, axis=0), -1, 0),
-                                 tensor=False)
+        return chebyshev.chebval(x, self._coef.take(panel, axis=1), tensor=False)
 
     def __call__(self, m):
         """The interpolant at m in [0, cap], any shape."""

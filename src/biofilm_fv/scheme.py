@@ -27,14 +27,25 @@ it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
 ``jacobian`` hands one ``bincount`` to the mesh's cached pattern, the one
-place that chooses the storage, and one ``_LinearSolver`` per ``advance``
-call solves the Newton systems on whatever storage it is given.  On 1D
-meshes the banded Jacobian is DIA on LAPACK's band storage, and every
-iterate is factored and solved by one ``dgbsv`` call.  On 2D meshes it is
-CSC, SuperLU factors in MMD order on A^T + A, and the solver keeps the LU
-factors of the last Jacobian it factored and solves against each new exact
-Jacobian by iterative refinement on them, factoring anew only when the
-refinement stalls, so the Newton iterates stay those of exact-Jacobian Newton.
+place that chooses the storage, and a ``_LinearSolver`` solves the Newton
+systems on whatever storage it is given.  On 1D meshes the banded Jacobian
+is DIA on LAPACK's band storage, and every iterate is factored and solved
+by one LAPACK call: ``dgtsv`` for a tridiagonal band, ``dgbsv`` for a wider
+one.  On 2D meshes it is CSC, SuperLU factors in MMD order on A^T + A, and
+the solver keeps the LU factors of the last matrix it factored and solves
+against each new exact one by iterative refinement on them, factoring anew
+only when the refinement stalls, so the Newton iterates stay those of
+exact-Jacobian Newton.
+
+With equal diffusivities and n >= 2 species, the paper's setting, the
+species equations sum to a closed equation for the biomass M, and the
+Newton system keeps that structure: ``_BiomassSplit`` solves it by block
+elimination, one one-species system for dM and one for the species, each
+on the mesh's n = 1 pattern (tridiagonal in 1D) with its own
+``_LinearSolver``.  Its Newton iterates are those of the coupled system to
+round-off.  The model's alpha_i alone choose the path (``_newton_solver``);
+unequal alpha_i and a single species solve the coupled system.  One solver
+serves every step of an ``advance`` call.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -51,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse.linalg import splu
 
 from . import diagnostics
@@ -248,17 +259,24 @@ def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) ->
 
 def residual(state_prev: State, evaluation: Evaluation, dt, mesh: Mesh):
     """Residual of the implicit Euler step at the evaluated trial state, shape (n, N)."""
-    flux = evaluation.flux
-    n, n_cells = evaluation.u.shape
+    out = (mesh.cell_measures / dt) * (evaluation.u - state_prev.u)
+    _add_edge_sums(out, evaluation.flux, mesh)
+    return out
+
+
+def _add_edge_sums(out, edge_values, mesh: Mesh):
+    """Adds to each row of ``out``, shape (n, N), the per-cell sums of the edge values into K.
+
+    An edge value, shape (n, #flux edges), counts into K and, with the
+    opposite sign, into the far cell L of an interior edge.
+    """
+    n_cells = out.shape[1]
     m = mesh.interior.size
     K, L = mesh.flux_K, mesh.flux_L
-
-    out = (mesh.cell_measures / dt) * (evaluation.u - state_prev.u)
-    for i in range(n):
-        out[i] += np.bincount(K[:m], weights=flux[i, :m], minlength=n_cells)
-        out[i] -= np.bincount(L[:m], weights=flux[i, :m], minlength=n_cells)
-        out[i] += np.bincount(K[m:], weights=flux[i, m:], minlength=n_cells)
-    return out
+    for i in range(out.shape[0]):
+        out[i] += np.bincount(K[:m], weights=edge_values[i, :m], minlength=n_cells)
+        out[i] -= np.bincount(L[:m], weights=edge_values[i, :m], minlength=n_cells)
+        out[i] += np.bincount(K[m:], weights=edge_values[i, m:], minlength=n_cells)
 
 
 def dirichlet_fluxes(evaluation: Evaluation, mesh: Mesh):
@@ -348,40 +366,56 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     return per_mesh[n]
 
 
-def _edge_blocks(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
-    """Derivative of the flux into K with respect to one side's unknowns.
+def _edge_parts(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
+    """Derivative of the flux into K with respect to one side's unknowns, in two parts.
 
-    Returns an (n, n, E) array: d F_{i,K,sigma} / d u_{j,side}.  ``sign`` is
-    +1 when differentiating with respect to the K side, -1 for the far side.
+    d F_{i,K,sigma} / d u_{j,side} = delta_ij diag_i + row_i; returns
+    (diag, row), each (n, E).  ``sign`` is +1 when differentiating with
+    respect to the K side, -1 for the far side.
     """
-    n = alphas.shape[0]
     base = alphas[:, None] * tau  # (n, E)
-    nodelta = sign * base * psq * (u_side * gp_side) - base * (pp_side * dv)
-    out = np.repeat(nodelta[:, None, :], n, axis=1)
-    delta = sign * base * (psq * g_side)
+    row = sign * base * psq * (u_side * gp_side) - base * (pp_side * dv)
+    diag = sign * base * (psq * g_side)
+    return diag, row
+
+
+def _edge_blocks(diag, row):
+    """The (n, n, E) blocks delta_ij diag_i + row_i of one side's ``_edge_parts``."""
+    n = row.shape[0]
+    out = np.repeat(row[:, None, :], n, axis=1)
     idx = np.arange(n)
-    out[idx, idx, :] += delta
+    out[idx, idx, :] += diag
     return out
 
 
-def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
-    """Per-block Jacobian entries in the order of ``_coo_pattern``."""
+def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
+    """``_edge_parts`` of the K side of every flux edge and of the L side of the interior ones."""
     alphas = model.params.alpha_array
     u = ev.u_ext
-    n = u.shape[0]
 
     g_prime = model.g_prime(ev.biomass)
     pp = ev.p[:-1] * model.p_prime(ev.biomass)
 
     m = mesh.interior.size
     K, L, tau = mesh.flux_K, mesh.flux_L[:m], mesh.flux_tau
-    near = _edge_blocks(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K],
-                        np.take(u, K, axis=1), sign=1.0)
-    far = _edge_blocks(tau[:m], alphas, ev.psq[:m], ev.dv[:, :m], ev.g[L], g_prime[L], pp[L],
-                       np.take(u, L, axis=1), sign=-1.0)
+    near = _edge_parts(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K],
+                       np.take(u, K, axis=1), sign=1.0)
+    far = _edge_parts(tau[:m], alphas, ev.psq[:m], ev.dv[:, :m], ev.g[L], g_prime[L], pp[L],
+                      np.take(u, L, axis=1), sign=-1.0)
+    return near, far
 
-    diag = np.repeat(mesh.cell_measures / dt, n)
+
+def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
+    """Per-block Jacobian entries in the order of ``_coo_pattern``."""
+    near, far = (_edge_blocks(*parts) for parts in _jacobian_parts(ev, mesh, model))
+    diag = np.repeat(mesh.cell_measures / dt, ev.u.shape[0])
+    m = mesh.interior.size
     return _in_entry_order(diag, near, far, -far, -near[..., :m], m)
+
+
+def _assembled(pattern: _JacobianPattern, entries):
+    """The matrix of ``pattern`` holding the per-block entries, summed per slot."""
+    return pattern.matrix(np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots))
 
 
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
@@ -391,17 +425,17 @@ def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     which alone chooses the storage (CSC in 2D, DIA on LAPACK's band storage
     in 1D); every Jacobian on that mesh shares its read-only index arrays.
     """
-    entries = _jacobian_entries(evaluation, dt, mesh, model)
-    pattern = _jacobian_pattern(mesh, evaluation.u_ext.shape[0])
-    return pattern.matrix(np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots))
+    return _assembled(_jacobian_pattern(mesh, evaluation.u_ext.shape[0]),
+                      _jacobian_entries(evaluation, dt, mesh, model))
 
 
 class _LinearSolver:
     """Solves the Newton systems J x = b of one mesh, always against the current J.
 
     J's storage, chosen by the Jacobian pattern alone, picks the path.  A DIA
-    J (1D) is solved by one ``dgbsv`` call on its band storage: LAPACK's
-    banded LU with partial pivoting on a copy of it, and its solve.  For a
+    J (1D) is solved by one LAPACK call on a copy of its band storage, an LU
+    with partial pivoting and its solve: ``dgtsv`` for a tridiagonal band
+    (kl = 1, one species), ``dgbsv`` for a wider one.  For a
     CSC J (2D) each factorisation is one ``splu`` of the natural-order J,
     which SuperLU orders by minimum degree on A^T + A; the solver keeps the
     LU of the last Jacobian it factored, and a later solve on a new J starts
@@ -412,12 +446,19 @@ class _LinearSolver:
     and then drops the stale factors and factors J.  The held factors only
     precondition the refinement, so every Newton iterate is the
     exact-Jacobian one to round-off.  ``factorizations`` counts the LU
-    factorisations made; ``solve`` raises RuntimeError on a singular J.
+    factorisations made; ``solve`` raises RuntimeError on a singular J.  b
+    may hold one right-hand side per column.  ``update`` is the Newton
+    update of the coupled system, J from ``jacobian``.
     """
 
     def __init__(self):
         self.factorizations = 0
         self._lu = None
+
+    def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
+        """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
+        matrix = jacobian(evaluation, dt, mesh, model)
+        return self.solve(matrix, -res.ravel(order="F")).reshape(res.shape, order="F")
 
     def solve(self, matrix, rhs):
         if matrix.format == "dia":
@@ -435,8 +476,12 @@ class _LinearSolver:
 
     def _banded(self, matrix, rhs):
         """x = J^-1 rhs by a fresh banded LU of the DIA Jacobian ``matrix``; J is left as it is."""
-        kl = (matrix.data.shape[0] - 1) // 3
-        x, info = dgbsv(kl, kl, matrix.data, rhs)[2:]
+        band = matrix.data
+        kl = (band.shape[0] - 1) // 3
+        if kl == 1:  # rows 1, 2 and 3 of the band are J's super-, main and subdiagonal
+            x, info = dgtsv(band[3, :-1], band[2], band[1, 1:], rhs)[3:]
+        else:
+            x, info = dgbsv(kl, kl, band, rhs)[2:]
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
         self.factorizations += 1
@@ -459,6 +504,64 @@ class _LinearSolver:
             previous = norm
 
 
+class _BiomassSplit:
+    """Solves the Newton systems of n >= 2 species with equal alpha_i through the biomass M.
+
+    Then J_{(K,i),(L,j)} = delta_ij A_KL + B^(i)_KL: A, m(K)/dt plus the
+    diagonal parts of ``_edge_parts``, is the same for every species, and
+    B^(i), the species rows, does not depend on j.  So J du = -R is solved by
+    (A + sum_i B^(i)) dM = -sum_i R_i, then A du_i = -R_i - B^(i) dM for
+    i < n, all in one solve, and du_n = dM - sum_{i<n} du_i.  The two are
+    one-species systems on the mesh's n = 1 pattern, each solved by its own
+    ``_LinearSolver`` (2D held factors refine against their own matrix).  It
+    is block elimination of the same linear system, so the Newton iterates
+    are those of the coupled solve to round-off.  ``factorizations`` counts
+    the factorisations of both.
+    """
+
+    def __init__(self):
+        self.biomass, self.species = _LinearSolver(), _LinearSolver()
+
+    @property
+    def factorizations(self):
+        return self.biomass.factorizations + self.species.factorizations
+
+    def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
+        """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
+        (diag_K, row_K), (diag_L, row_L) = _jacobian_parts(evaluation, mesh, model)
+        diag_K, diag_L = diag_K[0], diag_L[0]
+        m = mesh.interior.size
+        pattern = _jacobian_pattern(mesh, 1)
+        cells = mesh.cell_measures / dt
+
+        def matrix(near, far):
+            return _assembled(pattern, _in_entry_order(cells, near, far, -far, -near[:m], m))
+
+        d_M = self.biomass.solve(matrix(diag_K + row_K.sum(axis=0), diag_L + row_L.sum(axis=0)),
+                                 -res.sum(axis=0))
+        # B^(i) dM sums the edge values row_K dM_K + row_L dM_L the way the
+        # residual sums the fluxes; the contact state does not move
+        coupling = row_K[:-1] * d_M[mesh.flux_K]
+        coupling[:, :m] += row_L[:-1] * d_M[mesh.flux_L[:m]]
+        rhs = res[:-1].copy()
+        _add_edge_sums(rhs, coupling, mesh)
+        delta = np.empty_like(res)
+        delta[:-1] = self.species.solve(matrix(diag_K, diag_L), -rhs.T).T
+        # closing sum_i du_i = dM keeps the update backward stable where
+        # B^(n) is large (near saturation); solving du_n like the others
+        # does not
+        delta[-1] = d_M - delta[:-1].sum(axis=0)
+        return delta
+
+
+def _newton_solver(model: ModelFunctions):
+    """The solver of the model's Newton systems: through the biomass for equal alpha_i."""
+    alphas = model.params.alpha_array
+    if alphas.size > 1 and equal_diffusivities(alphas):
+        return _BiomassSplit()
+    return _LinearSolver()
+
+
 # -- Newton and time stepping -----------------------------------------------------------
 
 
@@ -477,28 +580,27 @@ class NewtonResult:
 
 
 def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
-                bdata: BoundaryData, *, solver: _LinearSolver | None = None):
+                bdata: BoundaryData, *, solver: _LinearSolver | _BiomassSplit | None = None):
     """One implicit Euler step via damped Newton from ``start``, an evaluated first iterate.
 
     ``solver`` solves the Newton systems and may hold LU factors from earlier
-    solves; ``advance`` passes the one it owns, and a direct call makes its
-    own.  Returns (state, NewtonResult) at the first iterate that meets
-    NEWTON_TOL; raises NewtonFailure after _MAX_NEWTON_ITERS iterates or
-    _MAX_HALVINGS halvings of one update, or on a singular Jacobian.
+    solves; ``advance`` passes the one it owns, and a direct call makes the
+    model's own (``_newton_solver``).  Returns (state, NewtonResult) at the
+    first iterate that meets NEWTON_TOL; raises NewtonFailure after
+    _MAX_NEWTON_ITERS iterates or _MAX_HALVINGS halvings of one update, or on
+    a singular Jacobian.
     """
     u = start.u
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:
-        solver = _LinearSolver()
+        solver = _newton_solver(model)
 
     for it in range(1, _MAX_NEWTON_ITERS + 1):
-        matrix = jacobian(evaluation, dt, mesh, model)
         try:
-            delta = solver.solve(matrix, -res.ravel(order="F"))
+            delta = solver.update(evaluation, res, dt, mesh, model)
         except RuntimeError as exc:  # singular factorization
             raise NewtonFailure(f"linear solve failed: {exc}") from exc
-        delta = delta.reshape(u.shape, order="F")
 
         step = 1.0
         for _ in range(_MAX_HALVINGS + 1):
@@ -538,8 +640,9 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     observer(report, state) after every accepted step and must not mutate
     the state.
 
-    One ``_LinearSolver`` serves every step of the call, so LU factors held
-    on 2D meshes carry across iterates and steps; they are freed on return.
+    One solver (``_newton_solver``) serves every step of the call, so LU
+    factors held on 2D meshes carry across iterates and steps; they are freed
+    on return.
     The entry state is evaluated, and its entropy taken, on every call.
     """
     if not t_end >= state.time:  # NaN fails too
@@ -547,7 +650,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
     entropy_prev = diagnostics.discrete_entropy(start, mesh, model)
-    solver = _LinearSolver()
+    solver = _newton_solver(model)
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)

@@ -448,7 +448,9 @@ def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monke
     assert solver._lu is None
 
 
-def test_singular_1d_jacobian_is_a_newton_failure(case1, bdata_01, monkeypatch):
+def test_singular_1d_jacobian_is_a_newton_failure(bdata_01, monkeypatch):
+    # unequal alphas, so that the coupled Jacobian is the one solved
+    case1 = model_case1(alphas=(1.0, 5.0))
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     solver = scheme._LinearSolver()
@@ -489,19 +491,21 @@ def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01,
     assert np.abs(reused.u - fresh.u).max() <= 1e-12
 
 
-def test_step_report_counts_the_factorizations_of_rejected_attempts(case1, bdata_01,
-                                                                    monkeypatch):
-    # 1D factors every iterate, and each rejected attempt here runs out of
-    # its two iterates
+def test_step_report_counts_the_factorizations_of_rejected_attempts(bdata_01, monkeypatch):
+    # 1D factors every iterate, the coupled system once and the biomass split
+    # (equal alphas) its two one-species systems, and each rejected attempt
+    # here runs out of its two iterates
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     monkeypatch.setattr(scheme, "_MAX_NEWTON_ITERS", 2)
-    reports = []
-    advance(state, 1e-2, mesh, case1, bdata_01, NewtonConfig(dt_init=1e-2),
-            observer=lambda r, s: reports.append(r))
-    first = reports[0]
-    assert first.dt_halvings > 0
-    assert first.lu_factorizations == first.newton_iters + 2 * first.dt_halvings
+    for alphas, per_iterate in [((1.0, 5.0), 1), ((1.0, 1.0), 2)]:
+        reports = []
+        advance(state, 1e-2, mesh, model_case1(alphas=alphas), bdata_01,
+                NewtonConfig(dt_init=1e-2), observer=lambda r, s: reports.append(r))
+        first = reports[0]
+        assert first.dt_halvings > 0
+        assert first.lu_factorizations == per_iterate * (first.newton_iters
+                                                         + 2 * first.dt_halvings)
 
 
 def test_advance_in_two_calls_equals_one_call(case1, bdata_01):
@@ -658,6 +662,162 @@ def test_jacobian_row_sum_mass_balance(case2, bdata_01):
         assert np.abs(col_sums - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
 
+# -- equal diffusivities: the Newton systems through the biomass ---------------------
+
+
+def test_tridiagonal_band_is_solved_by_dgtsv(monkeypatch):
+    # one species on an interval: a tridiagonal band (kl = 1), which dgtsv
+    # solves on a copy, for one right-hand side or one per column
+    monkeypatch.setattr(scheme, "dgbsv", None)
+    matrix, _, _, _ = _one_1d_jacobian(1)
+    rng = np.random.default_rng(8)
+    band = matrix.data.copy()
+    kappa = np.linalg.cond(matrix.toarray(), np.inf)
+    for rhs in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
+        x = scheme._LinearSolver().solve(matrix, rhs)
+        assert np.array_equal(matrix.data, band)
+        reference = splu(matrix.tocsc()).solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - reference).max() <= 1e-14 * kappa * np.abs(reference).max()
+
+
+def test_newton_solver_follows_the_diffusivities():
+    assert isinstance(scheme._newton_solver(model_case1()), scheme._BiomassSplit)
+    assert isinstance(scheme._newton_solver(model_case2(alphas=(2.0,) * 3)),
+                      scheme._BiomassSplit)
+    for alphas in [(1.0, 5.0), (1.0,)]:
+        assert type(scheme._newton_solver(model_case2(alphas=alphas))) is scheme._LinearSolver
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+def test_biomass_split_is_the_coupled_newton_update(name, n):
+    # block elimination of the coupled system, so the two updates agree to
+    # round-off on states whose Jacobian is well conditioned
+    mesh = _assembly_meshes()[name]
+    model = model_case1(alphas=(2.0,) * n)
+    bdata = BoundaryData((0.1,) * n)
+    rng = np.random.default_rng(15)
+    for dt in (1e-6, 1e-3, 1.0):
+        u = random_admissible(rng, n, mesh.n_cells, low=0.05, high=0.15)
+        evaluation = evaluate(u, mesh, model, bdata)
+        res = rng.standard_normal(u.shape)
+        coupled = scheme._LinearSolver().update(evaluation, res, dt, mesh, model)
+        split = scheme._BiomassSplit().update(evaluation, res, dt, mesh, model)
+        assert np.abs(split - coupled).max() <= 1e-12 * np.abs(coupled).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_biomass_split_solves_rough_states_to_round_off(n):
+    # biomass up to 0.9 in random cells: J's condition number reaches 1e13 and
+    # the two solves' forward errors differ, but the split's update solves
+    # J du = -R to round-off, like the coupled one; solving the last species
+    # like the others, instead of closing sum_i du_i = dM, left 1e-12 (n = 2)
+    # and 2e-14 (n = 3) here
+    mesh = build_interval_mesh(640, "left")
+    model = model_case1(alphas=(1.0,) * n)
+    bdata = BoundaryData((0.1,) * n)
+    rng = np.random.default_rng(16)
+    u = random_admissible(rng, n, mesh.n_cells, high=0.9 / n)
+    evaluation = evaluate(u, mesh, model, bdata)
+    res = rng.standard_normal(u.shape)
+    matrix = jacobian(evaluation, 1e-3, mesh, model)
+    norm = np.abs(matrix).sum(axis=1).max()
+    for solver in (scheme._LinearSolver(), scheme._BiomassSplit()):
+        x = solver.update(evaluation, res, 1e-3, mesh, model).ravel(order="F")
+        backward = np.abs(matrix @ x + res.ravel(order="F")).max()
+        assert backward <= 1e-15 * (norm * np.abs(x).max() + np.abs(res).max())
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_advance_through_the_biomass_takes_the_coupled_steps(dimension, bdata_01, monkeypatch):
+    if dimension == 1:
+        mesh, datum, t_end = build_interval_mesh(40, "left"), "bumps-1d", 0.05
+    else:
+        mesh = build_rectangle_mesh(8, 8, lambda x, y: abs(y - 1.0) < 1e-12)
+        datum, t_end = "bumps-2d", 0.2
+    model = model_case1()
+    state = project_initial(build_named_initial_datum(datum, {"u_d": (0.1, 0.1)}), mesh)
+    cfg = NewtonConfig(dt_init=1e-5, dt_max=1e-2)
+
+    def run():
+        reports = []
+        final = advance(state, t_end, mesh, model, bdata_01, cfg,
+                        observer=lambda r, s: reports.append(r))
+        return final, [(r.dt_used, r.newton_iters, r.dt_halvings) for r in reports]
+
+    split, split_steps = run()
+    monkeypatch.setattr(scheme, "_newton_solver", lambda model: scheme._LinearSolver())
+    coupled, coupled_steps = run()
+    assert len(split_steps) > 10
+    assert split_steps == coupled_steps
+    assert np.abs(split.u - coupled.u).max() <= 1e-12
+
+
+def test_singular_1d_biomass_system_is_a_newton_failure(case1, bdata_01):
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    split = scheme._BiomassSplit()
+    solve = split.biomass.solve
+
+    def singular(matrix, rhs):
+        matrix.data[:, 3] = 0.0  # column 3 of the band is column 3 of the matrix
+        return solve(matrix, rhs)
+
+    split.biomass.solve = singular
+    start = evaluate(state.u, mesh, case1, bdata_01)
+    with pytest.raises(NewtonFailure, match="linear solve failed: .* U\\(4, 4\\) = 0"):
+        newton_step(state, start, 1e-3, mesh, case1, bdata_01, solver=split)
+    assert split.factorizations == 0
+
+
+def test_singular_2d_species_system_with_held_factors_is_a_newton_failure(case1, bdata_01):
+    mesh = _assembly_meshes()["rectangle"]
+    u = random_admissible(np.random.default_rng(21), 2, mesh.n_cells, low=0.05, high=0.15)
+    state = make_state(u)
+    start = evaluate(u, mesh, case1, bdata_01)
+    split = scheme._BiomassSplit()
+    split.update(start, residual(state, start, 1e-2, mesh), 1e-2, mesh, case1)
+    assert split.biomass._lu is not None and split.species._lu is not None
+    solve = split.species.solve
+
+    def singular(matrix, rhs):
+        matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
+        return solve(matrix, rhs)
+
+    split.species.solve = singular
+    with pytest.raises(NewtonFailure, match="linear solve failed"):
+        newton_step(state, start, 1e-2, mesh, case1, bdata_01, solver=split)
+    assert split.species._lu is None
+
+
+def test_overshooting_biomass_split_update_is_halved(case2, bdata_01, monkeypatch):
+    # as for the coupled update: a negative beyond round-off in the first
+    # update makes its full and half steps inadmissible
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    start = evaluate(state.u, mesh, case2, bdata_01)
+    reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
+    split = scheme._BiomassSplit()
+    update, updates = split.update, []
+
+    def overshooting(*args):
+        x = update(*args)
+        if not updates:
+            x[0, 0] = -3.0 * state.u[0, 0]  # full step -2 u, half step -u/2, quarter step u/4
+        updates.append(x)
+        return x
+
+    split.update = overshooting
+    calls = []
+    monkeypatch.setattr(scheme, "residual",
+                        lambda *args: calls.append(args[1]) or residual(*args))
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, solver=split)
+    assert np.abs(calls[1].u - (state.u + 0.25 * updates[0])).max() <= 1e-15
+    assert result.residual_norm <= scheme.NEWTON_TOL
+    assert np.abs(new.u - reference.u).max() <= 1e-9
+
+
 # -- newton step ----------------------------------------------------------------------
 
 
@@ -778,9 +938,11 @@ def test_trial_with_non_finite_residual_is_halved(case2, bdata_01, monkeypatch):
     assert np.abs(new.u - reference.u).max() <= 1e-9
 
 
-def test_trial_with_a_negative_beyond_round_off_is_halved(case2, bdata_01, monkeypatch):
+def test_trial_with_a_negative_beyond_round_off_is_halved(bdata_01, monkeypatch):
     # only negatives above -_NEGATIVE_SLACK are clipped; a larger one makes
-    # the trial inadmissible, so the update is halved until it is gone
+    # the trial inadmissible, so the update is halved until it is gone; the
+    # alphas are unequal, so that the coupled system is the one solved
+    case2 = model_case2(alphas=(1.0, 5.0))
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     start = evaluate(state.u, mesh, case2, bdata_01)
