@@ -26,9 +26,11 @@ accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
 it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
-``jacobian`` hands one ``bincount`` to the mesh's cached pattern, the one
-place that chooses the storage, and a ``_LinearSolver`` solves the Newton
-systems on whatever storage it is given.  On 1D meshes the banded Jacobian
+Every Newton matrix is built by ``_newton_matrix`` from the flux
+derivatives of ``_jacobian_parts``, the one producer of the K and L sides'
+terms, with one ``bincount`` on the mesh's cached pattern, the one place
+that chooses the storage; a ``_LinearSolver`` solves the Newton systems on
+whatever storage it is given.  On 1D meshes the banded Jacobian
 is DIA on LAPACK's band storage, and every iterate is factored and solved
 by one LAPACK call: ``dgtsv`` for a tridiagonal band, ``dgbsv`` for a wider
 one.  On 2D meshes it is CSC, SuperLU factors in MMD order on A^T + A, and
@@ -366,21 +368,8 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     return per_mesh[n]
 
 
-def _edge_parts(tau, alphas, psq, dv, g_side, gp_side, pp_side, u_side, sign):
-    """Derivative of the flux into K with respect to one side's unknowns, in two parts.
-
-    d F_{i,K,sigma} / d u_{j,side} = delta_ij diag_i + row_i; returns
-    (diag, row), each (n, E).  ``sign`` is +1 when differentiating with
-    respect to the K side, -1 for the far side.
-    """
-    base = alphas[:, None] * tau  # (n, E)
-    row = sign * base * psq * (u_side * gp_side) - base * (pp_side * dv)
-    diag = sign * base * (psq * g_side)
-    return diag, row
-
-
 def _edge_blocks(diag, row):
-    """The (n, n, E) blocks delta_ij diag_i + row_i of one side's ``_edge_parts``."""
+    """The (n, n, E) blocks delta_ij diag_i + row_i of one side's ``_jacobian_parts``."""
     n = row.shape[0]
     out = np.repeat(row[:, None, :], n, axis=1)
     idx = np.arange(n)
@@ -389,44 +378,49 @@ def _edge_blocks(diag, row):
 
 
 def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
-    """``_edge_parts`` of the K side of every flux edge and of the L side of the interior ones."""
-    alphas = model.params.alpha_array
-    u = ev.u_ext
+    """The flux derivatives of the K side of every flux edge and the L side of the interior ones.
 
+    d F_{i,K,sigma} / d u_{j,side} = delta_ij diag_i + row_i for the flux
+    into K; each side is (diag, row), both (n, E).
+    """
     g_prime = model.g_prime(ev.biomass)
     pp = ev.p[:-1] * model.p_prime(ev.biomass)
-
+    base = model.params.alpha_array[:, None] * mesh.flux_tau
     m = mesh.interior.size
-    K, L, tau = mesh.flux_K, mesh.flux_L[:m], mesh.flux_tau
-    near = _edge_parts(tau, alphas, ev.psq, ev.dv, ev.g[K], g_prime[K], pp[K],
-                       np.take(u, K, axis=1), sign=1.0)
-    far = _edge_parts(tau[:m], alphas, ev.psq[:m], ev.dv[:, :m], ev.g[L], g_prime[L], pp[L],
-                      np.take(u, L, axis=1), sign=-1.0)
-    return near, far
+    parts = []
+    for side, sign in ((mesh.flux_K, 1.0), (mesh.flux_L[:m], -1.0)):
+        e = side.size
+        b, psq, u = base[:, :e], ev.psq[:e], np.take(ev.u_ext, side, axis=1)
+        row = sign * b * psq * (u * g_prime[side]) - b * (pp[side] * ev.dv[:, :e])
+        parts.append((sign * b * (psq * ev.g[side]), row))
+    return parts
 
 
-def _jacobian_entries(ev: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
-    """Per-block Jacobian entries in the order of ``_coo_pattern``."""
-    near, far = (_edge_blocks(*parts) for parts in _jacobian_parts(ev, mesh, model))
-    diag = np.repeat(mesh.cell_measures / dt, ev.u.shape[0])
+def _newton_matrix(cells, near, far, mesh: Mesh):
+    """The Newton matrix on the mesh's cached pattern, from its cell and edge terms.
+
+    ``cells`` is the diagonal per unknown, size n N; ``near`` and ``far`` are
+    the derivatives of the flux into K with respect to the K side of every
+    flux edge and the L side of every interior edge, (n, n, E) blocks or, for
+    n = 1, (E,).  An interior edge's flux leaves L as it enters K, so K's row
+    takes both sides' terms and L's row both negated.
+    """
+    pattern = _jacobian_pattern(mesh, cells.size // mesh.n_cells)
     m = mesh.interior.size
-    return _in_entry_order(diag, near, far, -far, -near[..., :m], m)
-
-
-def _assembled(pattern: _JacobianPattern, entries):
-    """The matrix of ``pattern`` holding the per-block entries, summed per slot."""
+    entries = _in_entry_order(cells, near, far, -far, -near[..., :m], m)
     return pattern.matrix(np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots))
 
 
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     """Exact sparse Jacobian of ``residual`` with respect to the evaluated trial state.
 
-    In the natural cell-major ordering, built by the mesh's cached pattern,
-    which alone chooses the storage (CSC in 2D, DIA on LAPACK's band storage
-    in 1D); every Jacobian on that mesh shares its read-only index arrays.
+    In the natural cell-major ordering, built by ``_newton_matrix`` on the
+    mesh's cached pattern, which alone chooses the storage (CSC in 2D, DIA
+    on LAPACK's band storage in 1D); every Jacobian on that mesh shares its
+    read-only index arrays.
     """
-    return _assembled(_jacobian_pattern(mesh, evaluation.u_ext.shape[0]),
-                      _jacobian_entries(evaluation, dt, mesh, model))
+    near, far = (_edge_blocks(*parts) for parts in _jacobian_parts(evaluation, mesh, model))
+    return _newton_matrix(np.repeat(mesh.cell_measures / dt, near.shape[0]), near, far, mesh)
 
 
 class _LinearSolver:
@@ -448,7 +442,8 @@ class _LinearSolver:
     exact-Jacobian one to round-off.  ``factorizations`` counts the LU
     factorisations made; ``solve`` raises RuntimeError on a singular J.  b
     may hold one right-hand side per column.  ``update`` is the Newton
-    update of the coupled system, J from ``jacobian``.
+    update of the coupled system, J from ``jacobian``, which builds it with
+    ``_newton_matrix`` like the systems of ``_BiomassSplit``.
     """
 
     def __init__(self):
@@ -508,15 +503,15 @@ class _BiomassSplit:
     """Solves the Newton systems of n >= 2 species with equal alpha_i through the biomass M.
 
     Then J_{(K,i),(L,j)} = delta_ij A_KL + B^(i)_KL: A, m(K)/dt plus the
-    diagonal parts of ``_edge_parts``, is the same for every species, and
+    diagonal parts of ``_jacobian_parts``, is the same for every species, and
     B^(i), the species rows, does not depend on j.  So J du = -R is solved by
     (A + sum_i B^(i)) dM = -sum_i R_i, then A du_i = -R_i - B^(i) dM for
     i < n, all in one solve, and du_n = dM - sum_{i<n} du_i.  The two are
-    one-species systems on the mesh's n = 1 pattern, each solved by its own
-    ``_LinearSolver`` (2D held factors refine against their own matrix).  It
-    is block elimination of the same linear system, so the Newton iterates
-    are those of the coupled solve to round-off.  ``factorizations`` counts
-    the factorisations of both.
+    one-species systems built by ``_newton_matrix`` on the mesh's n = 1
+    pattern, each solved by its own ``_LinearSolver`` (2D held factors
+    refine against their own matrix).  It is block elimination of the same
+    linear system, so the Newton iterates are those of the coupled solve to
+    round-off.  ``factorizations`` counts the factorisations of both.
     """
 
     def __init__(self):
@@ -531,14 +526,10 @@ class _BiomassSplit:
         (diag_K, row_K), (diag_L, row_L) = _jacobian_parts(evaluation, mesh, model)
         diag_K, diag_L = diag_K[0], diag_L[0]
         m = mesh.interior.size
-        pattern = _jacobian_pattern(mesh, 1)
         cells = mesh.cell_measures / dt
-
-        def matrix(near, far):
-            return _assembled(pattern, _in_entry_order(cells, near, far, -far, -near[:m], m))
-
-        d_M = self.biomass.solve(matrix(diag_K + row_K.sum(axis=0), diag_L + row_L.sum(axis=0)),
-                                 -res.sum(axis=0))
+        d_M = self.biomass.solve(
+            _newton_matrix(cells, diag_K + row_K.sum(axis=0), diag_L + row_L.sum(axis=0), mesh),
+            -res.sum(axis=0))
         # B^(i) dM sums the edge values row_K dM_K + row_L dM_L the way the
         # residual sums the fluxes; the contact state does not move
         coupling = row_K[:-1] * d_M[mesh.flux_K]
@@ -546,7 +537,7 @@ class _BiomassSplit:
         rhs = res[:-1].copy()
         _add_edge_sums(rhs, coupling, mesh)
         delta = np.empty_like(res)
-        delta[:-1] = self.species.solve(matrix(diag_K, diag_L), -rhs.T).T
+        delta[:-1] = self.species.solve(_newton_matrix(cells, diag_K, diag_L, mesh), -rhs.T).T
         # closing sum_i du_i = dM keeps the update backward stable where
         # B^(n) is large (near saturation); solving du_n like the others
         # does not
@@ -588,8 +579,10 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     model's own (``_newton_solver``).  Returns (state, NewtonResult) at the
     first iterate that meets NEWTON_TOL; raises NewtonFailure after
     _MAX_NEWTON_ITERS iterates or _MAX_HALVINGS halvings of one update, or on
-    a singular Jacobian.
+    a singular Jacobian; raises ValueError unless 0 < dt < inf.
     """
+    if not 0.0 < dt < np.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     u = start.u
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
@@ -644,9 +637,12 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     factors held on 2D meshes carry across iterates and steps; they are freed
     on return.
     The entry state is evaluated, and its entropy taken, on every call.
+    Raises ValueError for a t_end before the state's time, NaN or infinite.
     """
     if not t_end >= state.time:  # NaN fails too
         raise ValueError("t_end lies before the current state time")
+    if t_end == np.inf:  # the time tolerance would be inf, and no step taken
+        raise ValueError("t_end must be finite")
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
     entropy_prev = diagnostics.discrete_entropy(start, mesh, model)

@@ -236,6 +236,21 @@ def _assembly_meshes():
     }
 
 
+def _coo_jacobian(record, dt, mesh, model):
+    """The Jacobian as a COO matrix of its per-block entries at ``_coo_pattern``'s rows and columns.
+
+    The flux derivatives of K's side go into K's row and, negated, into L's;
+    those of L's side likewise.
+    """
+    parts = scheme._jacobian_parts(record, mesh, model)
+    near, far = (scheme._edge_blocks(*side) for side in parts)
+    n, m = near.shape[0], mesh.interior.size
+    cells = np.repeat(mesh.cell_measures / dt, n)
+    entries = scheme._in_entry_order(cells, near, far, -far, -near[..., :m], m)
+    size = n * mesh.n_cells
+    return sp.coo_matrix((entries, scheme._coo_pattern(mesh, n)), shape=(size, size))
+
+
 @pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
 def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
     mesh = _assembly_meshes()[name]
@@ -243,9 +258,7 @@ def test_jacobian_fixed_pattern_matches_coo_assembly(name, bdata_01):
     u = random_admissible(np.random.default_rng(11), 2, mesh.n_cells)
     record = evaluate(u, mesh, model, bdata_01)
     matrix = jacobian(record, 1e-4, mesh, model)
-    rows, cols = scheme._coo_pattern(mesh, 2)
-    entries = scheme._jacobian_entries(record, 1e-4, mesh, model)
-    reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape).tocsc()
+    reference = _coo_jacobian(record, 1e-4, mesh, model).tocsc()
     if mesh.dimension == 1:
         # the band read as CSC: tocsc keeps the nonzeros, which on this
         # random state are exactly the pattern's entries
@@ -324,9 +337,7 @@ def test_1d_jacobian_is_the_coo_assembly(n):
     # one bincount into the band sums each slot's entries in the order the
     # COO assembly sums its duplicates, so the two agree bitwise
     matrix, record, mesh, model = _one_1d_jacobian(n)
-    rows, cols = scheme._coo_pattern(mesh, n)
-    entries = scheme._jacobian_entries(record, 1e-4, mesh, model)
-    reference = sp.coo_matrix((entries, (rows, cols)), shape=matrix.shape)
+    reference = _coo_jacobian(record, 1e-4, mesh, model)
     assert np.array_equal(matrix.toarray(), reference.toarray())
 
 
@@ -906,6 +917,16 @@ def test_newton_failure_signalled(case2, bdata_01, monkeypatch):
                     bdata_01)
 
 
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, np.inf])
+def test_newton_step_rejects_a_dt_that_is_not_positive_and_finite(dt, case2, bdata_01):
+    # a negative dt stepped back in time, zero divided by zero, and inf ran
+    # out of iterations
+    mesh = build_interval_mesh(10, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        newton_step(state, evaluate(state.u, mesh, case2, bdata_01), dt, mesh, case2, bdata_01)
+
+
 def test_nan_update_exhausts_the_damping(case2, bdata_01):
     # a NaN stays NaN under halving, and evaluate rejects it on every trial
     mesh = build_interval_mesh(10, "left")
@@ -1093,6 +1114,14 @@ def test_advance_rejects_a_nan_horizon(case2, bdata_01):
         advance(state, np.nan, build_interval_mesh(4, "left"), case2, bdata_01, FIXED_STEP)
 
 
+def test_advance_rejects_an_infinite_horizon(case2, bdata_01):
+    # the time tolerance scales with |t_end|, so an infinite horizon counted
+    # as reached and advance returned the entry state without a step
+    state = State(time=1e-3, u=np.full((2, 4), 0.1))
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        advance(state, np.inf, build_interval_mesh(4, "left"), case2, bdata_01, FIXED_STEP)
+
+
 def test_uniform_steady_state_is_stationary(case2, bdata_01):
     mesh = build_interval_mesh(15, "left")
     state = make_state(np.full((2, 15), 0.1))
@@ -1112,6 +1141,31 @@ def test_max_principle_along_equal_diffusivity_run(case2, bdata_01):
             observer=lambda r, s: reports.append(r))
     assert max(r.max_M for r in reports) <= m_star + 1e-12
     assert min(r.min_u for r in reports) >= 0.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_single_species_run_keeps_its_biomass_bound(dimension, monkeypatch):
+    # one species solves the coupled system: in 1D a tridiagonal band, which
+    # dgtsv factors once per iterate, and in 2D on held SuperLU factors
+    monkeypatch.setattr(scheme, "dgbsv", None)
+    if dimension == 1:
+        mesh, box = build_interval_mesh(64, "left"), (0.2, 0.5)
+    else:
+        mesh = build_rectangle_mesh(8, 8, lambda x, y: abs(y - 1.0) < 1e-12)
+        box = (0.2, 0.5, 0.0, 0.4)
+    model = model_case1(alphas=(1.0,))
+    bdata = BoundaryData((0.1,))
+    datum = build_named_initial_datum("custom-indicator",
+                                      {"base": (0.1,), "bump": (0.3,), "boxes": (box,)})
+    state = project_initial(datum, mesh)
+    m_star = max_principle_bound(state, bdata)
+    reports = []
+    final = advance(state, 0.02, mesh, model, bdata, NewtonConfig(),
+                    observer=lambda r, s: reports.append(r))
+    assert final.time == 0.02
+    assert all(r.max_M <= m_star for r in reports)
+    if dimension == 1:
+        assert [r.lu_factorizations for r in reports] == [r.newton_iters for r in reports]
 
 
 # -- invariant violations -------------------------------------------------------------
