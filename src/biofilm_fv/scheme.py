@@ -36,18 +36,21 @@ by one LAPACK call: ``dgtsv`` for a tridiagonal band, ``dgbsv`` for a wider
 one.  On 2D meshes it is CSC, SuperLU factors in MMD order on A^T + A, and
 the solver keeps the LU factors of the last matrix it factored and solves
 against each new exact one by iterative refinement on them, factoring anew
-only when the refinement stalls, so the Newton iterates stay those of
-exact-Jacobian Newton.
+only when the refinement stalls.  The refinement stops once the linear
+residual, measured as Newton's stop measures R, is within ``_FORCING`` of
+that stop (the forcing term of inexact Newton), so each Newton iterate is
+the exact-Jacobian one within ``_FORCING`` of Newton's stop.
 
 With equal diffusivities and n >= 2 species, the paper's setting, the
 species equations sum to a closed equation for the biomass M, and the
 Newton system keeps that structure: ``_BiomassSplit`` solves it by block
 elimination, one one-species system for dM and one for the species, each
 on the mesh's n = 1 pattern (tridiagonal in 1D) with its own
-``_LinearSolver``.  Its Newton iterates are those of the coupled system to
-round-off.  The model's alpha_i alone choose the path (``_newton_solver``);
-unequal alpha_i and a single species solve the coupled system.  One solver
-serves every step of an ``advance`` call.
+``_LinearSolver``.  Its Newton systems are those of the coupled system,
+solved to round-off by fresh factors and within ``_FORCING`` of Newton's
+stop on held ones.  The model's alpha_i alone choose the path
+(``_newton_solver``); unequal alpha_i and a single species solve the
+coupled system.  One solver serves every step of an ``advance`` call.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -58,6 +61,7 @@ model's domain) and its residual is finite; otherwise the update is halved.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -80,10 +84,12 @@ _MAX_HALVINGS = 30
 _DAMPING = 0.5
 
 # refinement of a solve on held LU factors (``_LinearSolver``, 2D meshes):
-# target relative residual, sweeps at most, and the least contraction per
-# sweep, below which the Jacobian is factored anew
-_REFINE_TOL = 1e-13
-_REFINE_SWEEPS = 4
+# the forcing term, the share of Newton's stop that a linear residual may
+# take (|b - J x| <= _FORCING * NEWTON_TOL * m(K)/dt in every row of cell K),
+# sweeps at most, and the least contraction per sweep, below which the
+# Jacobian is factored anew
+_FORCING = 1e-3
+_REFINE_SWEEPS = 3
 _REFINE_CONTRACTION = 0.1
 
 # invariant tolerances checked after every accepted step
@@ -184,7 +190,8 @@ class StepReport:
     the entropy inequality ``advance`` enforces, ``dt_halvings`` counts
     the Newton failures before the step was accepted, and
     ``lu_factorizations`` the LU factorisations made while taking the step,
-    its rejected attempts included.
+    its rejected attempts included, and ``lu_solves`` the applications of
+    LU factors among them, the refinement sweeps on held factors included.
     """
 
     time: float
@@ -192,6 +199,7 @@ class StepReport:
     newton_iters: int
     dt_halvings: int
     lu_factorizations: int
+    lu_solves: int
     residual_norm: float
     entropy: float
     dissipation: np.ndarray
@@ -349,11 +357,15 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
         depth = 3 * kl + 1
         scatter, slots = cols * depth + 2 * kl + rows - cols, depth * size
         offsets = (2 * kl - np.arange(depth)).astype(np.intc)
-        index = (offsets,)
+        # scipy's constructor checks its input on every call; each matrix is
+        # instead a shallow copy of one checked template with its own data
+        template = sp.dia_matrix((np.zeros((depth, size)), offsets), shape=(size, size))
+        index = (template.offsets,)
 
         def matrix(data):
-            return sp.dia_matrix((data.reshape((depth, size), order="F"), offsets),
-                                 shape=(size, size))
+            out = copy.copy(template)
+            out.data = data.reshape((depth, size), order="F")
+            return out
     else:
         keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
         slots, indices = keys.size, (keys % size).astype(np.intc)
@@ -433,33 +445,38 @@ class _LinearSolver:
     CSC J (2D) each factorisation is one ``splu`` of the natural-order J,
     which SuperLU orders by minimum degree on A^T + A; the solver keeps the
     LU of the last Jacobian it factored, and a later solve on a new J starts
-    from x = LU^-1 b and refines x += LU^-1 (b - J x) until
-    ||b - J x||_inf <= _REFINE_TOL ||b||_inf.
+    from x = LU^-1 b and refines x += LU^-1 (b - J x) until every row of
+    cell K meets |b - J x| <= _FORCING * NEWTON_TOL * m(K)/dt, with ``cells``
+    holding m(K)/dt (1 by default).  That is the forcing
+    term of inexact Newton: each Newton iterate is the exact-Jacobian one
+    within _FORCING of Newton's stop, max |R dt/m(K)| <= NEWTON_TOL.
     It gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks
     the residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
-    and then drops the stale factors and factors J.  The held factors only
-    precondition the refinement, so every Newton iterate is the
-    exact-Jacobian one to round-off.  ``factorizations`` counts the LU
-    factorisations made; ``solve`` raises RuntimeError on a singular J.  b
-    may hold one right-hand side per column.  ``update`` is the Newton
-    update of the coupled system, J from ``jacobian``, which builds it with
-    ``_newton_matrix`` like the systems of ``_BiomassSplit``.
+    and then drops the stale factors and factors J.  ``factorizations``
+    counts the LU factorisations made and ``lu_solves`` every application
+    of LU factors, one per LAPACK call in 1D; ``solve`` raises RuntimeError
+    on a singular J.  b may hold one right-hand side per column, and its
+    rows are cell-major: the rows of cell K follow each other.  ``update``
+    is the Newton update of the coupled system, J from ``jacobian``, which
+    builds it with ``_newton_matrix`` like the systems of ``_BiomassSplit``.
     """
 
     def __init__(self):
         self.factorizations = 0
+        self.lu_solves = 0
         self._lu = None
 
     def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
         """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
         matrix = jacobian(evaluation, dt, mesh, model)
-        return self.solve(matrix, -res.ravel(order="F")).reshape(res.shape, order="F")
+        x = self.solve(matrix, -res.ravel(order="F"), mesh.cell_measures / dt)
+        return x.reshape(res.shape, order="F")
 
-    def solve(self, matrix, rhs):
+    def solve(self, matrix, rhs, cells=1.0):
         if matrix.format == "dia":
             return self._banded(matrix, rhs)
         if self._lu is not None:
-            x = self._refined(matrix, rhs)
+            x = self._refined(matrix, rhs, cells)
             if x is not None:
                 return x
             self._lu = None  # so that at most one set of factors is alive
@@ -467,6 +484,10 @@ class _LinearSolver:
         # L+U fill from 146,588 (COLAMD) to 90,424
         self._lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
+        return self._lu_solve(rhs)
+
+    def _lu_solve(self, rhs):
+        self.lu_solves += 1
         return self._lu.solve(rhs)
 
     def _banded(self, matrix, rhs):
@@ -480,22 +501,26 @@ class _LinearSolver:
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
         self.factorizations += 1
+        self.lu_solves += 1
         return x
 
-    def _refined(self, matrix, rhs):
-        """x with ||rhs - matrix x||_inf <= _REFINE_TOL ||rhs||_inf on the held factors, or None."""
-        target = _REFINE_TOL * np.abs(rhs).max()
-        x = self._lu.solve(rhs)
+    def _refined(self, matrix, rhs, cells):
+        """x with |rhs - matrix x| <= _FORCING * NEWTON_TOL * cells in every row, or None.
+
+        The residual is measured as Newton's stop measures R, in units of u.
+        """
+        scale = np.reshape(cells, (-1, 1))
+        x = self._lu_solve(rhs)
         previous = np.inf
         for sweeps in range(_REFINE_SWEEPS + 1):
             r = rhs - matrix @ x
-            norm = np.abs(r).max()
-            if norm <= target:
+            norm = (np.abs(r).reshape(scale.shape[0], -1) / scale).max()
+            if norm <= _FORCING * NEWTON_TOL:
                 return x
             if (sweeps == _REFINE_SWEEPS or not np.isfinite(norm)
                     or norm > _REFINE_CONTRACTION * previous):
                 return None
-            x += self._lu.solve(r)
+            x += self._lu_solve(r)
             previous = norm
 
 
@@ -511,7 +536,9 @@ class _BiomassSplit:
     pattern, each solved by its own ``_LinearSolver`` (2D held factors
     refine against their own matrix).  It is block elimination of the same
     linear system, so the Newton iterates are those of the coupled solve to
-    round-off.  ``factorizations`` counts the factorisations of both.
+    round-off, or within _FORCING of Newton's stop where held factors meet
+    ``_LinearSolver``'s bound (the biomass system's on sum_i R_i).
+    ``factorizations`` and ``lu_solves`` count the work of both.
     """
 
     def __init__(self):
@@ -521,6 +548,10 @@ class _BiomassSplit:
     def factorizations(self):
         return self.biomass.factorizations + self.species.factorizations
 
+    @property
+    def lu_solves(self):
+        return self.biomass.lu_solves + self.species.lu_solves
+
     def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
         """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
         (diag_K, row_K), (diag_L, row_L) = _jacobian_parts(evaluation, mesh, model)
@@ -529,7 +560,7 @@ class _BiomassSplit:
         cells = mesh.cell_measures / dt
         d_M = self.biomass.solve(
             _newton_matrix(cells, diag_K + row_K.sum(axis=0), diag_L + row_L.sum(axis=0), mesh),
-            -res.sum(axis=0))
+            -res.sum(axis=0), cells)
         # B^(i) dM sums the edge values row_K dM_K + row_L dM_L the way the
         # residual sums the fluxes; the contact state does not move
         coupling = row_K[:-1] * d_M[mesh.flux_K]
@@ -537,7 +568,8 @@ class _BiomassSplit:
         rhs = res[:-1].copy()
         _add_edge_sums(rhs, coupling, mesh)
         delta = np.empty_like(res)
-        delta[:-1] = self.species.solve(_newton_matrix(cells, diag_K, diag_L, mesh), -rhs.T).T
+        delta[:-1] = self.species.solve(_newton_matrix(cells, diag_K, diag_L, mesh), -rhs.T,
+                                        cells).T
         # closing sum_i du_i = dM keeps the update backward stable where
         # B^(n) is large (near saturation); solving du_n like the others
         # does not
@@ -661,7 +693,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
         dt = min(dt_next, t_end - state.time)
 
         halvings = 0
-        factored = solver.factorizations
+        factored, solved = solver.factorizations, solver.lu_solves
         while True:
             try:
                 new_state, result = newton_step(state, start, dt, mesh, model, bdata, solver=solver)
@@ -712,6 +744,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
             newton_iters=result.newton_iters,
             dt_halvings=halvings,
             lu_factorizations=solver.factorizations - factored,
+            lu_solves=solver.lu_solves - solved,
             residual_norm=result.residual_norm,
             entropy=entropy,
             dissipation=dissipation,

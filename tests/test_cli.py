@@ -625,7 +625,7 @@ def _leap(state, t_end, mesh, model, bdata, cfg, observer=None):
     if observer is not None:
         observer(scheme.StepReport(
             time=t_end, dt_used=t_end - state.time, newton_iters=0, dt_halvings=0,
-            lu_factorizations=0, residual_norm=0.0, entropy=0.0,
+            lu_factorizations=0, lu_solves=0, residual_norm=0.0, entropy=0.0,
             dissipation=np.zeros(len(state.u)), max_M=float(state.biomass.max()),
             min_u=float(state.u.min()), conservation_defect=0.0, entropy_margin=0.0),
             new_state)

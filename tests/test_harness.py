@@ -313,7 +313,7 @@ def test_evolution_snapshot_at_zero_is_projection(tmp_path):
     assert (tmp_path / "run_metadata.json").exists()
     header = (tmp_path / "entropy.csv").read_text().splitlines()[0]
     assert header == ("step,time,dt_used,newton_iters,dt_halvings,lu_factorizations,"
-                      "residual_norm,entropy,dissipation_1,dissipation_2,max_M,min_u,"
+                      "lu_solves,residual_norm,entropy,dissipation_1,dissipation_2,max_M,min_u,"
                       "conservation_defect,entropy_margin")
 
 
@@ -511,6 +511,8 @@ def test_steady_state_smoke(tmp_path):
     # 2D solves on held LU factors wherever the refinement converges
     metadata = json.loads((tmp_path / "run_metadata.json").read_text())
     assert 0 < metadata["lu_factorizations_total"] < metadata["newton_iters_total"]
+    # each iterate applies LU factors at least once, refinement sweeps on top
+    assert metadata["lu_solves_total"] >= metadata["newton_iters_total"]
     entropies = [r.entropy for r in result.reports]
     assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(entropies, entropies[1:]))
     assert (tmp_path / "decay.csv").read_text().splitlines()[0] == "time,species,l2_distance"

@@ -409,16 +409,50 @@ def _held_factors(mesh, bdata, dt=1e-2):
     return solver, model, u, rng
 
 
+def _newton_system(mesh, model, u, bdata, dt=1e-2):
+    """The coupled Newton system at 1.0001 u for a step from u, and the cells' m(K)/dt."""
+    trial = evaluate(1.0001 * u, mesh, model, bdata)
+    matrix = jacobian(trial, dt, mesh, model)
+    rhs = -residual(make_state(u), trial, dt, mesh).ravel(order="F")
+    return matrix, rhs, mesh.cell_measures / dt
+
+
 @pytest.mark.parametrize("name", ["rectangle", "acute"])
 def test_refined_solve_on_held_factors_meets_the_residual_target(name, bdata_01):
     mesh = _assembly_meshes()[name]
-    solver, model, u, rng = _held_factors(mesh, bdata_01)
-    matrix = jacobian(evaluate(1.001 * u, mesh, model, bdata_01), 1e-2, mesh, model)
-    rhs = rng.standard_normal(matrix.shape[0])
-    x = solver.solve(matrix, rhs)
+    solver, model, u, _ = _held_factors(mesh, bdata_01)
+    matrix, rhs, cells = _newton_system(mesh, model, u, bdata_01)
+    bound = scheme._FORCING * scheme.NEWTON_TOL * cells[:, None]
+
+    def outside(x):
+        return (np.abs(rhs - matrix @ x).reshape(mesh.n_cells, -1) > bound).any()
+
+    # the refinement replayed on the held factors, to the first x inside the bound
+    lu = solver._lu
+    expected, applied = lu.solve(rhs), 1
+    while outside(expected):
+        expected += lu.solve(rhs - matrix @ expected)
+        applied += 1
+    x = solver.solve(matrix, rhs, cells)
     # solved on the factors of the old Jacobian, refined against the new one
+    # until every row of cell K is within _FORCING of Newton's stop, and no further
     assert solver.factorizations == 1
-    assert np.abs(rhs - matrix @ x).max() <= scheme._REFINE_TOL * np.abs(rhs).max()
+    assert applied > 2 and solver.lu_solves == 1 + applied
+    assert np.array_equal(x, expected) and not outside(x)
+
+
+def test_right_hand_side_inside_the_bound_takes_one_lu_solve(recorded_splu, bdata_01):
+    factored, solves = recorded_splu
+    mesh = _assembly_meshes()["rectangle"]
+    solver, model, u, rng = _held_factors(mesh, bdata_01)
+    matrix, rhs, cells = _newton_system(mesh, model, u, bdata_01)
+    bound = scheme._FORCING * scheme.NEWTON_TOL * np.repeat(cells, 2)
+    rhs = 0.5 * bound * rng.uniform(-1.0, 1.0, rhs.size)
+    del solves[:]
+    solver.solve(matrix, rhs, cells)
+    # x = LU^-1 b on the held factors already meets the bound: no sweep
+    assert solves == factored and solver.lu_solves == 2
+    assert solver.factorizations == 1
 
 
 def test_factors_at_another_dt_are_abandoned(recorded_splu, bdata_01):
@@ -439,7 +473,7 @@ def test_factors_at_another_dt_are_abandoned(recorded_splu, bdata_01):
     solver.solve(matrix, rhs)
     assert len(factored) == 2 and solves and all(lu is new for lu in solves)
     fresh = scheme._LinearSolver().solve(matrix, rhs)
-    assert np.abs(x - fresh).max() <= scheme._REFINE_TOL * np.abs(fresh).max()
+    assert np.abs(x - fresh).max() <= scheme._FORCING * scheme.NEWTON_TOL * np.abs(fresh).max()
 
 
 def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monkeypatch):
@@ -478,28 +512,39 @@ def test_singular_1d_jacobian_is_a_newton_failure(bdata_01, monkeypatch):
     assert solver.factorizations == 0
 
 
-def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01, monkeypatch):
+def _assert_reused_factors_match_refactoring(alphas, per_iterate, bdata, monkeypatch):
+    """An 8x8 run on held factors against one that factors every system of every iterate."""
     mesh = build_rectangle_mesh(8, 8, lambda x, y: abs(y - 1.0) < 1e-12)
-    model = model_case1(alphas=(1.0, 5.0))
+    model = model_case1(alphas=alphas)
     state = project_initial(build_named_initial_datum("bumps-2d", {"u_d": (0.1, 0.1)}), mesh)
     cfg = NewtonConfig(dt_init=1e-5, dt_max=1e-2)
 
     def run():
         reports = []
-        final = advance(state, 0.2, mesh, model, bdata_01, cfg,
+        final = advance(state, 0.2, mesh, model, bdata, cfg,
                         observer=lambda r, s: reports.append(r))
         return final, reports
 
     reused, reused_reports = run()
-    monkeypatch.setattr(scheme, "_REFINE_TOL", 0.0)
+    monkeypatch.setattr(scheme, "_FORCING", 0.0)
     fresh, fresh_reports = run()
     iters = [r.newton_iters for r in fresh_reports]
     assert [r.newton_iters for r in reused_reports] == iters
     assert [r.dt_used for r in reused_reports] == [r.dt_used for r in fresh_reports]
     assert sum(r.dt_halvings for r in reused_reports) == 0
-    assert [r.lu_factorizations for r in fresh_reports] == iters
-    assert sum(r.lu_factorizations for r in reused_reports) < sum(iters)
+    assert [r.lu_factorizations for r in fresh_reports] == [per_iterate * k for k in iters]
+    assert sum(r.lu_factorizations for r in reused_reports) < per_iterate * sum(iters)
     assert np.abs(reused.u - fresh.u).max() <= 1e-12
+
+
+def test_advance_with_reused_factors_matches_refactoring_every_iterate(bdata_01, monkeypatch):
+    _assert_reused_factors_match_refactoring((1.0, 5.0), 1, bdata_01, monkeypatch)
+
+
+def test_biomass_split_with_reused_factors_matches_refactoring_every_iterate(bdata_01,
+                                                                            monkeypatch):
+    # equal alphas: the biomass split's two systems, each on its own held factors
+    _assert_reused_factors_match_refactoring((1.0, 1.0), 2, bdata_01, monkeypatch)
 
 
 def test_step_report_counts_the_factorizations_of_rejected_attempts(bdata_01, monkeypatch):
@@ -517,6 +562,27 @@ def test_step_report_counts_the_factorizations_of_rejected_attempts(bdata_01, mo
         assert first.dt_halvings > 0
         assert first.lu_factorizations == per_iterate * (first.newton_iters
                                                          + 2 * first.dt_halvings)
+
+
+@pytest.mark.parametrize("alphas", [(1.0, 5.0), (1.0, 1.0)])
+def test_step_reports_count_every_lu_solve(alphas, recorded_splu, bdata_01):
+    # 2D: the first solve on held factors and each refinement sweep are
+    # applications of the factors, as is the solve after a factorisation
+    _, solves = recorded_splu
+    mesh = build_rectangle_mesh(8, 8, lambda x, y: abs(y - 1.0) < 1e-12)
+    state = project_initial(build_named_initial_datum("bumps-2d", {"u_d": (0.1, 0.1)}), mesh)
+    reports = []
+    advance(state, 0.05, mesh, model_case1(alphas=alphas), bdata_01, NewtonConfig(),
+            observer=lambda r, s: reports.append(r))
+    assert sum(r.lu_solves for r in reports) == len(solves)
+    assert len(solves) > sum(r.lu_factorizations for r in reports)
+    # 1D: one LAPACK call per system solved, which factors and solves
+    mesh = build_interval_mesh(20, "left")
+    state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
+    reports = []
+    advance(state, 1e-2, mesh, model_case1(alphas=alphas), bdata_01, NewtonConfig(),
+            observer=lambda r, s: reports.append(r))
+    assert [r.lu_solves for r in reports] == [r.lu_factorizations for r in reports]
 
 
 def test_advance_in_two_calls_equals_one_call(case1, bdata_01):
@@ -771,15 +837,41 @@ def test_singular_1d_biomass_system_is_a_newton_failure(case1, bdata_01):
     split = scheme._BiomassSplit()
     solve = split.biomass.solve
 
-    def singular(matrix, rhs):
+    def singular(matrix, rhs, cells):
         matrix.data[:, 3] = 0.0  # column 3 of the band is column 3 of the matrix
-        return solve(matrix, rhs)
+        return solve(matrix, rhs, cells)
 
     split.biomass.solve = singular
     start = evaluate(state.u, mesh, case1, bdata_01)
     with pytest.raises(NewtonFailure, match="linear solve failed: .* U\\(4, 4\\) = 0"):
         newton_step(state, start, 1e-3, mesh, case1, bdata_01, solver=split)
     assert split.factorizations == 0
+
+
+@pytest.mark.parametrize("name", ["rectangle", "acute"])
+def test_biomass_split_refines_both_systems_to_the_row_bound(name, case1, bdata_01):
+    # each system on held factors is refined until every row of cell K is
+    # within _FORCING of Newton's stop, in units of m(K)/dt
+    mesh, dt = _assembly_meshes()[name], 1e-2
+    u = random_admissible(np.random.default_rng(21), 2, mesh.n_cells, low=0.05, high=0.15)
+    split = scheme._BiomassSplit()
+    start = evaluate(u, mesh, case1, bdata_01)
+    split.update(start, residual(make_state(u), start, dt, mesh), dt, mesh, case1)
+    systems = []
+    for solver in (split.biomass, split.species):
+        def recording(matrix, rhs, cells, solve=solver.solve):
+            x = solve(matrix, rhs, cells)
+            systems.append((matrix, rhs, cells, x))
+            return x
+
+        solver.solve = recording
+    trial = evaluate(1.0001 * u, mesh, case1, bdata_01)
+    split.update(trial, residual(make_state(u), trial, dt, mesh), dt, mesh, case1)
+    assert split.factorizations == 2 and len(systems) == 2
+    for matrix, rhs, cells, x in systems:
+        assert np.array_equal(cells, mesh.cell_measures / dt)
+        linear_residual = np.abs(rhs - matrix @ x).reshape(mesh.n_cells, -1)
+        assert (linear_residual <= scheme._FORCING * scheme.NEWTON_TOL * cells[:, None]).all()
 
 
 def test_singular_2d_species_system_with_held_factors_is_a_newton_failure(case1, bdata_01):
@@ -792,9 +884,9 @@ def test_singular_2d_species_system_with_held_factors_is_a_newton_failure(case1,
     assert split.biomass._lu is not None and split.species._lu is not None
     solve = split.species.solve
 
-    def singular(matrix, rhs):
+    def singular(matrix, rhs, cells):
         matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
-        return solve(matrix, rhs)
+        return solve(matrix, rhs, cells)
 
     split.species.solve = singular
     with pytest.raises(NewtonFailure, match="linear solve failed"):
@@ -932,7 +1024,7 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
     solver = scheme._LinearSolver()
-    solver.solve = lambda matrix, rhs: np.full_like(rhs, np.nan)
+    solver.solve = lambda matrix, rhs, cells: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
                     bdata_01, solver=solver)
@@ -971,8 +1063,8 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(bdata_01, monkeypatch)
     solver = scheme._LinearSolver()
     solve, updates = solver.solve, []
 
-    def overshooting(matrix, rhs):
-        x = solve(matrix, rhs)
+    def overshooting(matrix, rhs, cells):
+        x = solve(matrix, rhs, cells)
         if not updates:
             x[0] = -3.0 * state.u[0, 0]  # full step -2 u, half step -u/2, quarter step u/4
         updates.append(x.reshape(state.u.shape, order="F"))
