@@ -222,7 +222,8 @@ def cmd_selftest(args):
     for label, mesh, model in (
             ("1D, 8 cells", build_interval_mesh(8, "left"), model_case1()),
             ("2D, 3x3", build_rectangle_mesh(3, 3, DIRICHLET_PREDICATES["y=1"]),
-             model_case2((1.0, 10.0)))):
+             model_case2((1.0, 10.0))),
+            (f"1D, 8 cells, {generic.name}", build_interval_mesh(8, "left"), generic)):
         u = random_admissible(rng, 2, mesh.n_cells, 0.02, 0.4)
         deviation = jacobian_deviation(u, 1e-5, mesh, model, bdata)
         check(deviation < 1e-6,

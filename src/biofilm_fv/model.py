@@ -11,8 +11,8 @@ degenerate.  This module therefore treats
 
     G(m) = integral_0^m s^a / ((1 - s)^b p(s)^2) ds,    g(m) = G(m) / m
 
-as the primary objects, with g(0) = 0 by continuity and the exact derivative
-G'(m) = m^a / ((1 - m)^b p(m)^2).
+as the primary objects, with g(0) = 0 by continuity and G'(m) = m^a w(m),
+w = 1 / ((1 - m)^b p(m)^2), so that g' = (G' - g) / m follows from g and p.
 """
 
 from __future__ import annotations
@@ -200,6 +200,18 @@ class _LogGPrimitive:
         return self.a * (xlogy(m, m) - m) + self._phi(m)
 
 
+def _weight(m, p, b):
+    return 1.0 / ((1.0 - m) ** b * p**2)  # w(m) from p = p(m): G'(m) = m^a w(m)
+
+
+def g_prime(m, g, p, a, b):
+    """g' = (m^a w - g) / m from g = g(m), p = p(m); at m = 0 its limit, w/2 at a = 1, else 0."""
+    w = _weight(m, p, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (m**a * w - g) / m
+    return np.where(m == 0.0, 0.5 * w if a == 1.0 else 0.0, val)
+
+
 class ModelFunctions:
     """Vectorized model functions, immutable after construction.
 
@@ -209,17 +221,18 @@ class ModelFunctions:
     included) they raise ModelDomainError naming the model, the argument's
     range and m_max, and inside it they pass the model's closures a float
     array.  ``g = G / m`` is the ratio q/p, with G the cumulative mobility
-    integral, and ``log_g`` is the log(g) used by the entropy.
+    integral, and ``log_g`` is the log(g) used by the entropy.  A model
+    supplies p, p_prime, g and log_g; ``g_prime`` derives g' from g and p.
     """
 
-    def __init__(self, name, params, p, p_prime, g, g_prime, log_g, m_max):
+    def __init__(self, name, params, p, p_prime, g, log_g, m_max):
         self.name = name
         self.params = params
         self.m_max = float(m_max)
         self.p = p
         self.p_prime = p_prime
         self.g = self._on_domain(g)
-        self.g_prime = self._on_domain(g_prime)
+        self.g_prime = self._on_domain(lambda m: g_prime(m, g(m), p(m), params.a, params.b))
         self.log_g = self._on_domain(log_g)
         _check_p(p, p_prime, name)  # before any panel is built on p
         self.log_g_primitive = _LogGPrimitive(self)
@@ -352,16 +365,10 @@ def model_case1(alphas=(1.0, 1.0)) -> ModelFunctions:
             val = G(m) / m
         return np.where(m == 0.0, 0.0, val)
 
-    def g_prime(m):
-        with np.errstate(invalid="ignore"):
-            val = (G_prime(m) * m - G(m)) / m**2
-        return np.where(m == 0.0, 0.0, val)
-
     def log_g(m):
         return np.log(G(m)) - np.log(m)
 
-    return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, g_prime, log_g,
-                          _CASE1_M_MAX)
+    return ModelFunctions("case1", params, _p_exp, _p_exp_prime, g, log_g, _CASE1_M_MAX)
 
 
 # -- built-in model: linear p ---------------------------------------------------------
@@ -374,14 +381,10 @@ def model_case2(alphas=(1.0, 1.0)) -> ModelFunctions:
     def g(m):
         return m / (2.0 * (1.0 - m) ** 2)
 
-    def g_prime(m):
-        return (1.0 + m) / (2.0 * (1.0 - m) ** 3)
-
     def log_g(m):
         return np.log(m) - np.log(2.0) - 2.0 * np.log1p(-m)
 
-    return ModelFunctions("case2", params, _p_linear, _p_linear_prime, g, g_prime, log_g,
-                          _CASE2_M_MAX)
+    return ModelFunctions("case2", params, _p_linear, _p_linear_prime, g, log_g, _CASE2_M_MAX)
 
 
 # -- generic models -------------------------------------------------------------------
@@ -423,31 +426,24 @@ def model_generic(p, p_prime, params: ModelParams, name="generic") -> ModelFunct
     built on the same layout, stop at the model's m_max (``_domain_bound``).
     """
     a, b = params.a, params.b
-
-    def weight(s):
-        return 1.0 / ((1.0 - s) ** b * p(s) ** 2)
-
     m_max = _domain_bound(p, b)
     sigma_weights = _SIGMA_W * _SIGMA_X**a
 
+    def log_c_of(s):
+        s_sigma = s[:, None] * _SIGMA_X
+        return np.log(_weight(s_sigma, p(s_sigma), b) @ sigma_weights)
+
     @functools.cache  # built by ModelFunctions' entropy primitive, after it checks p
     def log_c():
-        return _PanelInterpolant(
-            lambda s: np.log(weight(s[:, None] * _SIGMA_X) @ sigma_weights), m_max, b)
+        return _PanelInterpolant(log_c_of, m_max, b)
 
     def g(m):
         return np.exp(log_c()(m)) * m**a
 
-    def g_prime(m):
-        cval = np.exp(log_c()(m))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gp = m ** (a - 1.0) * (weight(m) - cval)
-        return np.where(m == 0.0, 0.0 if a > 1.0 else cval, gp)
-
     def log_g(m):
         return log_c()(m) + a * np.log(m)
 
-    return ModelFunctions(name, params, p, p_prime, g, g_prime, log_g, m_max)
+    return ModelFunctions(name, params, p, p_prime, g, log_g, m_max)
 
 
 def get_model(selector: str, alphas, a=None, b=None, p_name=None) -> ModelFunctions:

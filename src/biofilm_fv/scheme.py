@@ -16,7 +16,8 @@ on the biomass.
 p, psq, D_sigma v and F once per admissible state (``admissible_biomass``);
 its ``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
 ``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and the
-per-state functions of ``diagnostics``, the entropy included, read.
+per-state functions of ``diagnostics``, the entropy included, read; the
+Jacobian derives g' from its g and p, and evaluates only p' beyond it.
 
 ``newton_step(state_prev, start, dt, ...)`` only solves: it iterates from
 ``start``, any evaluated first iterate, and returns the new state with its
@@ -73,7 +74,8 @@ from scipy.sparse.linalg import splu
 
 from . import diagnostics
 from .mesh import Mesh, jump, with_contact
-from .model import ModelDomainError, ModelFunctions, admissible_biomass, equal_diffusivities
+from .model import (ModelDomainError, ModelFunctions, admissible_biomass, equal_diffusivities,
+                    g_prime)
 
 # Newton's stop, max |R dt / m(K)| <= NEWTON_TOL, its iteration budget and its
 # iterate safeguards
@@ -393,9 +395,9 @@ def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
     """The flux derivatives of the K side of every flux edge and the L side of the interior ones.
 
     d F_{i,K,sigma} / d u_{j,side} = delta_ij diag_i + row_i for the flux
-    into K; each side is (diag, row), both (n, E).
+    into K; each side is (diag, row), both (n, E).  g' comes from ev's g and p.
     """
-    g_prime = model.g_prime(ev.biomass)
+    gp = g_prime(ev.biomass, ev.g[:-1], ev.p[:-1], model.params.a, model.params.b)
     pp = ev.p[:-1] * model.p_prime(ev.biomass)
     base = model.params.alpha_array[:, None] * mesh.flux_tau
     m = mesh.interior.size
@@ -403,7 +405,7 @@ def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
     for side, sign in ((mesh.flux_K, 1.0), (mesh.flux_L[:m], -1.0)):
         e = side.size
         b, psq, u = base[:, :e], ev.psq[:e], np.take(ev.u_ext, side, axis=1)
-        row = sign * b * psq * (u * g_prime[side]) - b * (pp[side] * ev.dv[:, :e])
+        row = sign * b * psq * (u * gp[side]) - b * (pp[side] * ev.dv[:, :e])
         parts.append((sign * b * (psq * ev.g[side]), row))
     return parts
 

@@ -6,9 +6,26 @@ from biofilm_fv import (
     State,
     build_interval_mesh,
     build_rectangle_mesh,
+    get_model,
     model_case1,
     model_case2,
 )
+
+# the generic models the tests run: (p, a, b); a = b = 1 with linear p is case2,
+# a = b = 2 with exp p is case1, and a = 1.5 covers a non-integer power of m
+GENERIC_MODELS = {
+    "generic:linear": ("linear", 1.0, 1.0),
+    "generic:exp": ("exp", 2.0, 2.0),
+    "generic:quadratic": ("quadratic", 1.5, 1.0),
+}
+
+
+def named_model(name):
+    """case1, case2 or one of ``GENERIC_MODELS`` by name, with diffusivities (1, 1)."""
+    if name in GENERIC_MODELS:
+        p_name, a, b = GENERIC_MODELS[name]
+        return get_model("generic", (1.0, 1.0), a=a, b=b, p_name=p_name)
+    return get_model(name, (1.0, 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from biofilm_fv import (
 from biofilm_fv import model as model_module
 from biofilm_fv.model import ModelFunctions, admissible_biomass, xlogy
 from biofilm_fv.oracle import quadrature_g
+from conftest import GENERIC_MODELS, named_model
 
 # frozen oracle values (30-digit quadrature of the defining integrals)
 H_STAR_CASE2_02_01 = 0.0888060151737645965048222734305
@@ -113,13 +114,54 @@ def test_g_strictly_increasing(model_name, case1, case2):
     assert (np.diff(grid * values) > 0.0).all()
 
 
-@pytest.mark.parametrize("model_name", ["case1", "case2"])
-def test_g_prime_matches_finite_differences(model_name, case1, case2):
-    model = case1 if model_name == "case1" else case2
+@pytest.mark.parametrize("model_name", ["case1", "case2", *GENERIC_MODELS])
+def test_g_prime_matches_finite_differences(model_name):
+    model = named_model(model_name)
     grid = np.linspace(0.01, 0.95, 40)
     h = 1e-6
     fd = (model.g(grid + h) - model.g(grid - h)) / (2.0 * h)
     assert np.abs(model.g_prime(grid) - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+# g' is derived from g and p for every model; the closed forms it replaced
+# stay here as its oracles.  Each bound is about 3x the largest relative
+# deviation measured on its 2001-point grid.
+
+
+def test_derived_g_prime_matches_case1_closed_form(case1):
+    # (G' m - G) / m^2 with G' = m^2 e^{2/(1-m)} / (1-m)^2 and G the closed
+    # form, which cancels below the switch to the Gauss rule; measured 8.9e-16
+    m = np.linspace(model_module._CASE1_GAUSS_BELOW, case1.m_max, 2001)
+    G_prime = m**2 / (1.0 - m) ** 2 * np.exp(2.0 / (1.0 - m))
+    np.testing.assert_allclose(case1.g_prime(m), (G_prime * m - _case1_G_masked(m)) / m**2,
+                               rtol=3e-15, atol=0.0)
+
+
+def test_derived_g_prime_matches_case2_closed_form(case2):
+    # measured 6.7e-16, m = 0 included
+    m = np.linspace(0.0, case2.m_max, 2001)
+    np.testing.assert_allclose(case2.g_prime(m), (1.0 + m) / (2.0 * (1.0 - m) ** 3),
+                               rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name, builtin, rtol", [
+    ("generic:linear", "case2", 1e-14),  # measured 2.9e-15
+    ("generic:exp", "case1", 1e-13),  # measured 2.5e-14
+])
+def test_generic_g_prime_matches_its_builtin_twin(name, builtin, rtol):
+    generic, model = named_model(name), named_model(builtin)
+    m = np.linspace(0.0, model.m_max, 2001)
+    np.testing.assert_allclose(generic.g_prime(m), model.g_prime(m), rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("name, limit", [
+    ("case2", 0.5), ("generic:linear", 0.5),  # a = 1, p = 1 - m: w(0) / 2
+    ("case1", 0.0), ("generic:exp", 0.0), ("generic:quadratic", 0.0),  # a > 1
+])
+def test_g_prime_at_zero_biomass_is_its_limit(name, limit):
+    model = named_model(name)
+    assert float(model.g_prime(0.0)) == limit
+    assert model.g_prime(np.array([0.0, 0.5]))[0] == limit
 
 
 def test_p_shape_asserted_on_construction():
@@ -217,7 +259,7 @@ def test_model_functions_reject_increasing_p(case2):
     with pytest.raises(ModelError, match="'rising': p is increasing near m = 0.5000"):
         ModelFunctions("rising", case2.params,
                        lambda x: (np.asarray(x, float) - 0.5) ** 2,
-                       case2.p_prime, case2.g, case2.g_prime, case2.log_g, case2.m_max)
+                       case2.p_prime, case2.g, case2.log_g, case2.m_max)
 
 
 def test_a_generic_model_build_checks_p_once(monkeypatch):
