@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, convergence, steady-state, check-mesh, selftest.
-Exit codes are stable contracts: 0 success, 2 configuration error,
-3 solver failure, 4 inadmissible mesh.
+Exit codes are stable contracts: 0 success, 1 a failed selftest check,
+2 configuration error, 3 solver failure, 4 inadmissible mesh.
 
 Configuration files are flat key = value text with INI-style sections; see
 the README for the grammar.  No environment variable is read.

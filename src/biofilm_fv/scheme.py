@@ -27,31 +27,28 @@ accepted evaluation on as the next step's ``start`` (dt-halving retries reuse
 it); enforces the invariants, then takes the step's diagnostics from it; and
 builds the one ``StepReport``.  Nothing is kept between calls.
 
-Every Newton matrix is built by ``_newton_matrix`` from the flux
-derivatives of ``_jacobian_parts``, the one producer of the K and L sides'
-terms, with one ``bincount`` on the mesh's cached pattern, the one place
-that chooses the storage; a ``_LinearSolver`` solves the Newton systems on
-whatever storage it is given.  On 1D meshes the banded Jacobian
-is DIA on LAPACK's band storage, and every iterate is factored and solved
-by one LAPACK call: ``dgtsv`` for a tridiagonal band, ``dgbsv`` for a wider
-one.  On 2D meshes it is CSC, SuperLU factors in MMD order on A^T + A, and
-the solver keeps the LU factors of the last matrix it factored and solves
-against each new exact one by iterative refinement on them, factoring anew
-only when the refinement stalls.  The refinement stops once the linear
-residual, measured as Newton's stop measures R, is within ``_FORCING`` of
-that stop (the forcing term of inexact Newton), so each Newton iterate is
-the exact-Jacobian one within ``_FORCING`` of Newton's stop.
+The flux derivatives are alpha_i times edge terms that belong to no
+species, and ``_jacobian_parts`` is their one producer: three edge-shaped
+arrays for the K side of every flux edge and the L side of every interior
+one.  Every Newton matrix is built from them by ``_newton_matrix``, with one
+``bincount`` on the mesh's cached pattern, which alone chooses the storage:
+on 1D meshes DIA on LAPACK's band storage, each iterate factored and solved
+by one LAPACK call (``dgtsv`` for a tridiagonal band, else ``dgbsv``); on 2D
+meshes CSC, which ``_LinearSolver`` factors with SuperLU in MMD order and
+solves on held factors by iterative refinement, factoring anew only when it
+stalls, to within ``_FORCING`` of Newton's stop (the forcing term of inexact
+Newton).  ``_add_edge_sums`` sums edge values into cells by one ``bincount``.
 
 With equal diffusivities and n >= 2 species, the paper's setting, the
-species equations sum to a closed equation for the biomass M, and the
-Newton system keeps that structure: ``_BiomassSplit`` solves it by block
-elimination, one one-species system for dM and one for the species, each
-on the mesh's n = 1 pattern (tridiagonal in 1D) with its own
-``_LinearSolver``.  Its Newton systems are those of the coupled system,
-solved to round-off by fresh factors and within ``_FORCING`` of Newton's
-stop on held ones.  The model's alpha_i alone choose the path
+species equations sum to a closed equation for the biomass M, and
+``_BiomassSplit`` solves the Newton system by block elimination: one
+one-species system for dM, whose edge terms need only M and D_sigma(M g),
+and one for the species, each on the mesh's n = 1 pattern with its own
+``_LinearSolver``, to round-off on fresh factors and within ``_FORCING`` of
+Newton's stop on held ones.  The model's alpha_i alone choose the path
 (``_newton_solver``); unequal alpha_i and a single species solve the
-coupled system.  One solver serves every step of an ``advance`` call.
+coupled system, whose (n, n) edge blocks ``_edge_blocks`` expands.  One
+solver serves every step of an ``advance`` call.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -271,24 +268,26 @@ def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) ->
 
 def residual(state_prev: State, evaluation: Evaluation, dt, mesh: Mesh):
     """Residual of the implicit Euler step at the evaluated trial state, shape (n, N)."""
-    out = (mesh.cell_measures / dt) * (evaluation.u - state_prev.u)
-    _add_edge_sums(out, evaluation.flux, mesh)
-    return out
+    mass = (mesh.cell_measures / dt) * (evaluation.u - state_prev.u)
+    return _add_edge_sums(mass, evaluation.flux, mesh)
 
 
-def _add_edge_sums(out, edge_values, mesh: Mesh):
-    """Adds to each row of ``out``, shape (n, N), the per-cell sums of the edge values into K.
+def _add_edge_sums(values, edges, mesh: Mesh):
+    """``values``, shape (n, N), plus the per-cell sums of the edge values into K, as a new array.
 
-    An edge value, shape (n, #flux edges), counts into K and, with the
-    opposite sign, into the far cell L of an interior edge.
+    An edge value, shape (n, #flux edges), counts into K and, with the opposite
+    sign, into the far cell L of an interior edge.  One ``bincount``, on an index
+    cached in the mesh's ``_PATTERNS`` entry, sums each cell's terms in the order
+    value, interior K, interior L, Dirichlet K.
     """
-    n_cells = out.shape[1]
-    m = mesh.interior.size
-    K, L = mesh.flux_K, mesh.flux_L
-    for i in range(out.shape[0]):
-        out[i] += np.bincount(K[:m], weights=edge_values[i, :m], minlength=n_cells)
-        out[i] -= np.bincount(L[:m], weights=edge_values[i, :m], minlength=n_cells)
-        out[i] += np.bincount(K[m:], weights=edge_values[i, m:], minlength=n_cells)
+    (n, n_cells), K, L, m = values.shape, mesh.flux_K, mesh.flux_L, mesh.interior.size
+    per_mesh = _PATTERNS.setdefault(mesh, {})
+    if ("sums", n) not in per_mesh:
+        cells = np.concatenate([np.arange(n_cells), K[:m], L[:m], K[m:]])
+        per_mesh["sums", n] = (cells + n_cells * np.arange(n)[:, None]).ravel()
+    weights = np.concatenate([values, edges[:, :m], -edges[:, :m], edges[:, m:]], axis=1)
+    return np.bincount(per_mesh["sums", n], weights=weights.ravel(),
+                       minlength=values.size).reshape(values.shape)
 
 
 def dirichlet_fluxes(evaluation: Evaluation, mesh: Mesh):
@@ -343,7 +342,8 @@ class _JacobianPattern:
     matrix: Callable[[np.ndarray], sp.spmatrix]
 
 
-# patterns per mesh and species count; a mesh's entry goes when the mesh does
+# per mesh, the pattern (key n) and edge-sum index (key ("sums", n)) of n
+# species; a mesh's entry goes when the mesh does
 _PATTERNS = weakref.WeakKeyDictionary()
 
 
@@ -382,31 +382,30 @@ def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
     return per_mesh[n]
 
 
-def _edge_blocks(diag, row):
-    """The (n, n, E) blocks delta_ij diag_i + row_i of one side's ``_jacobian_parts``."""
-    n = row.shape[0]
-    out = np.repeat(row[:, None, :], n, axis=1)
-    idx = np.arange(n)
-    out[idx, idx, :] += diag
+def _edge_blocks(ev: Evaluation, alphas, cells, d, c, q):
+    """The (n, n, E) blocks alpha_i (delta_ij d + c u_i - q D_sigma v_i) of one side."""
+    a = alphas[:, None]
+    rows = a * (c * np.take(ev.u_ext, cells, axis=1) - q * ev.dv[:, :cells.size])
+    out = np.repeat(rows[:, None, :], alphas.size, axis=1)
+    out[np.diag_indices(alphas.size)] += a * d
     return out
 
 
 def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
     """The flux derivatives of the K side of every flux edge and the L side of the interior ones.
 
-    d F_{i,K,sigma} / d u_{j,side} = delta_ij diag_i + row_i for the flux
-    into K; each side is (diag, row), both (n, E).  g' comes from ev's g and p.
+    Each side is (cells, d, c, q), edge-shaped with no species axis: its
+    cells, d = +-tau psq g, c = +-tau psq g' (+ on K's side) and q = tau p p'
+    there, so that d F_{i,K,sigma} / d u_{j,side} = alpha_i (delta_ij d +
+    c u_{i,side} - q D_sigma v_i).  g' comes from ev's g and p.
     """
     gp = g_prime(ev.biomass, ev.g[:-1], ev.p[:-1], model.params.a, model.params.b)
     pp = ev.p[:-1] * model.p_prime(ev.biomass)
-    base = model.params.alpha_array[:, None] * mesh.flux_tau
-    m = mesh.interior.size
     parts = []
-    for side, sign in ((mesh.flux_K, 1.0), (mesh.flux_L[:m], -1.0)):
-        e = side.size
-        b, psq, u = base[:, :e], ev.psq[:e], np.take(ev.u_ext, side, axis=1)
-        row = sign * b * psq * (u * gp[side]) - b * (pp[side] * ev.dv[:, :e])
-        parts.append((sign * b * (psq * ev.g[side]), row))
+    for cells, sign in ((mesh.flux_K, 1.0), (mesh.flux_L[:mesh.interior.size], -1.0)):
+        tau = mesh.flux_tau[:cells.size]
+        tau_psq = sign * tau * ev.psq[:cells.size]
+        parts.append((cells, tau_psq * ev.g[cells], tau_psq * gp[cells], tau * pp[cells]))
     return parts
 
 
@@ -428,13 +427,14 @@ def _newton_matrix(cells, near, far, mesh: Mesh):
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
     """Exact sparse Jacobian of ``residual`` with respect to the evaluated trial state.
 
-    In the natural cell-major ordering, built by ``_newton_matrix`` on the
-    mesh's cached pattern, which alone chooses the storage (CSC in 2D, DIA
-    on LAPACK's band storage in 1D); every Jacobian on that mesh shares its
-    read-only index arrays.
+    In cell-major order, built by ``_newton_matrix`` from ``_edge_blocks`` on the
+    mesh's cached pattern (CSC in 2D, DIA on LAPACK's band storage in 1D),
+    whose read-only index arrays every Jacobian on the mesh shares.
     """
-    near, far = (_edge_blocks(*parts) for parts in _jacobian_parts(evaluation, mesh, model))
-    return _newton_matrix(np.repeat(mesh.cell_measures / dt, near.shape[0]), near, far, mesh)
+    alphas = model.params.alpha_array
+    near, far = (_edge_blocks(evaluation, alphas, *side)
+                 for side in _jacobian_parts(evaluation, mesh, model))
+    return _newton_matrix(np.repeat(mesh.cell_measures / dt, alphas.size), near, far, mesh)
 
 
 class _LinearSolver:
@@ -459,8 +459,7 @@ class _LinearSolver:
     of LU factors, one per LAPACK call in 1D; ``solve`` raises RuntimeError
     on a singular J.  b may hold one right-hand side per column, and its
     rows are cell-major: the rows of cell K follow each other.  ``update``
-    is the Newton update of the coupled system, J from ``jacobian``, which
-    builds it with ``_newton_matrix`` like the systems of ``_BiomassSplit``.
+    is the Newton update of the coupled system, J from ``jacobian``.
     """
 
     def __init__(self):
@@ -529,11 +528,13 @@ class _LinearSolver:
 class _BiomassSplit:
     """Solves the Newton systems of n >= 2 species with equal alpha_i through the biomass M.
 
-    Then J_{(K,i),(L,j)} = delta_ij A_KL + B^(i)_KL: A, m(K)/dt plus the
-    diagonal parts of ``_jacobian_parts``, is the same for every species, and
-    B^(i), the species rows, does not depend on j.  So J du = -R is solved by
-    (A + sum_i B^(i)) dM = -sum_i R_i, then A du_i = -R_i - B^(i) dM for
-    i < n, all in one solve, and du_n = dM - sum_{i<n} du_i.  The two are
+    Then J_{(K,i),(L,j)} = delta_ij A_KL + B^(i)_KL, from the sides (cells, d,
+    c, q) of ``_jacobian_parts``: A, m(K)/dt plus the edge terms alpha d, is
+    the same for every species, and B^(i), edge terms alpha (c u_i - q D_sigma
+    v_i), does not depend on j.  So J du = -R is solved by (A + sum_i B^(i))
+    dM = -sum_i R_i, whose edge terms alpha (d + c M - q D_sigma(M g)) need
+    no species axis, then A du_i = -R_i - B^(i) dM for i < n, all in one
+    solve, and du_n = dM - sum_{i<n} du_i.  The two are
     one-species systems built by ``_newton_matrix`` on the mesh's n = 1
     pattern, each solved by its own ``_LinearSolver`` (2D held factors
     refine against their own matrix).  It is block elimination of the same
@@ -556,22 +557,21 @@ class _BiomassSplit:
 
     def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
         """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
-        (diag_K, row_K), (diag_L, row_L) = _jacobian_parts(evaluation, mesh, model)
-        diag_K, diag_L = diag_K[0], diag_L[0]
-        m = mesh.interior.size
-        cells = mesh.cell_measures / dt
-        d_M = self.biomass.solve(
-            _newton_matrix(cells, diag_K + row_K.sum(axis=0), diag_L + row_L.sum(axis=0), mesh),
-            -res.sum(axis=0), cells)
-        # B^(i) dM sums the edge values row_K dM_K + row_L dM_L the way the
-        # residual sums the fluxes; the contact state does not move
-        coupling = row_K[:-1] * d_M[mesh.flux_K]
-        coupling[:, :m] += row_L[:-1] * d_M[mesh.flux_L[:m]]
-        rhs = res[:-1].copy()
-        _add_edge_sums(rhs, coupling, mesh)
+        ev, alpha, cells = evaluation, model.params.alpha_array[0], mesh.cell_measures / dt
+        parts = _jacobian_parts(ev, mesh, model)
+        dmg = ev.dv.sum(axis=0)  # D_sigma(M g)
+        near, far = (alpha * (d + c * ev.m[side] - q * dmg[:side.size]) for side, d, c, q in parts)
+        d_M = self.biomass.solve(_newton_matrix(cells, near, far, mesh), -res.sum(axis=0), cells)
+        # B^(i) dM, i < n, sums each side's alpha (c u_i - q D_sigma v_i) dM_side
+        # as the residual sums the fluxes; the contact state does not move
+        coupling = np.zeros((res.shape[0] - 1, ev.dv.shape[1]))
+        for side, _, c, q in parts:
+            e = side.size
+            coupling[:, :e] += alpha * (c * ev.u_ext[:-1, side] - q * ev.dv[:-1, :e]) * d_M[side]
+        rhs = _add_edge_sums(res[:-1], coupling, mesh)
+        species = _newton_matrix(cells, *(alpha * d for _, d, _, _ in parts), mesh)
         delta = np.empty_like(res)
-        delta[:-1] = self.species.solve(_newton_matrix(cells, diag_K, diag_L, mesh), -rhs.T,
-                                        cells).T
+        delta[:-1] = self.species.solve(species, -rhs.T, cells).T
         # closing sum_i du_i = dM keeps the update backward stable where
         # B^(n) is large (near saturation); solving du_n like the others
         # does not

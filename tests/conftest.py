@@ -20,12 +20,12 @@ GENERIC_MODELS = {
 }
 
 
-def named_model(name):
-    """case1, case2 or one of ``GENERIC_MODELS`` by name, with diffusivities (1, 1)."""
+def named_model(name, alphas=(1.0, 1.0)):
+    """case1, case2 or one of ``GENERIC_MODELS`` by name, with the given diffusivities."""
     if name in GENERIC_MODELS:
         p_name, a, b = GENERIC_MODELS[name]
-        return get_model("generic", (1.0, 1.0), a=a, b=b, p_name=p_name)
-    return get_model(name, (1.0, 1.0))
+        return get_model("generic", alphas, a=a, b=b, p_name=p_name)
+    return get_model(name, alphas)
 
 
 @pytest.fixture(scope="session")

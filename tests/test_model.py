@@ -422,6 +422,26 @@ def test_cached_primitive_matches_quadrature(case1, case2):
             )
 
 
+@pytest.mark.parametrize("name", ["case1", "case2", "generic:quadratic"])
+def test_reference_primitive_at_zero_and_below_the_split(name):
+    # at and below _LOG_SPLIT the reference primitive takes no quadrature: 0 at
+    # m = 0, else the head m (log g(m) - a), exact for the a log s part of log g
+    # and off by m phi(m) - int_0^m phi ~ m^2 phi'/2 for the smooth rest phi
+    model = named_model(name)
+    primitive = model.log_g_primitive
+    assert primitive.quad(0.0) == 0.0
+
+    def phi(s):
+        return float(model.log_g(s)) - primitive.a * np.log(s)
+
+    for m in (1e-7, 1e-6):
+        head = primitive.quad(m)
+        assert head == m * (float(model.log_g(m)) - primitive.a)
+        slope = abs(phi(m) - phi(m / 2)) / (m / 2)  # |phi'| on [m/2, m]
+        # measured 1.0 to 1.0005 times m^2 |phi'| / 2
+        assert abs(head - float(primitive(m))) <= m * m * slope
+
+
 def test_case2_primitive_closed_form(case2):
     # integral of log g for p = 1-x: (m log m - m) - m log 2 + 2((1-m)log(1-m) + m)
     for m in (0.1, 0.3, 0.6):

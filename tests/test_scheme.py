@@ -154,6 +154,31 @@ def test_residual_three_cell_hand_expansion(case2):
     assert np.abs(res - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
+def test_edge_sums_match_three_bincounts_per_species(name, n):
+    # the one scatter against three bincounts per species: bitwise in 1D,
+    # where each cell takes at most one term per group, and to round-off in
+    # 2D, where the K terms of a cell are summed in another order (measured
+    # at most 3.6e-16 of the largest sum)
+    mesh = _assembly_meshes()[name]
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((n, mesh.n_cells))
+    edges = rng.standard_normal((n, mesh.flux_K.size))
+    K, L, m = mesh.flux_K, mesh.flux_L, mesh.interior.size
+    expected = values.copy()
+    for i in range(n):
+        expected[i] += np.bincount(K[:m], weights=edges[i, :m], minlength=mesh.n_cells)
+        expected[i] -= np.bincount(L[:m], weights=edges[i, :m], minlength=mesh.n_cells)
+        expected[i] += np.bincount(K[m:], weights=edges[i, m:], minlength=mesh.n_cells)
+    sums = scheme._add_edge_sums(values, edges, mesh)
+    if mesh.dimension == 1:
+        assert np.array_equal(sums, expected)
+    else:
+        assert np.abs(sums - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert np.array_equal(scheme._add_edge_sums(values, edges, mesh), sums)  # cached index
+
+
 def test_residual_rejects_saturated_trial(case2, bdata_01):
     mesh = build_interval_mesh(4, "left")
     u = np.full((2, 4), 0.55)  # biomass 1.1
@@ -247,7 +272,7 @@ def _coo_jacobian(record, dt, mesh, model):
     those of L's side likewise.
     """
     parts = scheme._jacobian_parts(record, mesh, model)
-    near, far = (scheme._edge_blocks(*side) for side in parts)
+    near, far = (scheme._edge_blocks(record, model.params.alpha_array, *side) for side in parts)
     n, m = near.shape[0], mesh.interior.size
     cells = np.repeat(mesh.cell_measures / dt, n)
     entries = scheme._in_entry_order(cells, near, far, -far, -near[..., :m], m)
@@ -771,13 +796,18 @@ def test_newton_solver_follows_the_diffusivities():
         assert type(scheme._newton_solver(model_case2(alphas=alphas))) is scheme._LinearSolver
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("name", ["1d", "rectangle", "acute"])
-def test_biomass_split_is_the_coupled_newton_update(name, n):
+@pytest.mark.parametrize("name, n, model_name", [
+    # case1's cases keep their ids
+    pytest.param(name, n, model_name,
+                 id=f"{name}-{n}" + ("" if model_name == "case1" else f"-{model_name}"))
+    for model_name in ["case1", "case2", *GENERIC_MODELS]
+    for name in ["1d", "rectangle", "acute"] for n in [2, 3]
+])
+def test_biomass_split_is_the_coupled_newton_update(name, n, model_name):
     # block elimination of the coupled system, so the two updates agree to
     # round-off on states whose Jacobian is well conditioned
     mesh = _assembly_meshes()[name]
-    model = model_case1(alphas=(2.0,) * n)
+    model = named_model(model_name, alphas=(2.0,) * n)
     bdata = BoundaryData((0.1,) * n)
     rng = np.random.default_rng(15)
     for dt in (1e-6, 1e-3, 1.0):
