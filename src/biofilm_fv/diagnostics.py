@@ -31,7 +31,7 @@ def discrete_entropy(evaluation, mesh: Mesh, model: ModelFunctions) -> float:
 def dissipation(evaluation, mesh: Mesh) -> np.ndarray:
     """Per-species entropy dissipation: edge sums of tau psq (D sqrt(u_i g(M)))^2."""
     return (jump(np.sqrt(evaluation.u_ext * evaluation.g), mesh) ** 2
-            * (mesh.flux_tau * evaluation.psq)).sum(axis=1)
+            * evaluation.tau_psq).sum(axis=1)
 
 
 def entropy_production(dissipation, alphas) -> float:

@@ -34,6 +34,10 @@ class ConfigurationError(Exception):
 # the most steps a config may imply; the reference of
 # configs/convergence-case1-paper.cfg implies 26,214.4
 MAX_STEPS = 10**7
+# the most cells a generated mesh may have; the largest that a shipped config or
+# benchmark builds has 96^2 = 9,216, and a 10^6-cell interval already holds
+# 160 MB per two-species Newton band
+MAX_CELLS = 10**6
 
 
 # -- initial data ----------------------------------------------------------------------
@@ -208,13 +212,24 @@ class ExperimentSpec:
             raise ConfigurationError(str(exc)) from exc
 
     def build_mesh(self, n_cells=None) -> Mesh:
+        """The run's mesh, of ``n_cells`` cells in 1D when given.
+
+        An interval or rectangle of more than ``MAX_CELLS`` cells is a
+        configuration error, raised before any array is made.
+        """
         tag = self.dirichlet_tag
         predicate = DIRICHLET_PREDICATES.get(tag)
         if self.dimension == 2 and predicate is None:
             raise ConfigurationError(f"unknown dirichlet tag {tag!r}")
+        n_cells = n_cells or self.n_cells
+        if self.dimension == 1 and n_cells > MAX_CELLS:
+            raise ConfigurationError(f"mesh of {n_cells} cells, more than {MAX_CELLS}")
+        if self.dimension == 2 and self.mesh_file is None and self.nx * self.ny > MAX_CELLS:
+            raise ConfigurationError(f"mesh of nx * ny = {self.nx * self.ny} cells, "
+                                     f"more than {MAX_CELLS}")
         try:
             if self.dimension == 1:
-                return build_interval_mesh(n_cells or self.n_cells, tag)
+                return build_interval_mesh(n_cells, tag)
             if self.mesh_file is not None:
                 return load_triangle_mesh_file(self.mesh_file, predicate)
             return build_rectangle_mesh(self.nx, self.ny, predicate)

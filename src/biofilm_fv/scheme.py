@@ -13,7 +13,7 @@ varies slowest) and the Jacobian is exact, including the dependence of psq
 on the biomass.
 
 ``evaluate``, the only code that evaluates g and p on a state, computes g,
-p, psq, D_sigma v and F once per admissible state (``admissible_biomass``);
+p, tau psq, D_sigma v and F once per admissible state (``admissible_biomass``);
 its ``Evaluation`` record is all that ``residual(state_prev, ev, dt, mesh)``,
 ``jacobian(ev, dt, mesh, model)``, ``dirichlet_fluxes(ev, mesh)`` and the
 per-state functions of ``diagnostics``, the entropy included, read; the
@@ -30,11 +30,12 @@ builds the one ``StepReport``.  Nothing is kept between calls.
 The flux derivatives are alpha_i times edge terms that belong to no
 species, and ``_jacobian_parts`` is their one producer: three edge-shaped
 arrays for the K side of every flux edge and the L side of every interior
-one.  Every Newton matrix is built from them by ``_newton_matrix``, with one
-``bincount`` on the mesh's cached pattern, which alone chooses the storage:
-on 1D meshes DIA on LAPACK's band storage, each iterate factored and solved
-by one LAPACK call (``dgtsv`` for a tridiagonal band, else ``dgbsv``); on 2D
-meshes CSC, which ``_LinearSolver`` factors with SuperLU in MMD order and
+one.  Every Newton matrix is built from them by ``_newton_matrix``, a copy
+of the mesh's cached template with its data from one ``bincount``; the
+pattern alone chooses the storage: on 1D meshes DIA on LAPACK's band
+storage, each iterate factored and solved by one LAPACK call (``dgtsv``
+for a tridiagonal band, else ``dgbsv``); on 2D meshes CSC, which
+``_LinearSolver`` factors with SuperLU in MMD order and
 solves on held factors by iterative refinement, factoring anew only when it
 stalls, to within ``_FORCING`` of Newton's stop (the forcing term of inexact
 Newton).  ``_add_edge_sums`` sums edge values into cells by one ``bincount``.
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import copy
 import weakref
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,14 +234,15 @@ class Evaluation:
     """The scheme's quantities at one trial state, from one evaluation of g and p.
 
     ``u_ext``, the biomass m, g and p carry the contact state as ghost column
-    ``n_cells``; psq (psq_sigma), dv (D_sigma v) and flux (F into K) span every flux edge.
+    ``n_cells``; tau_psq (tau_sigma psq_sigma), dv (D_sigma v) and flux (F into K)
+    span every flux edge.
     """
 
     u_ext: np.ndarray
     m: np.ndarray
     g: np.ndarray
     p: np.ndarray
-    psq: np.ndarray
+    tau_psq: np.ndarray
     dv: np.ndarray
     flux: np.ndarray
 
@@ -259,11 +260,11 @@ def evaluate(u_trial, mesh: Mesh, model: ModelFunctions, bdata: BoundaryData) ->
     u = np.asarray(u_trial, dtype=float)
     m = with_contact(admissible_biomass(u), bdata.biomass)
     g, p = model.g(m), model.p(m)
-    psq = 0.5 * (p[mesh.flux_K] ** 2 + p[mesh.flux_L] ** 2)
+    tau_psq = mesh.flux_tau * (0.5 * (p[mesh.flux_K] ** 2 + p[mesh.flux_L] ** 2))
     u_ext = with_contact(u, bdata.values)
     dv = jump(u_ext * g, mesh)
-    flux = -(model.params.alpha_array[:, None] * (mesh.flux_tau * psq)) * dv
-    return Evaluation(u_ext=u_ext, m=m, g=g, p=p, psq=psq, dv=dv, flux=flux)
+    flux = -(model.params.alpha_array[:, None] * tau_psq) * dv
+    return Evaluation(u_ext=u_ext, m=m, g=g, p=p, tau_psq=tau_psq, dv=dv, flux=flux)
 
 
 def residual(state_prev: State, evaluation: Evaluation, dt, mesh: Mesh):
@@ -324,61 +325,42 @@ def _coo_pattern(mesh: Mesh, n: int):
     return tuple(_in_entry_order(diag, near[k], kl[k], ll[k], lk[k], m) for k in (0, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class _JacobianPattern:
-    """Fixed sparse structure of the Jacobian on one mesh for n species.
-
-    One ``bincount`` through ``scatter`` assembles the ``slots`` entries of
-    the matrix data, and ``matrix`` builds the Jacobian on them.  The pattern
-    alone chooses the storage: CSC on 2D meshes; on 1D meshes, whose
-    cell-major Jacobian is banded with kl = max |row - column|, DIA on LAPACK's
-    (3 kl + 1, size) band storage in Fortran order, entry (r, c) at row
-    2 kl + r - c, its first kl rows left zero for the fill of the banded LU.
-    Every Jacobian on the mesh shares the read-only index arrays.
-    """
-
-    scatter: np.ndarray
-    slots: int
-    matrix: Callable[[np.ndarray], sp.spmatrix]
-
-
-# per mesh, the pattern (key n) and edge-sum index (key ("sums", n)) of n
-# species; a mesh's entry goes when the mesh does
+# per mesh, the Newton matrix's scatter and template (key n) and the edge-sum
+# index (key ("sums", n)) of n species; a mesh's entry goes when the mesh does
 _PATTERNS = weakref.WeakKeyDictionary()
 
 
-def _jacobian_pattern(mesh: Mesh, n: int) -> _JacobianPattern:
-    """The cached pattern of ``mesh`` for n species, built on first use."""
+def _jacobian_pattern(mesh: Mesh, n: int):
+    """The cached (scatter, template) of the Newton matrix on ``mesh`` for n species.
+
+    One ``bincount`` through ``scatter`` gives the data of a Newton matrix,
+    and ``template`` is that matrix checked once by scipy's constructor, with
+    zero data and read-only index arrays.  The pattern alone chooses the
+    storage: CSC on 2D meshes; on 1D meshes, whose cell-major Jacobian is
+    banded with kl = max |row - column|, DIA on LAPACK's (3 kl + 1, size)
+    band storage in Fortran order, entry (r, c) at row 2 kl + r - c, its
+    first kl rows left zero for the fill of the banded LU.  Built on first use.
+    """
     per_mesh = _PATTERNS.setdefault(mesh, {})
-    if n in per_mesh:
-        return per_mesh[n]
-    rows, cols = _coo_pattern(mesh, n)
-    size = n * mesh.n_cells
-    if mesh.dimension == 1:
-        kl = int(np.abs(rows - cols).max())
-        depth = 3 * kl + 1
-        scatter, slots = cols * depth + 2 * kl + rows - cols, depth * size
-        offsets = (2 * kl - np.arange(depth)).astype(np.intc)
-        # scipy's constructor checks its input on every call; each matrix is
-        # instead a shallow copy of one checked template with its own data
-        template = sp.dia_matrix((np.zeros((depth, size)), offsets), shape=(size, size))
-        index = (template.offsets,)
-
-        def matrix(data):
-            out = copy.copy(template)
-            out.data = data.reshape((depth, size), order="F")
-            return out
-    else:
-        keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
-        slots, indices = keys.size, (keys % size).astype(np.intc)
-        indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.intc)
-        index = (indices, indptr)
-
-        def matrix(data):
-            return sp.csc_matrix((data, indices, indptr), shape=(size, size))
-    for array in (scatter, *index):
-        array.flags.writeable = False
-    per_mesh[n] = _JacobianPattern(scatter, slots, matrix)
+    if n not in per_mesh:
+        rows, cols = _coo_pattern(mesh, n)
+        size = n * mesh.n_cells
+        if mesh.dimension == 1:
+            kl = int(np.abs(rows - cols).max())
+            depth = 3 * kl + 1
+            scatter = cols * depth + 2 * kl + rows - cols
+            template = sp.dia_matrix((np.zeros((depth, size)), 2 * kl - np.arange(depth)),
+                                     shape=(size, size))
+            index = (template.offsets,)
+        else:
+            keys, scatter = np.unique(cols.astype(np.int64) * size + rows, return_inverse=True)
+            indptr = np.searchsorted(keys // size, np.arange(size + 1))
+            template = sp.csc_matrix((np.zeros(keys.size), keys % size, indptr),
+                                     shape=(size, size))
+            index = (template.indices, template.indptr)
+        for array in (scatter, *index):
+            array.flags.writeable = False
+        per_mesh[n] = scatter, template
     return per_mesh[n]
 
 
@@ -403,25 +385,29 @@ def _jacobian_parts(ev: Evaluation, mesh: Mesh, model: ModelFunctions):
     pp = ev.p[:-1] * model.p_prime(ev.biomass)
     parts = []
     for cells, sign in ((mesh.flux_K, 1.0), (mesh.flux_L[:mesh.interior.size], -1.0)):
-        tau = mesh.flux_tau[:cells.size]
-        tau_psq = sign * tau * ev.psq[:cells.size]
-        parts.append((cells, tau_psq * ev.g[cells], tau_psq * gp[cells], tau * pp[cells]))
+        tau_psq = sign * ev.tau_psq[:cells.size]
+        parts.append((cells, tau_psq * ev.g[cells], tau_psq * gp[cells],
+                      mesh.flux_tau[:cells.size] * pp[cells]))
     return parts
 
 
 def _newton_matrix(cells, near, far, mesh: Mesh):
-    """The Newton matrix on the mesh's cached pattern, from its cell and edge terms.
+    """The Newton matrix from its cell and edge terms: a copy of the pattern's template.
 
     ``cells`` is the diagonal per unknown, size n N; ``near`` and ``far`` are
     the derivatives of the flux into K with respect to the K side of every
     flux edge and the L side of every interior edge, (n, n, E) blocks or, for
     n = 1, (E,).  An interior edge's flux leaves L as it enters K, so K's row
-    takes both sides' terms and L's row both negated.
+    takes both sides' terms and L's row both negated.  The copy shares the
+    template's index arrays and holds its own data, one ``bincount``.
     """
-    pattern = _jacobian_pattern(mesh, cells.size // mesh.n_cells)
+    scatter, template = _jacobian_pattern(mesh, cells.size // mesh.n_cells)
     m = mesh.interior.size
     entries = _in_entry_order(cells, near, far, -far, -near[..., :m], m)
-    return pattern.matrix(np.bincount(pattern.scatter, weights=entries, minlength=pattern.slots))
+    out = copy.copy(template)
+    out.data = np.bincount(scatter, weights=entries, minlength=template.data.size).reshape(
+        template.data.shape, order="F")
+    return out
 
 
 def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):

@@ -272,6 +272,12 @@ BAD_CONFIGS = {
     "dt-too-small": ("run", RUN_1D.replace("dt = 1e-5", "dt = 1e-300")),
     "t-end-too-far": ("run", RUN_1D.replace("t_end = 1e-4", "t_end = 1e300")
                       .replace("policy = fixed", "policy = adaptive")),
+    # more than harness.MAX_CELLS cells, rejected before any array is made; each
+    # would otherwise fail to allocate its first array (75 GiB, 66 TiB and 728 TiB)
+    "cells-too-many": ("run", RUN_1D.replace("cells = 20", "cells = 10000000000")),
+    "nx-ny-too-many": ("run", RUN_2D.replace("nx = 4\nny = 4", "nx = 3000000\nny = 3000000")),
+    "reference-too-many": ("convergence", CONVERGENCE_CASE2.replace(
+        "reference = 1280", "reference = 100000000000000")),
     # generic exp with a = b = 2 is tabulated up to m = 0.99705; the bumps-1d
     # datum puts 2 * 0.4985 + 0.0005 = 0.9975 into the species-1 box
     "generic-beyond-cap-initial": ("run", RUN_1D.replace(
@@ -333,6 +339,9 @@ NAMED_IN_ERROR = {"unknown-key": "'cell'", "unknown-section": "[tme]",
                   "resolutions-in-run": "[convergence] resolutions is not read by run",
                   "snapshot-tags-collide": "snapshot times 5e-05 and 5.0000001e-05 share the "
                                            "file tag 5e-05",
+                  "cells-too-many": "mesh of 10000000000 cells, more than 1000000",
+                  "nx-ny-too-many": "mesh of nx * ny = 9000000000000 cells, more than 1000000",
+                  "reference-too-many": "mesh of 100000000000000 cells, more than 1000000",
                   "dt-too-small": "t_end = 0.0001 at dt = 1e-300 implies 1e+296 steps",
                   "t-end-too-far": "t_end = 1e+300 at dt_max = 0.01 implies 1e+302 steps",
                   "generic-beyond-cap-initial": "model 'generic:exp': biomass out of range: min=0.499, "

@@ -498,8 +498,10 @@ def test_primitive_panels_reach_the_domain_bound(selector):
 def _interior_psq(m_K, m_L, model):
     """psq_sigma of the interior edge of a two-cell mesh with biomasses m_K and m_L."""
     u = np.array([[m_K, m_L], [m_K, m_L]]) / 2
-    ev = evaluate(u, build_interval_mesh(2, "left"), model, BoundaryData((0.1, 0.1)))
-    return float(ev.psq[0])
+    mesh = build_interval_mesh(2, "left")
+    ev = evaluate(u, mesh, model, BoundaryData((0.1, 0.1)))
+    # tau = 2 on this mesh, so the division is exact
+    return float(ev.tau_psq[0] / mesh.flux_tau[0])
 
 
 def test_flux_coefficient_equal_arguments(case2):

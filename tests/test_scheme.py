@@ -742,6 +742,57 @@ def test_1d_jacobian_pattern_shares_its_band_offsets(case2, bdata_01):
     assert not np.shares_memory(first.data, second.data)
 
 
+def _random_newton_matrix(mesh, n, rng):
+    """``_newton_matrix`` of a diagonally dominant random system of n species on ``mesh``."""
+    blocks = () if n == 1 else (n, n)
+    near = 0.1 * rng.standard_normal(blocks + mesh.flux_K.shape)
+    far = 0.1 * rng.standard_normal(blocks + mesh.interior.shape)
+    return scheme._newton_matrix(rng.uniform(10.0, 11.0, n * mesh.n_cells), near, far, mesh)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_newton_matrices_are_copies_of_the_checked_template(dimension, n):
+    mesh = (build_interval_mesh(9, "left") if dimension == 1
+            else build_rectangle_mesh(4, 3, lambda x, y: abs(y - 1.0) < 1e-12))
+    rng = np.random.default_rng(21)
+    _, template = scheme._jacobian_pattern(mesh, n)
+    index_names = ("offsets",) if dimension == 1 else ("indices", "indptr")
+    kept = {name: getattr(template, name).copy() for name in ("data",) + index_names}
+    first, second = _random_newton_matrix(mesh, n, rng), _random_newton_matrix(mesh, n, rng)
+    assert first.format == second.format == template.format == ("dia", "csc")[dimension - 1]
+    for name in index_names:
+        index = getattr(template, name)
+        assert not index.flags.writeable
+        assert getattr(first, name) is index and getattr(second, name) is index
+
+    # each result is what scipy's checked constructor builds from the same data
+    for matrix in (first, second):
+        if dimension == 1:
+            kl = 2 * n - 1  # the first species of cell K meets the last of K + 1
+            checked = sp.dia_matrix((matrix.data.copy(), 2 * kl - np.arange(3 * kl + 1)),
+                                    shape=matrix.shape)
+        else:
+            checked = sp.csc_matrix(matrix.toarray())
+        for name in ("data",) + index_names:
+            ours, theirs = getattr(matrix, name), getattr(checked, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    # each result holds its own data
+    second_data = second.data.copy()
+    first.data[...] = 7.0
+    assert np.array_equal(second.data, second_data)
+
+    # factoring, solving and multiplying a result leave the template as it was
+    rhs = rng.standard_normal(second.shape[0])
+    x = scheme._LinearSolver().solve(second, rhs)
+    assert np.allclose(second @ x, rhs, rtol=0.0, atol=1e-12)
+    splu(second.tocsc()).solve(rhs)
+    for name, array in kept.items():
+        assert np.array_equal(getattr(template, name), array)
+    assert not template.data.any()
+
+
 def test_jacobian_row_sum_mass_balance(case2, bdata_01):
     # summing the residual over cells leaves only the Dirichlet fluxes, so
     # column sums of the Jacobian must match the derivative of that defect
