@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -221,7 +222,8 @@ class ExperimentSpec:
         predicate = DIRICHLET_PREDICATES.get(tag)
         if self.dimension == 2 and predicate is None:
             raise ConfigurationError(f"unknown dirichlet tag {tag!r}")
-        n_cells = n_cells or self.n_cells
+        if n_cells is None:
+            n_cells = self.n_cells
         if self.dimension == 1 and n_cells > MAX_CELLS:
             raise ConfigurationError(f"mesh of {n_cells} cells, more than {MAX_CELLS}")
         if self.dimension == 2 and self.mesh_file is None and self.nx * self.ny > MAX_CELLS:
@@ -307,8 +309,18 @@ def _fmt(value):
     return repr(float(value))
 
 
+@contextmanager
+def _output_file(path):
+    """``path`` opened for ASCII text; an OSError while writing it is a ConfigurationError."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output: {exc}") from exc
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output_file(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
@@ -350,7 +362,7 @@ def write_snapshot_vtk(path, mesh, u, title="snapshot"):
     n = u.shape[0]
     biomass = u.sum(axis=0)
     cell_type = {3: 5, 4: 9}
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output_file(path) as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
         fh.write("ASCII\n")
@@ -416,7 +428,8 @@ def write_run_metadata(path, spec, mesh, m_star, reports):
             "python": sys.version.split()[0],
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
+    with _output_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 # -- convergence study ------------------------------------------------------------------------

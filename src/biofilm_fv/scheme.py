@@ -42,14 +42,15 @@ Newton).  ``_add_edge_sums`` sums edge values into cells by one ``bincount``.
 
 With equal diffusivities and n >= 2 species, the paper's setting, the
 species equations sum to a closed equation for the biomass M, and
-``_BiomassSplit`` solves the Newton system by block elimination: one
-one-species system for dM, whose edge terms need only M and D_sigma(M g),
-and one for the species, each on the mesh's n = 1 pattern with its own
-``_LinearSolver``, to round-off on fresh factors and within ``_FORCING`` of
-Newton's stop on held ones.  The model's alpha_i alone choose the path
-(``_newton_solver``); unequal alpha_i and a single species solve the
-coupled system, whose (n, n) edge blocks ``_edge_blocks`` expands.  One
-solver serves every step of an ``advance`` call.
+``_newton_update``, the one Newton update, solves the Newton system by block
+elimination: one one-species system for dM, whose edge terms need only M
+and D_sigma(M g), and one for the species, each on the mesh's n = 1 pattern,
+to round-off on fresh factors and within ``_FORCING`` of Newton's stop on
+held ones.  The model's alpha_i alone choose the branch; unequal alpha_i
+and a single species solve the coupled system, whose (n, n) edge blocks
+``_edge_blocks`` expands.  One ``_LinearSolver`` serves every step of an
+``advance`` call and holds 2D factors per system: the coupled Jacobian, or
+the split's "biomass" and "species" systems.
 
 Nonnegativity and the biomass bound are theorems for exact solutions of the
 scheme, so the Newton safeguard only protects transient iterates, by one rule.
@@ -424,58 +425,52 @@ def jacobian(evaluation: Evaluation, dt, mesh: Mesh, model: ModelFunctions):
 
 
 class _LinearSolver:
-    """Solves the Newton systems J x = b of one mesh, always against the current J.
+    """Solves linear systems J x = b, always against the current J, and counts its LU work.
 
     J's storage, chosen by the Jacobian pattern alone, picks the path.  A DIA
     J (1D) is solved by one LAPACK call on a copy of its band storage, an LU
     with partial pivoting and its solve: ``dgtsv`` for a tridiagonal band
-    (kl = 1, one species), ``dgbsv`` for a wider one.  For a
-    CSC J (2D) each factorisation is one ``splu`` of the natural-order J,
-    which SuperLU orders by minimum degree on A^T + A; the solver keeps the
-    LU of the last Jacobian it factored, and a later solve on a new J starts
-    from x = LU^-1 b and refines x += LU^-1 (b - J x) until every row of
-    cell K meets |b - J x| <= _FORCING * NEWTON_TOL * m(K)/dt, with ``cells``
-    holding m(K)/dt (1 by default).  That is the forcing
-    term of inexact Newton: each Newton iterate is the exact-Jacobian one
-    within _FORCING of Newton's stop, max |R dt/m(K)| <= NEWTON_TOL.
-    It gives up after _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks
-    the residual by less than 1/_REFINE_CONTRACTION or leaves it non-finite,
-    and then drops the stale factors and factors J.  ``factorizations``
-    counts the LU factorisations made and ``lu_solves`` every application
-    of LU factors, one per LAPACK call in 1D; ``solve`` raises RuntimeError
-    on a singular J.  b may hold one right-hand side per column, and its
-    rows are cell-major: the rows of cell K follow each other.  ``update``
-    is the Newton update of the coupled system, J from ``jacobian``.
+    (kl = 1, one species), ``dgbsv`` for a wider one.  For a CSC J (2D) each
+    factorisation is one ``splu`` of the natural-order J, which SuperLU
+    orders by minimum degree on A^T + A.  The solver holds, per ``system``
+    key, the LU of the last J it factored for that system, and a later solve
+    of the system on a new J starts from x = LU^-1 b and refines
+    x += LU^-1 (b - J x) until every row of cell K meets
+    |b - J x| <= _FORCING * NEWTON_TOL * m(K)/dt, with ``cells`` holding
+    m(K)/dt (1 by default).  That is the forcing term of inexact Newton:
+    each Newton iterate is the exact-Jacobian one within _FORCING of
+    Newton's stop, max |R dt/m(K)| <= NEWTON_TOL.  It gives up after
+    _REFINE_SWEEPS sweeps, or as soon as a sweep shrinks the residual by
+    less than 1/_REFINE_CONTRACTION or leaves it non-finite, and then drops
+    that system's stale factors and factors J.  ``factorizations`` counts
+    the LU factorisations made and ``lu_solves`` every application of LU
+    factors, one per LAPACK call in 1D; ``solve`` raises RuntimeError on a
+    singular J.  b may hold one right-hand side per column, and its rows are
+    cell-major: the rows of cell K follow each other.
     """
 
     def __init__(self):
         self.factorizations = 0
         self.lu_solves = 0
-        self._lu = None
+        self._lu = {}
 
-    def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
-        """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
-        matrix = jacobian(evaluation, dt, mesh, model)
-        x = self.solve(matrix, -res.ravel(order="F"), mesh.cell_measures / dt)
-        return x.reshape(res.shape, order="F")
-
-    def solve(self, matrix, rhs, cells=1.0):
+    def solve(self, matrix, rhs, cells=1.0, system=None):
         if matrix.format == "dia":
             return self._banded(matrix, rhs)
-        if self._lu is not None:
-            x = self._refined(matrix, rhs, cells)
+        if system in self._lu:
+            x = self._refined(matrix, rhs, cells, system)
             if x is not None:
                 return x
-            self._lu = None  # so that at most one set of factors is alive
+            del self._lu[system]  # so that at most one set of factors per system is alive
         # minimum degree on A^T + A (the pattern is symmetric) cuts the 32x32
         # L+U fill from 146,588 (COLAMD) to 90,424
-        self._lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+        self._lu[system] = splu(matrix, permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
-        return self._lu_solve(rhs)
+        return self._lu_solve(rhs, system)
 
-    def _lu_solve(self, rhs):
+    def _lu_solve(self, rhs, system):
         self.lu_solves += 1
-        return self._lu.solve(rhs)
+        return self._lu[system].solve(rhs)
 
     def _banded(self, matrix, rhs):
         """x = J^-1 rhs by a fresh banded LU of the DIA Jacobian ``matrix``; J is left as it is."""
@@ -491,13 +486,13 @@ class _LinearSolver:
         self.lu_solves += 1
         return x
 
-    def _refined(self, matrix, rhs, cells):
+    def _refined(self, matrix, rhs, cells, system):
         """x with |rhs - matrix x| <= _FORCING * NEWTON_TOL * cells in every row, or None.
 
         The residual is measured as Newton's stop measures R, in units of u.
         """
         scale = np.reshape(cells, (-1, 1))
-        x = self._lu_solve(rhs)
+        x = self._lu_solve(rhs, system)
         previous = np.inf
         for sweeps in range(_REFINE_SWEEPS + 1):
             r = rhs - matrix @ x
@@ -507,70 +502,55 @@ class _LinearSolver:
             if (sweeps == _REFINE_SWEEPS or not np.isfinite(norm)
                     or norm > _REFINE_CONTRACTION * previous):
                 return None
-            x += self._lu_solve(r)
+            x += self._lu_solve(r, system)
             previous = norm
 
 
-class _BiomassSplit:
-    """Solves the Newton systems of n >= 2 species with equal alpha_i through the biomass M.
+def _newton_update(solver: _LinearSolver, evaluation: Evaluation, res, dt, mesh: Mesh,
+                   model: ModelFunctions):
+    """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N), by ``solver``.
 
-    Then J_{(K,i),(L,j)} = delta_ij A_KL + B^(i)_KL, from the sides (cells, d,
-    c, q) of ``_jacobian_parts``: A, m(K)/dt plus the edge terms alpha d, is
-    the same for every species, and B^(i), edge terms alpha (c u_i - q D_sigma
-    v_i), does not depend on j.  So J du = -R is solved by (A + sum_i B^(i))
-    dM = -sum_i R_i, whose edge terms alpha (d + c M - q D_sigma(M g)) need
-    no species axis, then A du_i = -R_i - B^(i) dM for i < n, all in one
-    solve, and du_n = dM - sum_{i<n} du_i.  The two are
+    A single species or unequal alpha_i solve the coupled system, J from
+    ``jacobian``.  For n >= 2 equal alpha_i, J_{(K,i),(L,j)} = delta_ij A_KL +
+    B^(i)_KL, from the sides (cells, d, c, q) of ``_jacobian_parts``: A,
+    m(K)/dt plus the edge terms alpha d, is the same for every species, and
+    B^(i), edge terms alpha (c u_i - q D_sigma v_i), does not depend on j.
+    So J du = -R is solved through the biomass M by block elimination:
+    (A + sum_i B^(i)) dM = -sum_i R_i, whose edge terms alpha (d + c M - q
+    D_sigma(M g)) need no species axis, then A du_i = -R_i - B^(i) dM for
+    i < n, all in one solve, and du_n = dM - sum_{i<n} du_i.  The two are
     one-species systems built by ``_newton_matrix`` on the mesh's n = 1
-    pattern, each solved by its own ``_LinearSolver`` (2D held factors
-    refine against their own matrix).  It is block elimination of the same
-    linear system, so the Newton iterates are those of the coupled solve to
-    round-off, or within _FORCING of Newton's stop where held factors meet
-    ``_LinearSolver``'s bound (the biomass system's on sum_i R_i).
-    ``factorizations`` and ``lu_solves`` count the work of both.
+    pattern, solved as the systems "biomass" and "species" (2D held factors
+    refine against their own matrix).  The Newton iterates are those of the
+    coupled solve to round-off, or within _FORCING of Newton's stop where
+    held factors meet ``_LinearSolver``'s bound (the biomass system's on
+    sum_i R_i).
     """
-
-    def __init__(self):
-        self.biomass, self.species = _LinearSolver(), _LinearSolver()
-
-    @property
-    def factorizations(self):
-        return self.biomass.factorizations + self.species.factorizations
-
-    @property
-    def lu_solves(self):
-        return self.biomass.lu_solves + self.species.lu_solves
-
-    def update(self, evaluation: Evaluation, res, dt, mesh: Mesh, model: ModelFunctions):
-        """-J^-1 R for the residual ``res`` at the evaluated state, shape (n, N)."""
-        ev, alpha, cells = evaluation, model.params.alpha_array[0], mesh.cell_measures / dt
-        parts = _jacobian_parts(ev, mesh, model)
-        dmg = ev.dv.sum(axis=0)  # D_sigma(M g)
-        near, far = (alpha * (d + c * ev.m[side] - q * dmg[:side.size]) for side, d, c, q in parts)
-        d_M = self.biomass.solve(_newton_matrix(cells, near, far, mesh), -res.sum(axis=0), cells)
-        # B^(i) dM, i < n, sums each side's alpha (c u_i - q D_sigma v_i) dM_side
-        # as the residual sums the fluxes; the contact state does not move
-        coupling = np.zeros((res.shape[0] - 1, ev.dv.shape[1]))
-        for side, _, c, q in parts:
-            e = side.size
-            coupling[:, :e] += alpha * (c * ev.u_ext[:-1, side] - q * ev.dv[:-1, :e]) * d_M[side]
-        rhs = _add_edge_sums(res[:-1], coupling, mesh)
-        species = _newton_matrix(cells, *(alpha * d for _, d, _, _ in parts), mesh)
-        delta = np.empty_like(res)
-        delta[:-1] = self.species.solve(species, -rhs.T, cells).T
-        # closing sum_i du_i = dM keeps the update backward stable where
-        # B^(n) is large (near saturation); solving du_n like the others
-        # does not
-        delta[-1] = d_M - delta[:-1].sum(axis=0)
-        return delta
-
-
-def _newton_solver(model: ModelFunctions):
-    """The solver of the model's Newton systems: through the biomass for equal alpha_i."""
-    alphas = model.params.alpha_array
-    if alphas.size > 1 and equal_diffusivities(alphas):
-        return _BiomassSplit()
-    return _LinearSolver()
+    ev, alphas, cells = evaluation, model.params.alpha_array, mesh.cell_measures / dt
+    if alphas.size == 1 or not equal_diffusivities(alphas):
+        x = solver.solve(jacobian(ev, dt, mesh, model), -res.ravel(order="F"), cells)
+        return x.reshape(res.shape, order="F")
+    alpha = alphas[0]
+    parts = _jacobian_parts(ev, mesh, model)
+    dmg = ev.dv.sum(axis=0)  # D_sigma(M g)
+    near, far = (alpha * (d + c * ev.m[side] - q * dmg[:side.size]) for side, d, c, q in parts)
+    d_M = solver.solve(_newton_matrix(cells, near, far, mesh), -res.sum(axis=0), cells,
+                       "biomass")
+    # B^(i) dM, i < n, sums each side's alpha (c u_i - q D_sigma v_i) dM_side
+    # as the residual sums the fluxes; the contact state does not move
+    coupling = np.zeros((res.shape[0] - 1, ev.dv.shape[1]))
+    for side, _, c, q in parts:
+        e = side.size
+        coupling[:, :e] += alpha * (c * ev.u_ext[:-1, side] - q * ev.dv[:-1, :e]) * d_M[side]
+    rhs = _add_edge_sums(res[:-1], coupling, mesh)
+    species = _newton_matrix(cells, *(alpha * d for _, d, _, _ in parts), mesh)
+    delta = np.empty_like(res)
+    delta[:-1] = solver.solve(species, -rhs.T, cells, "species").T
+    # closing sum_i du_i = dM keeps the update backward stable where
+    # B^(n) is large (near saturation); solving du_n like the others
+    # does not
+    delta[-1] = d_M - delta[:-1].sum(axis=0)
+    return delta
 
 
 # -- Newton and time stepping -----------------------------------------------------------
@@ -591,12 +571,12 @@ class NewtonResult:
 
 
 def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: ModelFunctions,
-                bdata: BoundaryData, *, solver: _LinearSolver | _BiomassSplit | None = None):
+                bdata: BoundaryData, *, solver: _LinearSolver | None = None):
     """One implicit Euler step via damped Newton from ``start``, an evaluated first iterate.
 
-    ``solver`` solves the Newton systems and may hold LU factors from earlier
-    solves; ``advance`` passes the one it owns, and a direct call makes the
-    model's own (``_newton_solver``).  Returns (state, NewtonResult) at the
+    Each update is ``_newton_update``'s, and ``solver`` solves its systems
+    and may hold LU factors from earlier solves; ``advance`` passes the one
+    it owns, and a direct call makes a fresh ``_LinearSolver``.  Returns (state, NewtonResult) at the
     first iterate that meets NEWTON_TOL; raises NewtonFailure after
     _MAX_NEWTON_ITERS iterates or _MAX_HALVINGS halvings of one update, or on
     a singular Jacobian; raises ValueError unless 0 < dt < inf.
@@ -607,11 +587,11 @@ def newton_step(state_prev: State, start: Evaluation, dt, mesh: Mesh, model: Mod
     evaluation = start
     res = residual(state_prev, evaluation, dt, mesh)
     if solver is None:
-        solver = _newton_solver(model)
+        solver = _LinearSolver()
 
     for it in range(1, _MAX_NEWTON_ITERS + 1):
         try:
-            delta = solver.update(evaluation, res, dt, mesh, model)
+            delta = _newton_update(solver, evaluation, res, dt, mesh, model)
         except RuntimeError as exc:  # singular factorization
             raise NewtonFailure(f"linear solve failed: {exc}") from exc
 
@@ -653,9 +633,9 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     observer(report, state) after every accepted step and must not mutate
     the state.
 
-    One solver (``_newton_solver``) serves every step of the call, so LU
-    factors held on 2D meshes carry across iterates and steps; they are freed
-    on return.
+    One ``_LinearSolver`` serves every step of the call, so the LU factors
+    it holds per system on 2D meshes carry across iterates and steps; they
+    are freed on return.
     The entry state is evaluated, and its entropy taken, on every call.
     Raises ValueError for a t_end before the state's time, NaN or infinite.
     """
@@ -666,7 +646,7 @@ def advance(state: State, t_end, mesh: Mesh, model: ModelFunctions,
     m_star = max_principle_bound(state, bdata)
     start = evaluate(state.u, mesh, model, bdata)
     entropy_prev = diagnostics.discrete_entropy(start, mesh, model)
-    solver = _newton_solver(model)
+    solver = _LinearSolver()
     alphas = model.params.alpha_array
     # the biomass bound M <= M* is a theorem only for equal diffusivities
     # (the per-species equations then sum to a diffusion equation for M)

@@ -464,6 +464,31 @@ def test_unusable_output_directory_is_a_configuration_error(tmp_path, capsys, mo
     assert "a-file" in err
 
 
+# an output file of each writer and study, and the config that writes it
+OUTPUT_FILES = [
+    ("run", RUN_1D, "smoke-1d/snapshot_0.0001.csv"),
+    ("run", RUN_1D, "smoke-1d/entropy.csv"),
+    ("run", RUN_1D, "smoke-1d/run_metadata.json"),
+    ("run", RUN_2D, "smoke-1d/snapshot_0.0001.vtk"),
+    ("convergence", CONVERGENCE_1D, "smoke-1d/convergence.csv"),
+    ("steady-state", INADMISSIBLE_DATA["steady-state"], "smoke-1d/decay.csv"),
+]
+
+
+@pytest.mark.parametrize("command, text, name", OUTPUT_FILES,
+                         ids=[f"{c}-{n.split('/')[1]}" for c, _, n in OUTPUT_FILES])
+def test_unwritable_output_file_is_a_configuration_error(tmp_path, capsys, command, text,
+                                                         name):
+    # a directory in the file's place; file permissions would not stop root
+    cfg = write_config(tmp_path / "run.cfg", text)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output") and "Traceback" not in err
+    assert name in err
+
+
 @pytest.mark.parametrize("command", sorted(INADMISSIBLE_DATA))
 def test_inadmissible_initial_datum_is_a_configuration_error(tmp_path, capsys, command):
     text = INADMISSIBLE_DATA[command].replace("u_d = 0.1, 0.1", SATURATED)

@@ -289,6 +289,15 @@ def test_convergence_study_deterministic_bytes(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("n_cells", [0, 1])
+def test_build_mesh_rejects_a_given_resolution_below_two_cells(n_cells):
+    # a given resolution is the mesh's, 0 included; only None means the spec's own
+    spec = ExperimentSpec(name="x")
+    assert spec.build_mesh().n_cells == spec.n_cells
+    with pytest.raises(ConfigurationError, match="interval mesh needs at least 2 cells"):
+        spec.build_mesh(n_cells=n_cells)
+
+
 # -- evolution runs ---------------------------------------------------------------------
 
 

@@ -457,7 +457,7 @@ def test_refined_solve_on_held_factors_meets_the_residual_target(name, bdata_01)
         return (np.abs(rhs - matrix @ x).reshape(mesh.n_cells, -1) > bound).any()
 
     # the refinement replayed on the held factors, to the first x inside the bound
-    lu = solver._lu
+    lu = solver._lu[None]
     expected, applied = lu.solve(rhs), 1
     while outside(expected):
         expected += lu.solve(rhs - matrix @ expected)
@@ -519,7 +519,7 @@ def test_singular_jacobian_with_held_factors_is_a_newton_failure(bdata_01, monke
     start = evaluate(state.u, mesh, model, bdata_01)
     with pytest.raises(NewtonFailure, match="linear solve failed"):
         newton_step(state, start, 1e-2, mesh, model, bdata_01, solver=solver)
-    assert solver._lu is None
+    assert set(solver._lu) == set()
 
 
 def test_singular_1d_jacobian_is_a_newton_failure(bdata_01, monkeypatch):
@@ -840,11 +840,32 @@ def test_tridiagonal_band_is_solved_by_dgtsv(monkeypatch):
 
 
 def test_newton_solver_follows_the_diffusivities():
-    assert isinstance(scheme._newton_solver(model_case1()), scheme._BiomassSplit)
-    assert isinstance(scheme._newton_solver(model_case2(alphas=(2.0,) * 3)),
-                      scheme._BiomassSplit)
-    for alphas in [(1.0, 5.0), (1.0,)]:
-        assert type(scheme._newton_solver(model_case2(alphas=alphas))) is scheme._LinearSolver
+    # the model's alphas alone choose the systems one update solves: the
+    # biomass split's two for equal alphas and n >= 2, else the coupled one
+    mesh = _assembly_meshes()["rectangle"]
+    for alphas, systems in [((1.0, 1.0), ["biomass", "species"]),
+                            ((2.0, 2.0, 2.0), ["biomass", "species"]),
+                            ((1.0, 5.0), [None]), ((1.0,), [None])]:
+        model, n = model_case2(alphas=alphas), len(alphas)
+        u = random_admissible(np.random.default_rng(4), n, mesh.n_cells, low=0.05, high=0.15)
+        evaluation = evaluate(u, mesh, model, BoundaryData((0.1,) * n))
+        solver, solved = scheme._LinearSolver(), []
+        solve = solver.solve
+
+        def recording(matrix, rhs, cells=1.0, system=None, solve=solve):
+            solved.append(system)
+            return solve(matrix, rhs, cells, system)
+
+        solver.solve = recording
+        scheme._newton_update(solver, evaluation, np.ones(u.shape), 1e-3, mesh, model)
+        assert solved == systems and set(solver._lu) == set(systems)
+
+
+def _coupled_update(solver, evaluation, res, dt, mesh, model):
+    """-J^-1 R solved on the coupled Jacobian, whatever the alphas."""
+    x = solver.solve(jacobian(evaluation, dt, mesh, model), -res.ravel(order="F"),
+                     mesh.cell_measures / dt)
+    return x.reshape(res.shape, order="F")
 
 
 @pytest.mark.parametrize("name, n, model_name", [
@@ -865,8 +886,8 @@ def test_biomass_split_is_the_coupled_newton_update(name, n, model_name):
         u = random_admissible(rng, n, mesh.n_cells, low=0.05, high=0.15)
         evaluation = evaluate(u, mesh, model, bdata)
         res = rng.standard_normal(u.shape)
-        coupled = scheme._LinearSolver().update(evaluation, res, dt, mesh, model)
-        split = scheme._BiomassSplit().update(evaluation, res, dt, mesh, model)
+        coupled = _coupled_update(scheme._LinearSolver(), evaluation, res, dt, mesh, model)
+        split = scheme._newton_update(scheme._LinearSolver(), evaluation, res, dt, mesh, model)
         assert np.abs(split - coupled).max() <= 1e-12 * np.abs(coupled).max()
 
 
@@ -886,8 +907,8 @@ def test_biomass_split_solves_rough_states_to_round_off(n):
     res = rng.standard_normal(u.shape)
     matrix = jacobian(evaluation, 1e-3, mesh, model)
     norm = np.abs(matrix).sum(axis=1).max()
-    for solver in (scheme._LinearSolver(), scheme._BiomassSplit()):
-        x = solver.update(evaluation, res, 1e-3, mesh, model).ravel(order="F")
+    for update in (_coupled_update, scheme._newton_update):
+        x = update(scheme._LinearSolver(), evaluation, res, 1e-3, mesh, model).ravel(order="F")
         backward = np.abs(matrix @ x + res.ravel(order="F")).max()
         assert backward <= 1e-15 * (norm * np.abs(x).max() + np.abs(res).max())
 
@@ -910,7 +931,7 @@ def test_advance_through_the_biomass_takes_the_coupled_steps(dimension, bdata_01
         return final, [(r.dt_used, r.newton_iters, r.dt_halvings) for r in reports]
 
     split, split_steps = run()
-    monkeypatch.setattr(scheme, "_newton_solver", lambda model: scheme._LinearSolver())
+    monkeypatch.setattr(scheme, "_newton_update", _coupled_update)
     coupled, coupled_steps = run()
     assert len(split_steps) > 10
     assert split_steps == coupled_steps
@@ -920,18 +941,19 @@ def test_advance_through_the_biomass_takes_the_coupled_steps(dimension, bdata_01
 def test_singular_1d_biomass_system_is_a_newton_failure(case1, bdata_01):
     mesh = build_interval_mesh(20, "left")
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
-    split = scheme._BiomassSplit()
-    solve = split.biomass.solve
+    solver = scheme._LinearSolver()
+    solve = solver.solve
 
-    def singular(matrix, rhs, cells):
-        matrix.data[:, 3] = 0.0  # column 3 of the band is column 3 of the matrix
-        return solve(matrix, rhs, cells)
+    def singular(matrix, rhs, cells=1.0, system=None):
+        if system == "biomass":
+            matrix.data[:, 3] = 0.0  # column 3 of the band is column 3 of the matrix
+        return solve(matrix, rhs, cells, system)
 
-    split.biomass.solve = singular
+    solver.solve = singular
     start = evaluate(state.u, mesh, case1, bdata_01)
     with pytest.raises(NewtonFailure, match="linear solve failed: .* U\\(4, 4\\) = 0"):
-        newton_step(state, start, 1e-3, mesh, case1, bdata_01, solver=split)
-    assert split.factorizations == 0
+        newton_step(state, start, 1e-3, mesh, case1, bdata_01, solver=solver)
+    assert solver.factorizations == 0
 
 
 @pytest.mark.parametrize("name", ["rectangle", "acute"])
@@ -940,24 +962,63 @@ def test_biomass_split_refines_both_systems_to_the_row_bound(name, case1, bdata_
     # within _FORCING of Newton's stop, in units of m(K)/dt
     mesh, dt = _assembly_meshes()[name], 1e-2
     u = random_admissible(np.random.default_rng(21), 2, mesh.n_cells, low=0.05, high=0.15)
-    split = scheme._BiomassSplit()
+    solver = scheme._LinearSolver()
     start = evaluate(u, mesh, case1, bdata_01)
-    split.update(start, residual(make_state(u), start, dt, mesh), dt, mesh, case1)
-    systems = []
-    for solver in (split.biomass, split.species):
-        def recording(matrix, rhs, cells, solve=solver.solve):
-            x = solve(matrix, rhs, cells)
-            systems.append((matrix, rhs, cells, x))
-            return x
+    scheme._newton_update(solver, start, residual(make_state(u), start, dt, mesh), dt, mesh,
+                          case1)
+    systems, solve = [], solver.solve
 
-        solver.solve = recording
+    def recording(matrix, rhs, cells=1.0, system=None):
+        x = solve(matrix, rhs, cells, system)
+        systems.append((matrix, rhs, cells, x))
+        return x
+
+    solver.solve = recording
     trial = evaluate(1.0001 * u, mesh, case1, bdata_01)
-    split.update(trial, residual(make_state(u), trial, dt, mesh), dt, mesh, case1)
-    assert split.factorizations == 2 and len(systems) == 2
+    scheme._newton_update(solver, trial, residual(make_state(u), trial, dt, mesh), dt, mesh,
+                          case1)
+    assert solver.factorizations == 2 and len(systems) == 2
     for matrix, rhs, cells, x in systems:
         assert np.array_equal(cells, mesh.cell_measures / dt)
         linear_residual = np.abs(rhs - matrix @ x).reshape(mesh.n_cells, -1)
         assert (linear_residual <= scheme._FORCING * scheme.NEWTON_TOL * cells[:, None]).all()
+
+
+def test_biomass_split_holds_factors_per_system(case1, bdata_01):
+    # 2D: the split's two systems hold their own factors, and a stale
+    # biomass system is factored anew without touching the species factors
+    mesh, dt = _assembly_meshes()["rectangle"], 1e-2
+    u = random_admissible(np.random.default_rng(21), 2, mesh.n_cells, low=0.05, high=0.15)
+    state = make_state(u)
+    solver = scheme._LinearSolver()
+    start = evaluate(u, mesh, case1, bdata_01)
+    scheme._newton_update(solver, start, residual(state, start, dt, mesh), dt, mesh, case1)
+    assert set(solver._lu) == {"biomass", "species"} and solver.factorizations == 2
+    biomass, species = solver._lu["biomass"], solver._lu["species"]
+
+    # a one-species matrix at dt = 1e-6 on the same pattern, which the held
+    # biomass factors (dt = 1e-2) do not refine
+    one = model_case1(alphas=(1.0,))
+    stale = jacobian(evaluate(u[:1], mesh, one, BoundaryData((0.1,))), 1e-6, mesh, one)
+    solver.solve(stale, np.ones(mesh.n_cells), mesh.cell_measures / 1e-6, "biomass")
+    assert solver.factorizations == 3
+    assert solver._lu["biomass"] is not biomass and solver._lu["species"] is species
+
+    # the next update factors its biomass system anew, now stale at dt = 1e-6,
+    # and solves its species system on the held factors
+    made, solve = [], solver.solve
+
+    def counting(matrix, rhs, cells=1.0, system=None):
+        before = solver.factorizations
+        x = solve(matrix, rhs, cells, system)
+        made.append((system, solver.factorizations - before))
+        return x
+
+    solver.solve = counting
+    trial = evaluate(1.0001 * u, mesh, case1, bdata_01)
+    scheme._newton_update(solver, trial, residual(state, trial, dt, mesh), dt, mesh, case1)
+    assert made == [("biomass", 1), ("species", 0)]
+    assert solver._lu["species"] is species
 
 
 def test_singular_2d_species_system_with_held_factors_is_a_newton_failure(case1, bdata_01):
@@ -965,19 +1026,20 @@ def test_singular_2d_species_system_with_held_factors_is_a_newton_failure(case1,
     u = random_admissible(np.random.default_rng(21), 2, mesh.n_cells, low=0.05, high=0.15)
     state = make_state(u)
     start = evaluate(u, mesh, case1, bdata_01)
-    split = scheme._BiomassSplit()
-    split.update(start, residual(state, start, 1e-2, mesh), 1e-2, mesh, case1)
-    assert split.biomass._lu is not None and split.species._lu is not None
-    solve = split.species.solve
+    solver = scheme._LinearSolver()
+    scheme._newton_update(solver, start, residual(state, start, 1e-2, mesh), 1e-2, mesh, case1)
+    assert set(solver._lu) == {"biomass", "species"}
+    solve = solver.solve
 
-    def singular(matrix, rhs, cells):
-        matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
-        return solve(matrix, rhs, cells)
+    def singular(matrix, rhs, cells=1.0, system=None):
+        if system == "species":
+            matrix.data[matrix.indptr[3]:matrix.indptr[4]] = 0.0  # column 3
+        return solve(matrix, rhs, cells, system)
 
-    split.species.solve = singular
+    solver.solve = singular
     with pytest.raises(NewtonFailure, match="linear solve failed"):
-        newton_step(state, start, 1e-2, mesh, case1, bdata_01, solver=split)
-    assert split.species._lu is None
+        newton_step(state, start, 1e-2, mesh, case1, bdata_01, solver=solver)
+    assert set(solver._lu) == {"biomass"}
 
 
 def test_overshooting_biomass_split_update_is_halved(case2, bdata_01, monkeypatch):
@@ -987,8 +1049,7 @@ def test_overshooting_biomass_split_update_is_halved(case2, bdata_01, monkeypatc
     state = project_initial(build_named_initial_datum("bumps-1d", {"u_d": (0.1, 0.1)}), mesh)
     start = evaluate(state.u, mesh, case2, bdata_01)
     reference, _ = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
-    split = scheme._BiomassSplit()
-    update, updates = split.update, []
+    update, updates = scheme._newton_update, []
 
     def overshooting(*args):
         x = update(*args)
@@ -997,11 +1058,11 @@ def test_overshooting_biomass_split_update_is_halved(case2, bdata_01, monkeypatc
         updates.append(x)
         return x
 
-    split.update = overshooting
+    monkeypatch.setattr(scheme, "_newton_update", overshooting)
     calls = []
     monkeypatch.setattr(scheme, "residual",
                         lambda *args: calls.append(args[1]) or residual(*args))
-    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01, solver=split)
+    new, result = newton_step(state, start, 1e-3, mesh, case2, bdata_01)
     assert np.abs(calls[1].u - (state.u + 0.25 * updates[0])).max() <= 1e-15
     assert result.residual_norm <= scheme.NEWTON_TOL
     assert np.abs(new.u - reference.u).max() <= 1e-9
@@ -1110,7 +1171,7 @@ def test_nan_update_exhausts_the_damping(case2, bdata_01):
     mesh = build_interval_mesh(10, "left")
     state = make_state(np.full((2, 10), 0.1))
     solver = scheme._LinearSolver()
-    solver.solve = lambda matrix, rhs, cells: np.full_like(rhs, np.nan)
+    solver.solve = lambda matrix, rhs, cells=1.0, system=None: np.full_like(rhs, np.nan)
     with pytest.raises(NewtonFailure, match="damping exhausted"):
         newton_step(state, evaluate(state.u, mesh, case2, bdata_01), 1e-3, mesh, case2,
                     bdata_01, solver=solver)
@@ -1149,8 +1210,8 @@ def test_trial_with_a_negative_beyond_round_off_is_halved(bdata_01, monkeypatch)
     solver = scheme._LinearSolver()
     solve, updates = solver.solve, []
 
-    def overshooting(matrix, rhs, cells):
-        x = solve(matrix, rhs, cells)
+    def overshooting(matrix, rhs, cells=1.0, system=None):
+        x = solve(matrix, rhs, cells, system)
         if not updates:
             x[0] = -3.0 * state.u[0, 0]  # full step -2 u, half step -u/2, quarter step u/4
         updates.append(x.reshape(state.u.shape, order="F"))
